@@ -11,7 +11,7 @@ A config file has four sections::
                      c_lad, c_agmon, c_sob
 
 Manifests written next to run outputs are config files with an extra
-``[provenance]`` section (versions, seed, kernel path, command line);
+``[provenance]`` section (versions, seed, command line);
 the parser ignores that section, so a manifest re-runs as-is.
 """
 
@@ -25,10 +25,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, kernels
+from . import __version__
 from .coupling import IntertwinementSpec
 from .forcing import ForcingSpec
-from .spectral import SpectralGrid
+from .spectral import SpectralGrid, shared_grid
 from .stepping import SimConfig
 
 __all__ = [
@@ -76,7 +76,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown init mode {self.init_kind!r}")
         if self.record_every < 1:
             raise ConfigError("record_every must be >= 1")
-        grid = SpectralGrid(self.resolution)
+        grid = shared_grid(self.resolution)
         if self.coupling.cutoff > grid.dealias_cutoff:
             raise ConfigError(
                 f"observation cutoff exceeds resolved band: N={self.coupling.cutoff} > "
@@ -87,7 +87,7 @@ class ExperimentConfig:
 
     @property
     def grid(self) -> SpectralGrid:
-        return SpectralGrid(self.resolution)
+        return shared_grid(self.resolution)
 
     @property
     def sim(self) -> SimConfig:
@@ -251,7 +251,6 @@ def provenance_info(extra: Optional[dict] = None) -> dict:
         "twinflow_version": __version__,
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
-        "kernel_path": "numba" if kernels.NUMBA_ENABLED else "numpy",
         "command": " ".join(sys.argv),
     }
     if extra:

@@ -28,8 +28,9 @@ import numpy as np
 from .fieldops import nse_nonlinear_term
 from .spectral import (
     SpectralField,
+    SpectralGrid,
     StreamFunction,
-    low_mode_mask,
+    half_plane,
     norm_hn,
     zero_field,
 )
@@ -41,6 +42,8 @@ __all__ = [
     "eigenvalues",
     "GrashofBundle",
     "coupling_terms",
+    "coupling_arrays",
+    "observation_mask",
     "threshold_mutual_sync",
     "threshold_degenerate_sync",
     "threshold_mutual_nudge",
@@ -137,6 +140,53 @@ def eigenvalues(m: IntertwiningMatrix) -> tuple[float, float]:
     return m.eigenvalues()
 
 
+def observation_mask(
+    spec: IntertwinementSpec, grid: SpectralGrid, half: bool = False
+) -> np.ndarray:
+    """The projection P_N as a boolean mask, after checking N is resolved.
+
+    ``half=True`` gives the mask on the ``rfft2`` half-plane the stepper
+    works on, a slice of the full-lattice one.
+    """
+    if spec.cutoff > grid.dealias_cutoff:
+        raise ValueError(
+            f"observation cutoff exceeds resolved band: N={spec.cutoff} > "
+            f"{grid.dealias_cutoff}"
+        )
+    kmag = half_plane(grid.kmag) if half else grid.kmag
+    return kmag <= spec.cutoff
+
+
+def coupling_arrays(spec: IntertwinementSpec, psi1, psi2, n1, n2, mask):
+    """RHS additions (c1, c2) from raw coefficient arrays of any shape.
+
+    ``n1``, ``n2`` are the nonlinear terms (read only by the synchronization
+    variants) and ``mask`` is P_N on the same coefficient layout. Returns
+    ``None`` for the trivial coupling, which adds nothing.
+    """
+    if spec.variant == "trivial":
+        return None
+    if spec.variant == "mutual_sync":
+        diff = (n1 - n2) * mask
+        return spec.theta1 * diff, spec.theta2 * -diff
+    if spec.variant == "degenerate_sync":
+        return n1 * mask, n2 * mask
+    if spec.variant == "general_sync":
+        # rhs1 = m00 P_N n1 - m01 P_N n2, rhs2 = m10 P_N n2 - m11 P_N n1
+        m00, m01, m10, m11 = spec.matrix
+        p1, p2 = n1 * mask, n2 * mask
+        return m00 * p1 - m01 * p2, m10 * p2 - m11 * p1
+
+    p1, p2 = psi1 * mask, psi2 * mask
+    if spec.variant == "mutual_nudge":
+        return spec.mu1 * p2 - spec.mu1 * p1, spec.mu2 * p1 - spec.mu2 * p2
+    if spec.variant == "symmetric_nudge":
+        return spec.mu2 * p2 - spec.mu1 * p1, spec.mu2 * p1 - spec.mu1 * p2
+    # general_nudge
+    m00, m01, m10, m11 = spec.matrix
+    return m00 * p2 - m01 * p1, m10 * p1 - m11 * p2
+
+
 def coupling_terms(
     spec: IntertwinementSpec,
     psi1: StreamFunction,
@@ -151,58 +201,17 @@ def coupling_terms(
     grid = psi1.grid
     if psi2.grid.resolution != grid.resolution:
         raise ValueError("coupled fields live on different grids")
-    if spec.cutoff > grid.dealias_cutoff:
-        raise ValueError(
-            f"observation cutoff exceeds resolved band: N={spec.cutoff} > "
-            f"{grid.dealias_cutoff}"
-        )
-
-    if spec.variant == "trivial":
-        return zero_field(grid), zero_field(grid)
-
-    mask = low_mode_mask(grid, spec.cutoff)
-
+    mask = observation_mask(spec, grid)
+    n1 = n2 = None
     if spec.needs_nonlinear:
         if precomputed_nonlinear is not None:
-            n1, n2 = precomputed_nonlinear
+            n1, n2 = (n.coeffs for n in precomputed_nonlinear)
         else:
-            n1, n2 = nse_nonlinear_term(psi1), nse_nonlinear_term(psi2)
-        if spec.variant == "mutual_sync":
-            diff = (n1.coeffs - n2.coeffs) * mask
-            return (
-                SpectralField(grid, spec.theta1 * diff),
-                SpectralField(grid, spec.theta2 * -diff),
-            )
-        if spec.variant == "degenerate_sync":
-            return (
-                SpectralField(grid, n1.coeffs * mask),
-                SpectralField(grid, n2.coeffs * mask),
-            )
-        # general_sync: rhs1 = m00 P_N n1 - m01 P_N n2, rhs2 = m10 P_N n2 - m11 P_N n1
-        m00, m01, m10, m11 = spec.matrix
-        p1, p2 = n1.coeffs * mask, n2.coeffs * mask
-        return (
-            SpectralField(grid, m00 * p1 - m01 * p2),
-            SpectralField(grid, m10 * p2 - m11 * p1),
-        )
-
-    p1, p2 = psi1.coeffs * mask, psi2.coeffs * mask
-    if spec.variant == "mutual_nudge":
-        return (
-            SpectralField(grid, spec.mu1 * p2 - spec.mu1 * p1),
-            SpectralField(grid, spec.mu2 * p1 - spec.mu2 * p2),
-        )
-    if spec.variant == "symmetric_nudge":
-        return (
-            SpectralField(grid, spec.mu2 * p2 - spec.mu1 * p1),
-            SpectralField(grid, spec.mu2 * p1 - spec.mu1 * p2),
-        )
-    # general_nudge
-    m00, m01, m10, m11 = spec.matrix
-    return (
-        SpectralField(grid, m00 * p2 - m01 * p1),
-        SpectralField(grid, m10 * p1 - m11 * p2),
-    )
+            n1, n2 = nse_nonlinear_term(psi1).coeffs, nse_nonlinear_term(psi2).coeffs
+    terms = coupling_arrays(spec, psi1.coeffs, psi2.coeffs, n1, n2, mask)
+    if terms is None:
+        return zero_field(grid), zero_field(grid)
+    return SpectralField(grid, terms[0]), SpectralField(grid, terms[1])
 
 
 @dataclass(frozen=True)

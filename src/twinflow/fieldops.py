@@ -7,21 +7,28 @@ spectral space, the product ``u . grad(omega)`` pointwise on the physical
 grid, then the square 2/3 mask. With dealiased inputs this equals the
 exactly truncated convolution, which is what the trilinear identities and
 the brute-force oracle in the tests rely on.
+
+The stepper evaluates the advection term on raw ``rfft2`` half-plane
+arrays (``nonlinear_half``); ``nse_nonlinear_term`` is the full-lattice
+view of the same computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from . import kernels
 from .spectral import (
     PARSEVAL_FACTOR,
     SpectralField,
     SpectralGrid,
     StreamFunction,
-    inv_laplacian,
+    from_half,
+    half_plane,
+    mirror_column,
+    to_half,
     to_physical,
 )
 
@@ -31,6 +38,7 @@ __all__ = [
     "velocity_laplacian",
     "divergence",
     "nse_nonlinear_term",
+    "nonlinear_half",
     "trilinear_b",
     "stream_force_term",
     "force_velocity",
@@ -77,32 +85,59 @@ def _deriv_phys(field: SpectralField, axis: int) -> np.ndarray:
     return np.fft.ifft2(1j * k * field.coeffs, norm="forward").real
 
 
+@lru_cache(maxsize=8)
+def _half_plane_operators(grid: SpectralGrid):
+    """Derivative multipliers and the output factor on the half-plane.
+
+    ``i*kx`` and ``-i*kx`` as columns, ``-i*ky`` as a row (they broadcast),
+    ``|k|^2`` as a view of the grid's array, and one factor that folds the
+    2/3 mask, the inverse laplacian and the zero mean mode together.
+    """
+    ikx = 1j * grid.kx[:, :1]
+    neg_ikx = -ikx
+    neg_iky = -1j * half_plane(grid.ky)[:1]
+    ksq = half_plane(grid.ksq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = np.where(ksq > 0, half_plane(grid.dealias_mask) / -ksq, 0.0)
+    for arr in (ikx, neg_ikx, neg_iky, factor):
+        arr.setflags(write=False)
+    return ikx, neg_ikx, neg_iky, ksq, factor
+
+
+def nonlinear_half(psi: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Advection term invlap( u . grad(lap psi) ) of a half-plane array.
+
+    Four ``irfft2`` and one ``rfft2``. The input must be dealiased and
+    Hermitian in its column ``ky = 0``; the output is dealiased, mean-free
+    and exactly Hermitian there too.
+    """
+    ikx, neg_ikx, neg_iky, ksq, factor = _half_plane_operators(grid)
+    ux = np.fft.irfft2(psi * neg_iky, norm="forward")
+    uy = np.fft.irfft2(psi * ikx, norm="forward")
+    lap = ksq * psi  # -omega
+    wx = np.fft.irfft2(lap * neg_ikx, norm="forward")
+    wy = np.fft.irfft2(lap * neg_iky, norm="forward")
+    c = np.fft.rfft2(ux * wx + uy * wy, norm="forward")
+    c *= factor
+    # rfft2 leaves column ky = 0 Hermitian only to roundoff; make it exact
+    mirror_column(c[:, 0])
+    return c
+
+
 def nse_nonlinear_term(psi: StreamFunction) -> SpectralField:
     """Streamfunction-level advection: invlap( u . grad(lap psi) ).
 
-    The input must be dealiased; the output is dealiased and mean-free.
+    The input must be dealiased and Hermitian; the output is dealiased,
+    mean-free and exactly Hermitian.
     """
-    grid = psi.grid
-    ux = np.fft.ifft2(-1j * grid.ky * psi.coeffs, norm="forward").real
-    uy = np.fft.ifft2(1j * grid.kx * psi.coeffs, norm="forward").real
-    omega = -grid.ksq * psi.coeffs
-    wx = np.fft.ifft2(1j * grid.kx * omega, norm="forward").real
-    wy = np.fft.ifft2(1j * grid.ky * omega, norm="forward").real
-    advec = kernels.advection_dot(ux, uy, wx, wy)
-    c = np.fft.fft2(advec, norm="forward")
-    c *= grid.dealias_mask
-    c[0, 0] = 0.0
-    ksq = grid.ksq
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.where(ksq > 0, -c / ksq, 0.0)
-    return SpectralField(grid, c)
+    return SpectralField(psi.grid, from_half(nonlinear_half(to_half(psi.coeffs), psi.grid)))
 
 
 def _advect(u: VelocityField, v: VelocityField) -> tuple[np.ndarray, np.ndarray]:
     """(u . grad) v on the physical grid."""
     ux, uy = to_physical(u.ux), to_physical(u.uy)
-    ax = kernels.advection_dot(ux, uy, _deriv_phys(v.ux, 0), _deriv_phys(v.ux, 1))
-    ay = kernels.advection_dot(ux, uy, _deriv_phys(v.uy, 0), _deriv_phys(v.uy, 1))
+    ax = ux * _deriv_phys(v.ux, 0) + uy * _deriv_phys(v.ux, 1)
+    ay = ux * _deriv_phys(v.uy, 0) + uy * _deriv_phys(v.uy, 1)
     return ax, ay
 
 
@@ -115,7 +150,7 @@ def trilinear_b(u: VelocityField, v: VelocityField, w: VelocityField) -> float:
     """
     ax, ay = _advect(u, v)
     wx, wy = to_physical(w.ux), to_physical(w.uy)
-    total = np.sum(kernels.advection_dot(ax, ay, wx, wy))
+    total = np.sum(ax * wx + ay * wy)
     n = u.grid.resolution
     return PARSEVAL_FACTOR**2 * float(total) / (n * n)
 

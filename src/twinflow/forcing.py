@@ -16,6 +16,7 @@ its target exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,8 +78,13 @@ class ForcingSpec:
             raise ValueError(f"norm_kind must be 'h' or 'linf', got {self.norm_kind!r}")
 
 
+@lru_cache(maxsize=8)
 def make_band_forcing(spec: ForcingSpec, grid: SpectralGrid) -> SpectralField:
-    """Build the band force profile; |f| = grashof_target * nu^2 exactly."""
+    """Build the band force profile; |f| = grashof_target * nu^2 exactly.
+
+    Built once per (spec, grid): the field is immutable, so a run, its
+    spin-up and its blow-up check share one.
+    """
     ksq_int = grid.kx.astype(np.int64) ** 2 + grid.ky.astype(np.int64) ** 2
     band = (ksq_int >= spec.band_low) & (ksq_int <= spec.band_high)
     band &= grid.dealias_mask

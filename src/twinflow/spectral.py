@@ -17,6 +17,13 @@ Conventions, fixed once for the whole package:
 
 ``SpectralField`` values are immutable: their coefficient arrays are
 flagged read-only, and every operation returns a new field.
+
+Fields at the API hold the full ``N x N`` lattice. The time stepper works
+on raw ``N x (N/2+1)`` arrays instead: the ``rfft2`` half-plane, which
+keeps every ``kx`` and ``ky = 0 .. N/2``. A real field's coefficients
+satisfy ``c_{-k} = conj(c_k)``, so the half-plane determines the rest
+(``to_half`` / ``from_half``). Inputs to the stepper must be Hermitian:
+whatever lives only in the dropped columns is lost.
 """
 
 from __future__ import annotations
@@ -81,6 +88,12 @@ class SpectralGrid:
     def physical_coords(self):
         """Meshgrid ``(x, y)`` of physical sample points, 'ij' indexed."""
         return np.meshgrid(self.x1d, self.x1d, indexing="ij")
+
+
+@lru_cache(maxsize=8)
+def shared_grid(resolution: int) -> SpectralGrid:
+    """The one grid per resolution: its wavenumber arrays are built once."""
+    return SpectralGrid(resolution)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,6 +163,50 @@ def field_from_physical(grid: SpectralGrid, values: np.ndarray) -> SpectralField
 def to_physical(field: SpectralField) -> np.ndarray:
     """Inverse transform; imaginary residue is dropped (fields are real)."""
     return np.fft.ifft2(field.coeffs, norm="forward").real
+
+
+def half_plane(arr: np.ndarray) -> np.ndarray:
+    """View of a full-lattice array on the half-plane columns ``ky = 0 .. N/2``."""
+    return arr[:, : arr.shape[0] // 2 + 1]
+
+
+def to_half(coeffs: np.ndarray) -> np.ndarray:
+    """Half-plane copy (columns ``ky = 0 .. N/2``) of a full-lattice array.
+
+    Columns ``ky = 0`` and ``ky = N/2`` are their own mirror images; their
+    ``kx < 0`` rows are reset to the conjugates of the ``kx > 0`` rows and
+    their self-mirrored entries to real values, so the result is exactly
+    Hermitian. For an exactly Hermitian input that changes nothing.
+    """
+    n = coeffs.shape[0]
+    half = np.array(half_plane(coeffs), dtype=np.complex128)
+    for j in (0, n // 2):
+        col = half[:, j]
+        mirror_column(col)
+        col[0] = col[0].real
+        col[n // 2] = col[n // 2].real
+    return half
+
+
+def mirror_column(col: np.ndarray) -> None:
+    """Set the ``kx < 0`` rows of a self-mirrored column to the conjugates
+    of its ``kx > 0`` rows, in place."""
+    n = col.shape[0]
+    col[n // 2 + 1:] = np.conj(col[n // 2 - 1:0:-1])
+
+
+def from_half(half: np.ndarray) -> np.ndarray:
+    """Full-lattice array from a half-plane one, by exact Hermitian reflection.
+
+    ``c[kx, ky] = conj(c[-kx, -ky])`` fills the columns ``ky < 0``; the
+    half-plane columns are copied unchanged.
+    """
+    n, m = half.shape
+    full = np.empty((n, n), dtype=np.complex128)
+    full[:, :m] = half
+    np.conjugate(half[0, m - 2:0:-1], out=full[0, m:])
+    np.conjugate(half[:0:-1, m - 2:0:-1], out=full[1:, m:])
+    return full
 
 
 def hermitianize(field: SpectralField) -> SpectralField:

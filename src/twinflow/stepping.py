@@ -6,8 +6,19 @@ Per mode k != 0, one step applies
 
 so diffusion is exact and everything else is explicit Euler. The
 exponential factor is premultiplied by the dealias mask, which keeps the
-state dealiased without a separate pass. Checkpoints serialize a full
-pair state losslessly (see ``save_checkpoint`` for the byte layout).
+state dealiased without a separate pass.
+
+Every stepping entry point (``advance``, ``spin_up``, ``decorrelate``,
+``step_pair``, ``step_single``) converts its input once to raw ``rfft2``
+half-plane arrays (``N x (N/2+1)``) and runs all per-step work on them:
+the nonlinear term, the coupling, the update and the blow-up check. Full-
+lattice ``SpectralField`` states are rebuilt by exact Hermitian
+reflection only where a caller sees them: the observer on its cadence,
+rolling checkpoints, and the returned state. So every state handed out is
+exactly Hermitian, and stepping k times one call at a time equals one
+k-step call bitwise. Inputs must be Hermitian (see ``spectral.to_half``).
+Checkpoints serialize a full pair state losslessly (see
+``save_checkpoint`` for the byte layout).
 """
 
 from __future__ import annotations
@@ -21,14 +32,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import kernels
-from .coupling import IntertwinementSpec, coupling_terms
-from .fieldops import nse_nonlinear_term, stream_force_term
+from .coupling import IntertwinementSpec, coupling_arrays, observation_mask
+from .fieldops import nonlinear_half, stream_force_term
 from .forcing import ForcingSpec, absorbing_radii, make_band_forcing
 from .spectral import (
     SpectralField,
     SpectralGrid,
     StreamFunction,
+    from_half,
+    half_plane,
+    shared_grid,
+    to_half,
     zero_field,
 )
 
@@ -104,24 +118,34 @@ class PairState:
 
 
 @lru_cache(maxsize=16)
-def _masked_exp_factor(grid: SpectralGrid, nu: float, dt: float) -> np.ndarray:
-    efac = np.exp(-nu * grid.ksq * dt) * grid.dealias_mask
-    efac.setflags(write=False)
-    return efac
+def _step_constants(grid: SpectralGrid, nu: float, dt: float):
+    """Half-plane integrating factor (dealias mask folded in) and the
+    weights of the blow-up energy sum |k|^2 |psi_k|^2.
+
+    Columns ``ky = 0`` and ``ky = N/2`` hold each mode once; every other
+    half-plane column stands for itself and its mirror, so counts twice.
+    """
+    ksq = half_plane(grid.ksq)
+    efac = np.exp(-nu * ksq * dt) * half_plane(grid.dealias_mask)
+    weights = 2.0 * ksq
+    weights[:, 0] = ksq[:, 0]
+    weights[:, -1] = ksq[:, -1]
+    for arr in (efac, weights):
+        arr.setflags(write=False)
+    return efac, weights
 
 
 @lru_cache(maxsize=16)
 def _blowup_radius(spec: ForcingSpec, resolution: int) -> float:
-    grid = SpectralGrid(resolution)
-    f = make_band_forcing(spec, grid)
+    f = make_band_forcing(spec, shared_grid(resolution))
     rho0, _ = absorbing_radii(f, spec.viscosity)
     return BLOWUP_FACTOR * rho0
 
 
-def _check_finite(psi: StreamFunction, cfg: SimConfig, t: float,
+def _check_finite(psi: np.ndarray, weights: np.ndarray, cfg: SimConfig, t: float,
                   last_checkpoint: Optional[str]):
-    # |u|^2 in one reduction: NaN/Inf propagate through the sum.
-    energy = float(np.sum(cfg.grid.ksq * np.abs(psi.coeffs) ** 2))
+    # |u|^2 in one reduction over the half-plane: NaN/Inf propagate.
+    energy = float(np.sum(weights * (psi.real * psi.real + psi.imag * psi.imag)))
     if not np.isfinite(energy):
         raise BlowUpError(t, "non-finite coefficient detected", last_checkpoint)
     if cfg.forcing is not None:
@@ -132,41 +156,52 @@ def _check_finite(psi: StreamFunction, cfg: SimConfig, t: float,
             )
 
 
-def _step_single_stream(psi, cfg, gforce, t_new, last_checkpoint=None):
-    efac = _masked_exp_factor(cfg.grid, cfg.nu, cfg.dt)
-    nonlin = nse_nonlinear_term(psi)
-    new = kernels.euler_if_update_single(psi.coeffs, nonlin.coeffs, gforce, efac, cfg.dt)
-    out = StreamFunction(cfg.grid, new)
-    _check_finite(out, cfg, t_new, last_checkpoint)
-    return out
+def _full(grid: SpectralGrid, psi: np.ndarray) -> StreamFunction:
+    return StreamFunction(grid, from_half(psi))
+
+
+def _force_half(f: SpectralField) -> np.ndarray:
+    return to_half(stream_force_term(f).coeffs)
+
+
+def _evolve_single(
+    psi: StreamFunction,
+    cfg: SimConfig,
+    f: SpectralField,
+    nsteps: int,
+    checkpoint_dir: Optional[Path] = None,
+    every: int = 1,
+    progress: Optional[Callable[[float], None]] = None,
+) -> StreamFunction:
+    """``nsteps`` single-flow steps on the half-plane, clock from zero.
+
+    Every ``every`` steps, writes a rolling checkpoint into
+    ``checkpoint_dir`` (when given) and calls ``progress`` (when given).
+    """
+    grid, dt = cfg.grid, cfg.dt
+    efac, weights = _step_constants(grid, cfg.nu, dt)
+    g = _force_half(f)
+    h = to_half(psi.coeffs)
+    last_ckpt = None
+    for i in range(nsteps):
+        t = (i + 1) * dt
+        nonlin = nonlinear_half(h, grid)
+        h = efac * (h + dt * (g - nonlin))
+        _check_finite(h, weights, cfg, t, last_ckpt)
+        if (i + 1) % every == 0:
+            if checkpoint_dir is not None:
+                path = Path(checkpoint_dir) / f"spinup_{i + 1:09d}.ckpt"
+                out = _full(grid, h)
+                save_checkpoint(PairState(out, out, t, i + 1), dt, path)
+                last_ckpt = str(path)
+            if progress is not None:
+                progress(t)
+    return psi if nsteps == 0 else _full(grid, h)
 
 
 def step_single(psi: StreamFunction, cfg: SimConfig, f: SpectralField) -> StreamFunction:
     """One integrating-factor Euler step of a single flow."""
-    return _step_single_stream(psi, cfg, stream_force_term(f).coeffs, cfg.dt)
-
-
-def _step_pair_stream(state, cfg, spec, g1, g2, last_checkpoint=None):
-    efac = _masked_exp_factor(cfg.grid, cfg.nu, cfg.dt)
-    n1 = nse_nonlinear_term(state.psi1)
-    n2 = nse_nonlinear_term(state.psi2)
-    c1, c2 = coupling_terms(spec, state.psi1, state.psi2, (n1, n2))
-    new1 = kernels.euler_if_update(
-        state.psi1.coeffs, n1.coeffs, g1, c1.coeffs, efac, cfg.dt
-    )
-    new2 = kernels.euler_if_update(
-        state.psi2.coeffs, n2.coeffs, g2, c2.coeffs, efac, cfg.dt
-    )
-    t_new = state.t + cfg.dt
-    out = PairState(
-        StreamFunction(cfg.grid, new1),
-        StreamFunction(cfg.grid, new2),
-        t_new,
-        state.step_index + 1,
-    )
-    _check_finite(out.psi1, cfg, t_new, last_checkpoint)
-    _check_finite(out.psi2, cfg, t_new, last_checkpoint)
-    return out
+    return _evolve_single(psi, cfg, f, 1)
 
 
 def step_pair(
@@ -177,9 +212,7 @@ def step_pair(
     f2: SpectralField,
 ) -> PairState:
     """One step of the coupled pair under forces (f1, f2)."""
-    g1 = stream_force_term(f1).coeffs
-    g2 = stream_force_term(f2).coeffs
-    return _step_pair_stream(state, cfg, spec, g1, g2)
+    return advance(state, cfg, spec, f1, f2, 1)
 
 
 def advance(
@@ -195,18 +228,40 @@ def advance(
 ) -> PairState:
     """Run ``nsteps`` pair steps, invoking ``observer`` on the cadence.
 
-    The observer also sees the initial state. Force-to-streamfunction
-    conversion happens once, outside the loop.
+    The observer also sees the initial state. Forces, the pair and the
+    projection mask move to the half-plane once, outside the loop.
     """
-    g1 = stream_force_term(f1).coeffs
-    g2 = stream_force_term(f2).coeffs
     if observer is not None:
         observer(state)
+    grid, dt = cfg.grid, cfg.dt
+    efac, weights = _step_constants(grid, cfg.nu, dt)
+    mask = observation_mask(spec, grid, half=True)
+    g1, g2 = _force_half(f1), _force_half(f2)
+    p1, p2 = to_half(state.psi1.coeffs), to_half(state.psi2.coeffs)
+    t, step = state.t, state.step_index
+    out = state
     for i in range(nsteps):
-        state = _step_pair_stream(state, cfg, spec, g1, g2, last_checkpoint)
+        n1, n2 = nonlinear_half(p1, grid), nonlinear_half(p2, grid)
+        coupling = coupling_arrays(spec, p1, p2, n1, n2, mask)
+        if coupling is None:
+            p1 = efac * (p1 + dt * (g1 - n1))
+            p2 = efac * (p2 + dt * (g2 - n2))
+        else:
+            # (coupling - nonlin) first: lets coupled low modes cancel exactly
+            # when the coupling reproduces the nonlinear term coefficientwise.
+            c1, c2 = coupling
+            p1 = efac * (p1 + dt * ((c1 - n1) + g1))
+            p2 = efac * (p2 + dt * ((c2 - n2) + g2))
+        t, step = t + dt, step + 1
+        _check_finite(p1, weights, cfg, t, last_checkpoint)
+        _check_finite(p2, weights, cfg, t, last_checkpoint)
+        out = None
         if observer is not None and (i + 1) % observe_every == 0:
-            observer(state)
-    return state
+            out = PairState(_full(grid, p1), _full(grid, p2), t, step)
+            observer(out)
+    if out is None:
+        out = PairState(_full(grid, p1), _full(grid, p2), t, step)
+    return out
 
 
 def spin_up(
@@ -228,19 +283,9 @@ def spin_up(
         raise ValueError("spin-up requires a forcing spec")
     psi = zero_field(cfg.grid)
     force = make_band_forcing(cfg.forcing, cfg.grid)
-    gforce = stream_force_term(force).coeffs
     nsteps = int(round(duration / cfg.dt))
     every = max(1, int(round(checkpoint_every / cfg.dt)))
-    last_ckpt = None
-    for i in range(nsteps):
-        psi = _step_single_stream(psi, cfg, gforce, (i + 1) * cfg.dt, last_ckpt)
-        if checkpoint_dir is not None and (i + 1) % every == 0:
-            path = Path(checkpoint_dir) / f"spinup_{i + 1:09d}.ckpt"
-            save_checkpoint(PairState(psi, psi, (i + 1) * cfg.dt, i + 1), cfg.dt, path)
-            last_ckpt = str(path)
-        if progress is not None and (i + 1) % every == 0:
-            progress((i + 1) * cfg.dt)
-    return psi
+    return _evolve_single(psi, cfg, force, nsteps, checkpoint_dir, every, progress)
 
 
 def decorrelate(
@@ -252,11 +297,7 @@ def decorrelate(
     if cfg.forcing is None:
         raise ValueError("decorrelation requires a forcing spec")
     force = make_band_forcing(cfg.forcing, cfg.grid)
-    gforce = stream_force_term(force).coeffs
-    out = psi
-    for i in range(int(round(duration / cfg.dt))):
-        out = _step_single_stream(out, cfg, gforce, (i + 1) * cfg.dt)
-    return out
+    return _evolve_single(psi, cfg, force, int(round(duration / cfg.dt)))
 
 
 # --- checkpoint serialization -------------------------------------------------
@@ -315,7 +356,7 @@ def load_checkpoint(path, grid: Optional[SpectralGrid] = None) -> tuple[PairStat
             f"resolution mismatch on resume: checkpoint has {n}, "
             f"configuration has {grid.resolution}"
         )
-    g = grid if grid is not None else SpectralGrid(n)
+    g = grid if grid is not None else shared_grid(n)
     size = n * n * 16
     offset = _HEADER.size
     fields = []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import twinflow as tf
-from twinflow.spectral import zero_field
+from twinflow.spectral import hermitian_defect, zero_field
 from twinflow.stepping import (
     BlowUpError,
     CheckpointError,
@@ -143,6 +143,71 @@ class TestPairStep:
             prev = cur
 
 
+def assert_exact_state(psi):
+    """Exactly Hermitian, dealiased, and mean-free: what the stepper hands out."""
+    assert hermitian_defect(psi) == 0.0
+    assert not np.any(psi.coeffs[~psi.grid.dealias_mask])
+    assert psi.coeffs[0, 0] == 0.0
+
+
+VARIANT_SPECS = [
+    tf.IntertwinementSpec("trivial", 5.0),
+    tf.IntertwinementSpec("mutual_sync", 5.0, theta1=0.25),
+    tf.IntertwinementSpec("symmetric_nudge", 5.0, mu1=5.0, mu2=2.0),
+    tf.IntertwinementSpec("general_sync", 5.0, matrix=(0.7, 0.3, 0.6, 0.4)),
+]
+
+
+class TestOneStepPath:
+    @pytest.mark.parametrize("spec", VARIANT_SPECS, ids=lambda s: s.variant)
+    def test_step_pair_k_times_equals_advance(self, grid32, forced_cfg, rng, spec):
+        f = tf.make_band_forcing(forced_cfg.forcing, grid32)
+        start = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng), 0.25, 3)
+        state = start
+        for _ in range(7):
+            state = tf.step_pair(state, forced_cfg, spec, f, f)
+        batched = advance(start, forced_cfg, spec, f, f, 7)
+        assert np.array_equal(state.psi1.coeffs, batched.psi1.coeffs)
+        assert np.array_equal(state.psi2.coeffs, batched.psi2.coeffs)
+        assert (state.t, state.step_index) == (batched.t, batched.step_index)
+
+    def test_step_single_k_times_equals_decorrelate(self, grid32, forced_cfg, rng):
+        psi0 = random_psi(grid32, rng)
+        f = tf.make_band_forcing(forced_cfg.forcing, grid32)
+        psi = psi0
+        for _ in range(7):
+            psi = tf.step_single(psi, forced_cfg, f)
+        batched = tf.decorrelate(psi0, forced_cfg, 7 * forced_cfg.dt)
+        assert np.array_equal(psi.coeffs, batched.coeffs)
+
+    @pytest.mark.parametrize("spec", VARIANT_SPECS, ids=lambda s: s.variant)
+    def test_pair_states_handed_out_are_exact(self, grid32, forced_cfg, rng, spec):
+        f = tf.make_band_forcing(forced_cfg.forcing, grid32)
+        start = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng))
+        seen = []
+        final = advance(start, forced_cfg, spec, f, f, 6, seen.append, 2)
+        assert [s.step_index for s in seen] == [0, 2, 4, 6]
+        assert seen[-1] is final
+        stepped = tf.step_pair(start, forced_cfg, spec, f, f)
+        for state in seen[1:] + [stepped]:
+            assert_exact_state(state.psi1)
+            assert_exact_state(state.psi2)
+
+    def test_single_states_and_checkpoints_are_exact(self, grid32, forced_cfg, rng,
+                                                     tmp_path):
+        f = tf.make_band_forcing(forced_cfg.forcing, grid32)
+        spun = tf.spin_up(forced_cfg, 0.3, checkpoint_dir=tmp_path, checkpoint_every=0.1)
+        ckpts = sorted(tmp_path.glob("spinup_*.ckpt"))
+        assert len(ckpts) == 3
+        states = [spun, tf.decorrelate(spun, forced_cfg, 0.05),
+                  tf.step_single(random_psi(grid32, rng), forced_cfg, f)]
+        for path in ckpts:
+            state, _ = load_checkpoint(path)
+            states += [state.psi1, state.psi2]
+        for psi in states:
+            assert_exact_state(psi)
+
+
 class TestBlowUpDetection:
     def test_nonfinite_detected(self, grid32, small_cfg):
         c = np.zeros(grid32.shape, dtype=np.complex128)
@@ -150,6 +215,17 @@ class TestBlowUpDetection:
         bad = tf.SpectralField(grid32, c)
         with pytest.raises(BlowUpError, match="non-finite"):
             tf.step_single(bad, small_cfg, zero_force(grid32))
+
+    @pytest.mark.parametrize("mode", [(1, 0), (3, 16), (2, 5)])
+    def test_nonfinite_detected_in_pair(self, grid32, small_cfg, rng, mode):
+        # column 0, column N/2 and an interior column of the half-plane
+        c = np.array(random_psi(grid32, rng).coeffs)
+        k1, k2 = mode
+        c[k1, k2] = c[-k1, -k2] = np.nan
+        state = tf.PairState(random_psi(grid32, rng), tf.SpectralField(grid32, c))
+        spec = tf.IntertwinementSpec("mutual_nudge", 5.0, mu1=1.0, mu2=1.0)
+        with pytest.raises(BlowUpError, match="non-finite"):
+            tf.step_pair(state, small_cfg, spec, zero_force(grid32), zero_force(grid32))
 
     def test_runaway_magnitude_detected(self, grid32, forced_cfg, rng):
         huge = random_psi(grid32, rng, scale=1e12)
