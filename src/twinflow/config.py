@@ -76,14 +76,14 @@ class ExperimentConfig:
             raise ConfigError(f"unknown init mode {self.init_kind!r}")
         if self.record_every < 1:
             raise ConfigError("record_every must be >= 1")
+        if self.nu <= 0 or self.dt <= 0:
+            raise ConfigError(f"nu and dt must be positive, got nu={self.nu}, dt={self.dt}")
         grid = shared_grid(self.resolution)
         if self.coupling.cutoff > grid.dealias_cutoff:
             raise ConfigError(
                 f"observation cutoff exceeds resolved band: N={self.coupling.cutoff} > "
                 f"{grid.dealias_cutoff}"
             )
-        if self.forcing.viscosity != self.nu:
-            raise ConfigError("forcing viscosity must equal sim nu")
 
     @property
     def grid(self) -> SpectralGrid:
@@ -91,15 +91,14 @@ class ExperimentConfig:
 
     @property
     def sim(self) -> SimConfig:
-        return SimConfig(self.nu, self.dt, self.grid, self.forcing, self.t_end)
+        return SimConfig(self.nu, self.dt, self.grid, self.forcing)
 
 
-def _forcing_from_items(items: dict, nu: float) -> ForcingSpec:
+def _forcing_from_items(items: dict) -> ForcingSpec:
     return ForcingSpec(
         band_low=int(items.get("band_low", 10)),
         band_high=int(items.get("band_high", 12)),
         grashof_target=float(items.get("grashof", 1.0e5)),
-        viscosity=nu,
         phase_seed=int(items.get("seed", 0)),
         norm_kind=items.get("norm", "h"),
     )
@@ -126,17 +125,16 @@ def _coupling_from_items(items: dict) -> IntertwinementSpec:
 def _build(parser: configparser.ConfigParser) -> ExperimentConfig:
     try:
         sim = dict(parser["sim"])
-        nu = float(sim["nu"])
         exp = dict(parser["experiment"]) if parser.has_section("experiment") else {}
         forcing2 = None
         if parser.has_section("forcing2"):
-            forcing2 = _forcing_from_items(dict(parser["forcing2"]), nu)
+            forcing2 = _forcing_from_items(dict(parser["forcing2"]))
         return ExperimentConfig(
             resolution=int(sim["resolution"]),
-            nu=nu,
+            nu=float(sim["nu"]),
             dt=float(sim["dt"]),
             t_end=float(sim.get("t_end", 0.0)),
-            forcing=_forcing_from_items(dict(parser["forcing"]), nu),
+            forcing=_forcing_from_items(dict(parser["forcing"])),
             forcing2=forcing2,
             coupling=_coupling_from_items(dict(parser["intertwinement"])),
             init_kind=exp.get("init", "projected_low"),
@@ -259,13 +257,12 @@ def provenance_info(extra: Optional[dict] = None) -> dict:
 
 
 def _desk() -> ExperimentConfig:
-    nu = 0.005
     return ExperimentConfig(
         resolution=128,
-        nu=nu,
+        nu=0.005,
         dt=0.005,
         t_end=40.0,
-        forcing=ForcingSpec(10, 12, 1.0e4, nu, 0),
+        forcing=ForcingSpec(10, 12, 1.0e4, 0),
         coupling=IntertwinementSpec("mutual_sync", 20.0, theta1=0.5),
         init_kind="projected_low",
         spinup_time=200.0,
@@ -275,13 +272,12 @@ def _desk() -> ExperimentConfig:
 
 
 def _paper_text() -> ExperimentConfig:
-    nu = 0.0005
     return ExperimentConfig(
         resolution=512,
-        nu=nu,
+        nu=0.0005,
         dt=0.01,
         t_end=100.0,
-        forcing=ForcingSpec(10, 12, 1.0e5, nu, 0),
+        forcing=ForcingSpec(10, 12, 1.0e5, 0),
         coupling=IntertwinementSpec("mutual_sync", 50.0, theta1=0.5),
         init_kind="decorrelated",
         spinup_time=10000.0,
@@ -291,13 +287,12 @@ def _paper_text() -> ExperimentConfig:
 
 
 def _paper_figure() -> ExperimentConfig:
-    nu = 0.005
     return ExperimentConfig(
         resolution=512,
-        nu=nu,
+        nu=0.005,
         dt=0.001,
         t_end=100.0,
-        forcing=ForcingSpec(10, 12, 1.0e5, nu, 0),
+        forcing=ForcingSpec(10, 12, 1.0e5, 0),
         coupling=IntertwinementSpec("mutual_sync", 50.0, theta1=0.5),
         init_kind="decorrelated",
         spinup_time=10000.0,

@@ -1,20 +1,31 @@
 """Coupling-term evaluation for intertwined pairs, plus cutoff thresholds.
 
-Two families of couplings act through the low-mode projection P_N:
+Every coupling is one 2x2 matrix ``(a, b, c, d)`` applied to the
+low-mode projections ``P_N`` of a pair of arrays ``(x1, x2)``:
 
-* synchronization couplings exchange projected *nonlinear terms*
-  (mutual, with weights theta1 + theta2 = 1; or degenerate, where each
-  system re-adds its own projected nonlinearity), and
-* nudging couplings exchange projected *states* (mutual: relax toward
-  each other; symmetric: damp own low modes, feed the partner's).
+    rhs1 = a P_N x1 + b P_N x2,    rhs2 = c P_N x1 + d P_N x2.
 
-``coupling_terms`` returns the streamfunction-level right-hand-side
-additions for both systems. The threshold functions evaluate, in closed
-form, how large the cutoff N (and for nudging, the relaxation window for
-mu1 + mu2) must be for the coupled pair to synchronize. The interpolation
-constants they depend on (``c_lad``, ``c_agmon``, ``c_sob``) have no
-certified numeric values; defaults of 1.0 make the outputs advisory scale
-estimates, not rigorous bounds.
+Synchronization couplings take ``x`` to be the nonlinear term ``B``
+(Olson & Titi 2003); nudging couplings take the state ``psi`` (Azouani,
+Olson & Titi 2014). The named variants are rows of one table:
+
+    variant           acts on   (a, b, c, d)
+    trivial           psi       (0, 0, 0, 0)
+    mutual_sync       B         (theta1, -theta1, -theta2, theta2)
+    degenerate_sync   B         (1, 0, 0, 1)
+    mutual_nudge      psi       (-mu1, mu1, mu2, -mu2)
+    symmetric_nudge   psi       (-mu1, mu2, mu2, -mu1)
+    general_nudge     psi       (-m01, m00, m10, -m11)
+    general_sync      B         (m00, -m01, -m11, m10)
+
+with ``theta2 = 1 - theta1`` and ``(m00, m01, m10, m11)`` the configured
+``matrix``. ``coupling_terms`` returns the streamfunction-level
+right-hand-side additions for both systems. The threshold functions
+evaluate, in closed form, how large the cutoff N (and for nudging, the
+relaxation window for mu1 + mu2) must be for the coupled pair to
+synchronize. The interpolation constants they depend on (``c_lad``,
+``c_agmon``, ``c_sob``) have no certified numeric values; defaults of 1.0
+make the outputs advisory scale estimates, not rigorous bounds.
 """
 
 from __future__ import annotations
@@ -30,16 +41,14 @@ from .spectral import (
     SpectralField,
     SpectralGrid,
     StreamFunction,
-    half_plane,
+    low_mode_mask,
     norm_hn,
-    zero_field,
 )
 
 __all__ = [
     "VARIANTS",
     "IntertwinementSpec",
     "IntertwiningMatrix",
-    "eigenvalues",
     "GrashofBundle",
     "coupling_terms",
     "coupling_arrays",
@@ -52,15 +61,22 @@ __all__ = [
     "SymmetricNudgeThresholds",
 ]
 
-VARIANTS = (
-    "trivial",
-    "mutual_sync",
-    "degenerate_sync",
-    "mutual_nudge",
-    "symmetric_nudge",
-    "general_nudge",
-    "general_sync",
-)
+# variant -> (acts on the nonlinear term, its (a, b, c, d) from the spec)
+_FORMS = {
+    "trivial": (False, lambda s: (0.0, 0.0, 0.0, 0.0)),
+    "mutual_sync": (True, lambda s: (s.theta1, -s.theta1, -s.theta2, s.theta2)),
+    "degenerate_sync": (True, lambda s: (1.0, 0.0, 0.0, 1.0)),
+    "mutual_nudge": (False, lambda s: (-s.mu1, s.mu1, s.mu2, -s.mu2)),
+    "symmetric_nudge": (False, lambda s: (-s.mu1, s.mu2, s.mu2, -s.mu1)),
+    "general_nudge": (
+        False, lambda s: (-s.matrix[1], s.matrix[0], s.matrix[2], -s.matrix[3])
+    ),
+    "general_sync": (
+        True, lambda s: (s.matrix[0], -s.matrix[1], -s.matrix[3], s.matrix[2])
+    ),
+}
+
+VARIANTS = tuple(_FORMS)
 
 
 @dataclass(frozen=True)
@@ -70,8 +86,9 @@ class IntertwinementSpec:
     ``matrix`` (row-major 2x2) is only read by the general variants. For
     ``general_nudge`` the entries are the state-exchange pattern
     ``rhs1 = m00*P_N psi2 - m01*P_N psi1``, ``rhs2 = m10*P_N psi1 - m11*P_N psi2``;
-    for ``general_sync`` the analogous pattern on nonlinear terms. The
-    ``general_sync`` variant with theta weights outside {0,1} carries no
+    for ``general_sync`` the pattern on nonlinear terms is
+    ``rhs1 = m00*P_N B1 - m01*P_N B2``, ``rhs2 = m10*P_N B2 - m11*P_N B1``.
+    The ``general_sync`` variant with theta weights outside {0,1} carries no
     well-posedness guarantee and is exposed for experimentation only.
     """
 
@@ -104,13 +121,20 @@ class IntertwinementSpec:
         return 1.0 - self.theta1
 
     @property
-    def needs_nonlinear(self) -> bool:
-        return self.variant in ("mutual_sync", "degenerate_sync", "general_sync")
+    def form(self) -> tuple[bool, tuple[float, float, float, float]]:
+        """``(acts_on_nonlinear, (a, b, c, d))``: the coupling is
+        ``rhs1 = a P_N x1 + b P_N x2``, ``rhs2 = c P_N x1 + d P_N x2`` with
+        ``x`` the nonlinear term when ``acts_on_nonlinear``, else the state."""
+        acts_on_nonlinear, entries = _FORMS[self.variant]
+        return acts_on_nonlinear, entries(self)
 
 
 @dataclass(frozen=True)
 class IntertwiningMatrix:
-    """Symmetric coupling-strength matrix [[mu1, -mu2], [-mu2, mu1]]."""
+    """Symmetric coupling-strength matrix [[mu1, -mu2], [-mu2, mu1]].
+
+    Symmetric nudging couples through ``-entries``.
+    """
 
     mu1: float
     mu2: float
@@ -126,92 +150,44 @@ class IntertwiningMatrix:
     def is_nonnegative_definite(self) -> bool:
         return self.mu1 >= abs(self.mu2)
 
-    def as_general_nudge(self, cutoff: float) -> IntertwinementSpec:
-        """General-nudge spec whose coupling is -M P_N (psi1, psi2)."""
-        return IntertwinementSpec(
-            "general_nudge",
-            cutoff,
-            matrix=(self.mu2, self.mu1, self.mu2, self.mu1),
-        )
 
-
-def eigenvalues(m: IntertwiningMatrix) -> tuple[float, float]:
-    """(mu1 - mu2, mu1 + mu2)."""
-    return m.eigenvalues()
-
-
-def observation_mask(
-    spec: IntertwinementSpec, grid: SpectralGrid, half: bool = False
-) -> np.ndarray:
-    """The projection P_N as a boolean mask, after checking N is resolved.
-
-    ``half=True`` gives the mask on the ``rfft2`` half-plane the stepper
-    works on, a slice of the full-lattice one.
-    """
+def observation_mask(spec: IntertwinementSpec, grid: SpectralGrid) -> np.ndarray:
+    """The projection P_N as a read-only boolean mask, after checking N is
+    resolved."""
     if spec.cutoff > grid.dealias_cutoff:
         raise ValueError(
             f"observation cutoff exceeds resolved band: N={spec.cutoff} > "
             f"{grid.dealias_cutoff}"
         )
-    kmag = half_plane(grid.kmag) if half else grid.kmag
-    return kmag <= spec.cutoff
+    return low_mode_mask(grid, spec.cutoff)
 
 
-def coupling_arrays(spec: IntertwinementSpec, psi1, psi2, n1, n2, mask):
-    """RHS additions (c1, c2) from raw coefficient arrays of any shape.
-
-    ``n1``, ``n2`` are the nonlinear terms (read only by the synchronization
-    variants) and ``mask`` is P_N on the same coefficient layout. Returns
-    ``None`` for the trivial coupling, which adds nothing.
-    """
-    if spec.variant == "trivial":
-        return None
-    if spec.variant == "mutual_sync":
-        diff = (n1 - n2) * mask
-        return spec.theta1 * diff, spec.theta2 * -diff
-    if spec.variant == "degenerate_sync":
-        return n1 * mask, n2 * mask
-    if spec.variant == "general_sync":
-        # rhs1 = m00 P_N n1 - m01 P_N n2, rhs2 = m10 P_N n2 - m11 P_N n1
-        m00, m01, m10, m11 = spec.matrix
-        p1, p2 = n1 * mask, n2 * mask
-        return m00 * p1 - m01 * p2, m10 * p2 - m11 * p1
-
-    p1, p2 = psi1 * mask, psi2 * mask
-    if spec.variant == "mutual_nudge":
-        return spec.mu1 * p2 - spec.mu1 * p1, spec.mu2 * p1 - spec.mu2 * p2
-    if spec.variant == "symmetric_nudge":
-        return spec.mu2 * p2 - spec.mu1 * p1, spec.mu2 * p1 - spec.mu1 * p2
-    # general_nudge
-    m00, m01, m10, m11 = spec.matrix
-    return m00 * p2 - m01 * p1, m10 * p1 - m11 * p2
+def coupling_arrays(spec: IntertwinementSpec, x1: np.ndarray, x2: np.ndarray):
+    """RHS additions ``(c1, c2)`` from the observed modes ``x1``, ``x2`` of
+    both systems (``P_N`` of the states or of the nonlinear terms, per
+    ``spec.form``), in any layout the two share."""
+    _, (a, b, c, d) = spec.form
+    return a * x1 + b * x2, c * x1 + d * x2
 
 
 def coupling_terms(
-    spec: IntertwinementSpec,
-    psi1: StreamFunction,
-    psi2: StreamFunction,
-    precomputed_nonlinear: Optional[tuple[SpectralField, SpectralField]] = None,
+    spec: IntertwinementSpec, psi1: StreamFunction, psi2: StreamFunction
 ) -> tuple[SpectralField, SpectralField]:
-    """Streamfunction-level RHS additions (c1, c2) for the coupled pair.
-
-    When the caller already evaluated the nonlinear terms for the main
-    update it passes them in; they are never recomputed in that case.
-    """
+    """Streamfunction-level RHS additions (c1, c2) for the coupled pair."""
     grid = psi1.grid
     if psi2.grid.resolution != grid.resolution:
         raise ValueError("coupled fields live on different grids")
-    mask = observation_mask(spec, grid)
-    n1 = n2 = None
-    if spec.needs_nonlinear:
-        if precomputed_nonlinear is not None:
-            n1, n2 = (n.coeffs for n in precomputed_nonlinear)
-        else:
-            n1, n2 = nse_nonlinear_term(psi1).coeffs, nse_nonlinear_term(psi2).coeffs
-    terms = coupling_arrays(spec, psi1.coeffs, psi2.coeffs, n1, n2, mask)
-    if terms is None:
-        return zero_field(grid), zero_field(grid)
-    return SpectralField(grid, terms[0]), SpectralField(grid, terms[1])
+    low = observation_mask(spec, grid)
+    acts_on_nonlinear, _ = spec.form
+    x1, x2 = psi1, psi2
+    if acts_on_nonlinear:
+        x1, x2 = nse_nonlinear_term(psi1), nse_nonlinear_term(psi2)
+    terms = []
+    for c in coupling_arrays(spec, x1.coeffs[low], x2.coeffs[low]):
+        out = np.zeros(grid.shape, dtype=np.complex128)
+        out[low] = c
+        terms.append(SpectralField(grid, out))
+    return tuple(terms)
 
 
 @dataclass(frozen=True)

@@ -109,8 +109,8 @@ def error_record(state: PairState, cutoff: float) -> ErrorRecord:
 
 
 def _forces(cfg: ExperimentConfig) -> tuple[SpectralField, SpectralField]:
-    f1 = make_band_forcing(cfg.forcing, cfg.grid)
-    f2 = f1 if cfg.forcing2 is None else make_band_forcing(cfg.forcing2, cfg.grid)
+    f1 = make_band_forcing(cfg.forcing, cfg.grid, cfg.nu)
+    f2 = f1 if cfg.forcing2 is None else make_band_forcing(cfg.forcing2, cfg.grid, cfg.nu)
     return f1, f2
 
 

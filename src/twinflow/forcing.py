@@ -55,7 +55,8 @@ class ForcingSpec:
     """Band + target defining a deterministic body force.
 
     ``band_low <= |k|^2 <= band_high`` is the support annulus;
-    ``grashof_target`` fixes the renormalization ``|f| = G * nu^2``.
+    ``grashof_target`` fixes the renormalization ``|f| = G * nu^2`` at the
+    viscosity ``nu`` the force is built for (see ``make_band_forcing``).
     ``norm_kind`` selects which force norm the target constrains:
     ``"h"`` (the L2 norm, default) or ``"linf"`` (physical sup norm).
     """
@@ -63,7 +64,6 @@ class ForcingSpec:
     band_low: int = 10
     band_high: int = 12
     grashof_target: float = 1.0e5
-    viscosity: float = 5.0e-4
     phase_seed: int = 0
     norm_kind: str = "h"
 
@@ -72,19 +72,21 @@ class ForcingSpec:
             raise ValueError(
                 f"band_low={self.band_low} exceeds band_high={self.band_high}"
             )
-        if self.grashof_target <= 0 or self.viscosity <= 0:
-            raise ValueError("grashof_target and viscosity must be positive")
+        if self.grashof_target <= 0:
+            raise ValueError("grashof_target must be positive")
         if self.norm_kind not in ("h", "linf"):
             raise ValueError(f"norm_kind must be 'h' or 'linf', got {self.norm_kind!r}")
 
 
 @lru_cache(maxsize=8)
-def make_band_forcing(spec: ForcingSpec, grid: SpectralGrid) -> SpectralField:
+def make_band_forcing(spec: ForcingSpec, grid: SpectralGrid, nu: float) -> SpectralField:
     """Build the band force profile; |f| = grashof_target * nu^2 exactly.
 
-    Built once per (spec, grid): the field is immutable, so a run, its
+    Built once per (spec, grid, nu): the field is immutable, so a run, its
     spin-up and its blow-up check share one.
     """
+    if nu <= 0:
+        raise ValueError(f"viscosity must be positive, got {nu}")
     ksq_int = grid.kx.astype(np.int64) ** 2 + grid.ky.astype(np.int64) ** 2
     band = (ksq_int >= spec.band_low) & (ksq_int <= spec.band_high)
     band &= grid.dealias_mask
@@ -107,7 +109,7 @@ def make_band_forcing(spec: ForcingSpec, grid: SpectralGrid) -> SpectralField:
     coeffs = np.where(coeffs != 0, coeffs, mirror)
 
     field = SpectralField(grid, coeffs)
-    target = spec.grashof_target * spec.viscosity**2
+    target = spec.grashof_target * nu**2
     if spec.norm_kind == "h":
         realized = norm_hn(field, 0)
     else:

@@ -28,7 +28,6 @@ whatever lives only in the dropped columns is lost.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,11 +36,6 @@ import numpy as np
 # L2 norm of a field equals PARSEVAL_FACTOR * euclidean norm of its
 # coefficient array (box side 2*pi, amplitude-normalized transform).
 PARSEVAL_FACTOR = 2.0 * np.pi
-
-# Opt-in invariant checking (Hermitian symmetry, mean-free) after
-# constructions that could break them. Off by default: the solver's
-# operations preserve the invariants structurally.
-DEBUG_CHECKS = bool(os.environ.get("TWINFLOW_DEBUG_CHECKS"))
 
 
 @dataclass(frozen=True)
@@ -110,8 +104,6 @@ class SpectralField:
                 f"grid shape {self.grid.shape}"
             )
         self.coeffs.setflags(write=False)
-        if DEBUG_CHECKS:
-            assert_field_invariants(self)
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         _check_same_grid(self, other)
@@ -229,14 +221,6 @@ def hermitian_defect(field: SpectralField) -> float:
     return float(np.max(np.abs(c - np.conj(c[_reflect(field.grid)]))))
 
 
-def assert_field_invariants(field: SpectralField, tol: float = 1e-12):
-    scale = float(np.max(np.abs(field.coeffs))) or 1.0
-    if abs(field.coeffs[0, 0]) > tol * scale:
-        raise AssertionError("field is not mean-free")
-    if hermitian_defect(field) > tol * scale:
-        raise AssertionError("field is not Hermitian-symmetric")
-
-
 def dealias(field: SpectralField) -> SpectralField:
     """Apply the square 2/3 mask: zero modes with |k_i| > N/3. Idempotent."""
     return SpectralField(field.grid, field.coeffs * field.grid.dealias_mask)
@@ -246,21 +230,23 @@ def project_low(field: SpectralField, cutoff: float) -> SpectralField:
     """Retain modes with |k| <= cutoff (euclidean, inclusive). Idempotent."""
     if cutoff <= 0:
         raise ValueError(f"projection cutoff must be positive, got {cutoff}")
-    mask = field.grid.kmag <= cutoff
-    return SpectralField(field.grid, field.coeffs * mask)
+    return SpectralField(field.grid, field.coeffs * low_mode_mask(field.grid, cutoff))
 
 
 def project_high(field: SpectralField, cutoff: float) -> SpectralField:
     """Complementary projection: zero modes with |k| <= cutoff."""
     if cutoff <= 0:
         raise ValueError(f"projection cutoff must be positive, got {cutoff}")
-    mask = field.grid.kmag > cutoff
-    return SpectralField(field.grid, field.coeffs * mask)
+    return SpectralField(field.grid, field.coeffs * ~low_mode_mask(field.grid, cutoff))
 
 
+@lru_cache(maxsize=32)
 def low_mode_mask(grid: SpectralGrid, cutoff: float) -> np.ndarray:
-    """Boolean mask of the projection ball |k| <= cutoff."""
-    return grid.kmag <= cutoff
+    """Boolean mask of the projection ball |k| <= cutoff (read-only, built
+    once per grid and cutoff)."""
+    mask = grid.kmag <= cutoff
+    mask.setflags(write=False)
+    return mask
 
 
 def norm_hn(field: SpectralField, n: int = 0) -> float:

@@ -11,8 +11,10 @@ state dealiased without a separate pass.
 Every stepping entry point (``advance``, ``spin_up``, ``decorrelate``,
 ``step_pair``, ``step_single``) converts its input once to raw ``rfft2``
 half-plane arrays (``N x (N/2+1)``) and runs all per-step work on them:
-the nonlinear term, the coupling, the update and the blow-up check. Full-
-lattice ``SpectralField`` states are rebuilt by exact Hermitian
+the nonlinear term, the update and the blow-up check. The coupling is
+evaluated on the observed modes ``P_N`` alone, gathered from those arrays
+and written back into the right-hand side. Full-lattice
+``SpectralField`` states are rebuilt by exact Hermitian
 reflection only where a caller sees them: the observer on its cadence,
 rolling checkpoints, and the returned state. So every state handed out is
 exactly Hermitian, and stepping k times one call at a time equals one
@@ -80,23 +82,16 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Viscosity, timestep, grid, force, and horizon for one run."""
+    """Viscosity, timestep, grid and force for one run."""
 
     nu: float
     dt: float
     grid: SpectralGrid
     forcing: Optional[ForcingSpec] = None
-    t_end: float = 0.0
 
     def __post_init__(self):
         if self.nu <= 0 or self.dt <= 0:
             raise ValueError("nu and dt must be positive")
-
-    @property
-    def stability_number(self) -> float:
-        """Informational dt*nu*kmax^2; diffusion itself is exact."""
-        kmax = self.grid.resolution / 2.0
-        return self.dt * self.nu * kmax**2
 
 
 @dataclass(frozen=True)
@@ -136,9 +131,9 @@ def _step_constants(grid: SpectralGrid, nu: float, dt: float):
 
 
 @lru_cache(maxsize=16)
-def _blowup_radius(spec: ForcingSpec, resolution: int) -> float:
-    f = make_band_forcing(spec, shared_grid(resolution))
-    rho0, _ = absorbing_radii(f, spec.viscosity)
+def _blowup_radius(spec: ForcingSpec, resolution: int, nu: float) -> float:
+    f = make_band_forcing(spec, shared_grid(resolution), nu)
+    rho0, _ = absorbing_radii(f, nu)
     return BLOWUP_FACTOR * rho0
 
 
@@ -149,11 +144,24 @@ def _check_finite(psi: np.ndarray, weights: np.ndarray, cfg: SimConfig, t: float
     if not np.isfinite(energy):
         raise BlowUpError(t, "non-finite coefficient detected", last_checkpoint)
     if cfg.forcing is not None:
-        limit = _blowup_radius(cfg.forcing, cfg.grid.resolution)
+        limit = _blowup_radius(cfg.forcing, cfg.grid.resolution, cfg.nu)
         if limit > 0 and 2.0 * np.pi * np.sqrt(energy) > limit:
             raise BlowUpError(
                 t, f"|u| exceeded {BLOWUP_FACTOR:g} x absorbing radius", last_checkpoint
             )
+
+
+def _rhs(g: np.ndarray, nonlin: np.ndarray, c: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """``g - nonlin``, with the coupling ``c`` on the observed modes (flat
+    indices ``low``).
+
+    There it is ``(c - nonlin) + g``: subtracting first lets coupled low
+    modes cancel exactly when the coupling reproduces the nonlinear term
+    coefficientwise.
+    """
+    r = g - nonlin
+    r.put(low, (c - nonlin.take(low)) + g.take(low))
+    return r
 
 
 def _full(grid: SpectralGrid, psi: np.ndarray) -> StreamFunction:
@@ -229,29 +237,25 @@ def advance(
     """Run ``nsteps`` pair steps, invoking ``observer`` on the cadence.
 
     The observer also sees the initial state. Forces, the pair and the
-    projection mask move to the half-plane once, outside the loop.
+    flat indices of the observed modes move to the half-plane once, outside
+    the loop.
     """
     if observer is not None:
         observer(state)
     grid, dt = cfg.grid, cfg.dt
     efac, weights = _step_constants(grid, cfg.nu, dt)
-    mask = observation_mask(spec, grid, half=True)
+    low = np.flatnonzero(half_plane(observation_mask(spec, grid)))
+    acts_on_nonlinear, _ = spec.form
     g1, g2 = _force_half(f1), _force_half(f2)
     p1, p2 = to_half(state.psi1.coeffs), to_half(state.psi2.coeffs)
     t, step = state.t, state.step_index
     out = state
     for i in range(nsteps):
         n1, n2 = nonlinear_half(p1, grid), nonlinear_half(p2, grid)
-        coupling = coupling_arrays(spec, p1, p2, n1, n2, mask)
-        if coupling is None:
-            p1 = efac * (p1 + dt * (g1 - n1))
-            p2 = efac * (p2 + dt * (g2 - n2))
-        else:
-            # (coupling - nonlin) first: lets coupled low modes cancel exactly
-            # when the coupling reproduces the nonlinear term coefficientwise.
-            c1, c2 = coupling
-            p1 = efac * (p1 + dt * ((c1 - n1) + g1))
-            p2 = efac * (p2 + dt * ((c2 - n2) + g2))
+        x1, x2 = (n1, n2) if acts_on_nonlinear else (p1, p2)
+        c1, c2 = coupling_arrays(spec, x1.take(low), x2.take(low))
+        p1 = efac * (p1 + dt * _rhs(g1, n1, c1, low))
+        p2 = efac * (p2 + dt * _rhs(g2, n2, c2, low))
         t, step = t + dt, step + 1
         _check_finite(p1, weights, cfg, t, last_checkpoint)
         _check_finite(p2, weights, cfg, t, last_checkpoint)
@@ -282,7 +286,7 @@ def spin_up(
     if cfg.forcing is None:
         raise ValueError("spin-up requires a forcing spec")
     psi = zero_field(cfg.grid)
-    force = make_band_forcing(cfg.forcing, cfg.grid)
+    force = make_band_forcing(cfg.forcing, cfg.grid, cfg.nu)
     nsteps = int(round(duration / cfg.dt))
     every = max(1, int(round(checkpoint_every / cfg.dt)))
     return _evolve_single(psi, cfg, force, nsteps, checkpoint_dir, every, progress)
@@ -296,7 +300,7 @@ def decorrelate(
         raise ValueError("decorrelation duration must be nonnegative")
     if cfg.forcing is None:
         raise ValueError("decorrelation requires a forcing spec")
-    force = make_band_forcing(cfg.forcing, cfg.grid)
+    force = make_band_forcing(cfg.forcing, cfg.grid, cfg.nu)
     return _evolve_single(psi, cfg, force, int(round(duration / cfg.dt)))
 
 

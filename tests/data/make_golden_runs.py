@@ -45,7 +45,7 @@ def golden_config(variant: str) -> ExperimentConfig:
         nu=nu,
         dt=0.01,
         t_end=0.5,
-        forcing=ForcingSpec(4, 10, 10000.0, nu, 3),
+        forcing=ForcingSpec(4, 10, 10000.0, 3),
         coupling=IntertwinementSpec(variant, 5.0, **VARIANTS[variant]),
         init_kind="decorrelated",
         spinup_time=1.0,

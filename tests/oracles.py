@@ -80,6 +80,20 @@ def scalar_reference_pair_step(state, nu, dt, spec, g1, g2):
                 p2 = state.psi2.coeffs[i, j] if inside else 0.0
                 c1 = spec.mu2 * p2 - spec.mu1 * p1
                 c2 = spec.mu2 * p1 - spec.mu1 * p2
+            elif spec.variant == "general_nudge":
+                # rhs1 = m00 P_N psi2 - m01 P_N psi1, rhs2 = m10 P_N psi1 - m11 P_N psi2
+                m00, m01, m10, m11 = spec.matrix
+                p1 = state.psi1.coeffs[i, j] if inside else 0.0
+                p2 = state.psi2.coeffs[i, j] if inside else 0.0
+                c1 = m00 * p2 - m01 * p1
+                c2 = m10 * p1 - m11 * p2
+            elif spec.variant == "general_sync":
+                # rhs1 = m00 P_N B1 - m01 P_N B2, rhs2 = m10 P_N B2 - m11 P_N B1
+                m00, m01, m10, m11 = spec.matrix
+                b1 = n1[i, j] if inside else 0.0
+                b2 = n2[i, j] if inside else 0.0
+                c1 = m00 * b1 - m01 * b2
+                c2 = m10 * b2 - m11 * b1
             else:
                 raise NotImplementedError(spec.variant)
             efac = np.exp(-nu * ksq * dt)

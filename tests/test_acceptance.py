@@ -64,7 +64,7 @@ def desk_pair(desk_base):
 
 @pytest.fixture(scope="session")
 def desk_force():
-    return tf.make_band_forcing(DESK.forcing, DESK.grid)
+    return tf.make_band_forcing(DESK.forcing, DESK.grid, DESK.nu)
 
 
 def test_criterion_1_trilinear_identities(rng):
@@ -265,7 +265,7 @@ def test_criterion_9_threshold_arithmetic(grid64):
 
 def _bundle(grid, g_rms, nu):
     f = tf.make_band_forcing(
-        tf.ForcingSpec(10, 12, g_rms / math.sqrt(2.0), nu, 0), grid
+        tf.ForcingSpec(10, 12, g_rms / math.sqrt(2.0), 0), grid, nu
     )
     return tf.GrashofBundle(f, f, nu)
 
@@ -311,7 +311,7 @@ def test_criterion_11_determinism_and_persistence(tmp_path, rng):
         nu=nu,
         dt=0.01,
         t_end=0.5,
-        forcing=tf.ForcingSpec(10, 12, 500.0, nu, 3),
+        forcing=tf.ForcingSpec(10, 12, 500.0, 3),
         coupling=tf.IntertwinementSpec("mutual_nudge", 5.0, mu1=10.0, mu2=5.0),
         init_kind="decorrelated",
         spinup_time=0.5,

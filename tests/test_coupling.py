@@ -2,9 +2,36 @@ import numpy as np
 import pytest
 
 import twinflow as tf
-from twinflow.coupling import IntertwiningMatrix, eigenvalues
+from twinflow.coupling import IntertwiningMatrix
 
 from conftest import random_psi
+
+ALL_VARIANT_SPECS = [
+    tf.IntertwinementSpec("trivial", 10.0),
+    tf.IntertwinementSpec("mutual_sync", 10.0, theta1=0.25),
+    tf.IntertwinementSpec("degenerate_sync", 10.0),
+    tf.IntertwinementSpec("mutual_nudge", 10.0, mu1=50.0, mu2=25.0),
+    tf.IntertwinementSpec("symmetric_nudge", 10.0, mu1=50.0, mu2=25.0),
+    tf.IntertwinementSpec("general_nudge", 10.0, matrix=(1.0, 3.0, 0.5, 2.0)),
+    tf.IntertwinementSpec("general_sync", 10.0, matrix=(0.7, 0.3, 0.6, 0.4)),
+]
+
+# each named variant next to the general-matrix spec that means the same
+# coupling, from the documented general patterns
+NAMED_AS_GENERAL = [
+    (tf.IntertwinementSpec("trivial", 10.0),
+     tf.IntertwinementSpec("general_nudge", 10.0, matrix=(0.0, 0.0, 0.0, 0.0))),
+    (tf.IntertwinementSpec("mutual_sync", 10.0, theta1=0.25),
+     tf.IntertwinementSpec("general_sync", 10.0, matrix=(0.25, 0.25, 0.75, 0.75))),
+    (tf.IntertwinementSpec("mutual_sync", 10.0, theta1=1.0),
+     tf.IntertwinementSpec("general_sync", 10.0, matrix=(1.0, 1.0, 0.0, 0.0))),
+    (tf.IntertwinementSpec("degenerate_sync", 10.0),
+     tf.IntertwinementSpec("general_sync", 10.0, matrix=(1.0, 0.0, 1.0, 0.0))),
+    (tf.IntertwinementSpec("mutual_nudge", 10.0, mu1=50.0, mu2=25.0),
+     tf.IntertwinementSpec("general_nudge", 10.0, matrix=(50.0, 50.0, 25.0, 25.0))),
+    (tf.IntertwinementSpec("symmetric_nudge", 10.0, mu1=50.0, mu2=25.0),
+     tf.IntertwinementSpec("general_nudge", 10.0, matrix=(25.0, 50.0, 25.0, 50.0))),
+]
 
 
 @pytest.fixture
@@ -58,10 +85,10 @@ class TestCouplingTerms:
         scale = np.max(np.abs(c1.coeffs))
         assert np.max(np.abs(resid)) <= 1e-15 * max(scale, 1.0)
 
-    def test_mutual_sync_supported_in_ball(self, grid64, pair):
-        spec = tf.IntertwinementSpec("mutual_sync", 10.0, theta1=0.5)
-        c1, _ = tf.coupling_terms(spec, *pair)
-        assert not np.any(c1.coeffs[grid64.kmag > 10.0])
+    @pytest.mark.parametrize("spec", ALL_VARIANT_SPECS, ids=lambda s: s.variant)
+    def test_coupling_supported_in_ball(self, grid64, pair, spec):
+        for c in tf.coupling_terms(spec, *pair):
+            assert not np.any(c.coeffs[grid64.kmag > 10.0])
 
     def test_mutual_sync_low_mode_cancellation(self, grid64, pair):
         # rhs1 - rhs2 on |k| <= N equals the projected nonlinear difference
@@ -70,7 +97,7 @@ class TestCouplingTerms:
         expected = tf.project_low(n1 - n2, 10.0)
         for theta1 in (0.0, 0.5, 1.0):
             spec = tf.IntertwinementSpec("mutual_sync", 10.0, theta1=theta1)
-            c1, c2 = tf.coupling_terms(spec, *pair, precomputed_nonlinear=(n1, n2))
+            c1, c2 = tf.coupling_terms(spec, *pair)
             assert np.array_equal(c1.coeffs - c2.coeffs, expected.coeffs)
 
     def test_degenerate_sync_equal_additions_on_diagonal(self, pair):
@@ -83,7 +110,7 @@ class TestCouplingTerms:
         spec = tf.IntertwinementSpec("degenerate_sync", 10.0)
         n1 = tf.nse_nonlinear_term(pair[0])
         n2 = tf.nse_nonlinear_term(pair[1])
-        c1, c2 = tf.coupling_terms(spec, *pair, precomputed_nonlinear=(n1, n2))
+        c1, c2 = tf.coupling_terms(spec, *pair)
         assert np.array_equal(c1.coeffs, tf.project_low(n1, 10.0).coeffs)
         assert np.array_equal(c2.coeffs, tf.project_low(n2, 10.0).coeffs)
 
@@ -106,45 +133,15 @@ class TestCouplingTerms:
             )
             assert np.array_equal(c1.coeffs, c2.coeffs)
 
-    def test_general_nudge_reproduces_named_patterns(self, pair):
-        mutual = tf.IntertwinementSpec("mutual_nudge", 10.0, mu1=50.0, mu2=25.0)
-        gen_mutual = tf.IntertwinementSpec(
-            "general_nudge", 10.0, matrix=(50.0, 50.0, 25.0, 25.0)
-        )
-        for a, b in zip(
-            tf.coupling_terms(mutual, *pair), tf.coupling_terms(gen_mutual, *pair)
-        ):
+    @pytest.mark.parametrize(
+        "named,general", NAMED_AS_GENERAL,
+        ids=["trivial", "mutual_sync", "mutual_sync_boundary", "degenerate_sync",
+             "mutual_nudge", "symmetric_nudge"],
+    )
+    def test_named_variant_equals_general_matrix(self, pair, named, general):
+        assert named.form == general.form
+        for a, b in zip(tf.coupling_terms(named, *pair), tf.coupling_terms(general, *pair)):
             assert np.array_equal(a.coeffs, b.coeffs)
-
-        symmetric = tf.IntertwinementSpec("symmetric_nudge", 10.0, mu1=50.0, mu2=25.0)
-        gen_symmetric = IntertwiningMatrix(50.0, 25.0).as_general_nudge(10.0)
-        for a, b in zip(
-            tf.coupling_terms(symmetric, *pair), tf.coupling_terms(gen_symmetric, *pair)
-        ):
-            assert np.array_equal(a.coeffs, b.coeffs)
-
-    def test_general_sync_boundary_matches_mutual(self, pair):
-        n1 = tf.nse_nonlinear_term(pair[0])
-        n2 = tf.nse_nonlinear_term(pair[1])
-        mutual = tf.IntertwinementSpec("mutual_sync", 10.0, theta1=1.0)
-        gen = tf.IntertwinementSpec(
-            "general_sync", 10.0, matrix=(1.0, 1.0, 0.0, 0.0)
-        )
-        a = tf.coupling_terms(mutual, *pair, precomputed_nonlinear=(n1, n2))
-        b = tf.coupling_terms(gen, *pair, precomputed_nonlinear=(n1, n2))
-        assert np.allclose(a[0].coeffs, b[0].coeffs, rtol=0, atol=0)
-        assert np.allclose(a[1].coeffs, b[1].coeffs, rtol=0, atol=0)
-
-    def test_precomputed_nonlinear_reused(self, grid64, pair, monkeypatch):
-        n1 = tf.nse_nonlinear_term(pair[0])
-        n2 = tf.nse_nonlinear_term(pair[1])
-
-        def boom(_):
-            raise AssertionError("nonlinear term recomputed")
-
-        monkeypatch.setattr("twinflow.coupling.nse_nonlinear_term", boom)
-        spec = tf.IntertwinementSpec("mutual_sync", 10.0, theta1=0.5)
-        tf.coupling_terms(spec, *pair, precomputed_nonlinear=(n1, n2))
 
 
 class TestIntertwiningMatrix:
@@ -155,9 +152,13 @@ class TestIntertwiningMatrix:
     def test_eigenvalues(self, mu1, mu2, expected):
         m = IntertwiningMatrix(mu1, mu2)
         assert m.eigenvalues() == expected
-        assert eigenvalues(m) == expected
         vals = np.linalg.eigvalsh(m.entries)
         assert np.allclose(sorted(vals), sorted(expected))
+
+    def test_symmetric_nudge_couples_through_negated_entries(self):
+        spec = tf.IntertwinementSpec("symmetric_nudge", 10.0, mu1=50.0, mu2=25.0)
+        _, entries = spec.form
+        assert entries == tuple(-IntertwiningMatrix(50.0, 25.0).entries.ravel())
 
     def test_definiteness(self):
         assert IntertwiningMatrix(50.0, 25.0).is_nonnegative_definite
@@ -168,8 +169,8 @@ class TestIntertwiningMatrix:
 class TestGrashofBundle:
     def test_rms_identity(self, grid64):
         nu = 0.005
-        f1 = tf.make_band_forcing(tf.ForcingSpec(10, 12, 300.0, nu, 1), grid64)
-        f2 = tf.make_band_forcing(tf.ForcingSpec(10, 12, 400.0, nu, 2), grid64)
+        f1 = tf.make_band_forcing(tf.ForcingSpec(10, 12, 300.0, 1), grid64, nu)
+        f2 = tf.make_band_forcing(tf.ForcingSpec(10, 12, 400.0, 2), grid64, nu)
         b = tf.GrashofBundle(f1, f2, nu)
         assert b.g_rms == pytest.approx(np.hypot(b.g1_number, b.g2_number), rel=1e-13)
         assert b.g_rms == pytest.approx(500.0, rel=1e-12)
@@ -177,22 +178,22 @@ class TestGrashofBundle:
 
     def test_g_lambda_endpoints(self, grid64):
         nu = 0.005
-        f1 = tf.make_band_forcing(tf.ForcingSpec(10, 12, 300.0, nu, 1), grid64)
-        f2 = tf.make_band_forcing(tf.ForcingSpec(10, 12, 400.0, nu, 2), grid64)
+        f1 = tf.make_band_forcing(tf.ForcingSpec(10, 12, 300.0, 1), grid64, nu)
+        f2 = tf.make_band_forcing(tf.ForcingSpec(10, 12, 400.0, 2), grid64, nu)
         b = tf.GrashofBundle(f1, f2, nu)
         assert b.g_lambda(0.0) == pytest.approx(b.g1_number, rel=1e-13)
         assert b.g_lambda(1.0) == pytest.approx(b.g2_number, rel=1e-13)
 
     def test_tilde_quantities_default_to_plain(self, grid64):
         nu = 0.005
-        f = tf.make_band_forcing(tf.ForcingSpec(10, 12, 300.0, nu, 1), grid64)
+        f = tf.make_band_forcing(tf.ForcingSpec(10, 12, 300.0, 1), grid64, nu)
         b = tf.GrashofBundle(f, f, nu)
         assert b.tilde_g_rms == 0.0
         assert b.residual_number() == pytest.approx(b.g_rms, rel=1e-13)
 
     def test_residual_with_split(self, grid64):
         nu = 0.005
-        f = tf.make_band_forcing(tf.ForcingSpec(10, 12, 300.0, nu, 1), grid64)
+        f = tf.make_band_forcing(tf.ForcingSpec(10, 12, 300.0, 1), grid64, nu)
         b = tf.GrashofBundle(f, f, nu, tilde_g1=f, tilde_g2=f, mu_tilde=1.0)
         # G_res = g - mu*g_tilde = 0 when g_tilde = g and mu = 1
         assert b.residual_number() == pytest.approx(0.0, abs=1e-12)

@@ -34,7 +34,7 @@ def tiny_config(**overrides):
         nu=nu,
         dt=0.01,
         t_end=0.5,
-        forcing=tf.ForcingSpec(10, 12, 500.0, nu, 3),
+        forcing=tf.ForcingSpec(10, 12, 500.0, 3),
         coupling=tf.IntertwinementSpec("mutual_sync", 5.0, theta1=0.5),
         init_kind="projected_low",
         spinup_time=0.5,
@@ -218,7 +218,7 @@ class TestThresholdReport:
 
 class TestConfigIO:
     def test_round_trip(self, tmp_path):
-        cfg = tiny_config(forcing2=tf.ForcingSpec(10, 12, 300.0, 0.01, 9))
+        cfg = tiny_config(forcing2=tf.ForcingSpec(10, 12, 300.0, 9))
         path = tmp_path / "cfg.ini"
         write_config(cfg, path)
         assert parse_config(path) == cfg
@@ -234,7 +234,9 @@ class TestConfigIO:
         out = apply_overrides(cfg, ["sim.nu=0.02", "intertwinement.theta1=0.75"])
         assert out.nu == 0.02
         assert out.coupling.theta1 == 0.75
-        assert out.forcing.viscosity == 0.02  # tracks sim viscosity
+        # the force is renormalized at the overridden viscosity
+        f = tf.make_band_forcing(out.forcing, out.grid, out.nu)
+        assert tf.grashof(f, 0.02) == pytest.approx(out.forcing.grashof_target, rel=1e-12)
 
     def test_bad_override_rejected(self):
         with pytest.raises(ConfigError):
@@ -247,6 +249,11 @@ class TestConfigIO:
     def test_missing_key(self):
         with pytest.raises(ConfigError, match="missing config key"):
             parse_config_text("[sim]\nresolution = 32\n")
+
+    @pytest.mark.parametrize("override", ["sim.nu=0", "sim.dt=0"])
+    def test_nonpositive_nu_or_dt_rejected(self, override):
+        with pytest.raises(ConfigError, match="nu and dt must be positive"):
+            apply_overrides(tiny_config(), [override])
 
     def test_cutoff_validation(self):
         with pytest.raises(ConfigError, match="resolved band"):

@@ -11,7 +11,7 @@ NU = 0.0005
 
 @pytest.fixture
 def force(grid64):
-    return tf.make_band_forcing(tf.ForcingSpec(10, 12, 1e5, NU, phase_seed=7), grid64)
+    return tf.make_band_forcing(tf.ForcingSpec(10, 12, 1e5, phase_seed=7), grid64, NU)
 
 
 class TestMakeBandForcing:
@@ -27,14 +27,14 @@ class TestMakeBandForcing:
         assert not np.any(force.coeffs[outside])
 
     def test_deterministic_across_calls(self, grid64):
-        spec = tf.ForcingSpec(10, 12, 1e5, NU, phase_seed=42)
-        a = tf.make_band_forcing(spec, grid64)
-        b = tf.make_band_forcing(spec, grid64)
+        spec = tf.ForcingSpec(10, 12, 1e5, phase_seed=42)
+        a = tf.make_band_forcing(spec, grid64, NU)
+        b = tf.make_band_forcing(spec, grid64, NU)
         assert np.array_equal(a.coeffs, b.coeffs)
 
     def test_seed_changes_phases_not_magnitude(self, grid64):
-        a = tf.make_band_forcing(tf.ForcingSpec(10, 12, 1e5, NU, phase_seed=1), grid64)
-        b = tf.make_band_forcing(tf.ForcingSpec(10, 12, 1e5, NU, phase_seed=2), grid64)
+        a = tf.make_band_forcing(tf.ForcingSpec(10, 12, 1e5, phase_seed=1), grid64, NU)
+        b = tf.make_band_forcing(tf.ForcingSpec(10, 12, 1e5, phase_seed=2), grid64, NU)
         assert not np.array_equal(a.coeffs, b.coeffs)
         assert np.allclose(np.abs(a.coeffs), np.abs(b.coeffs))
 
@@ -43,15 +43,19 @@ class TestMakeBandForcing:
 
     def test_empty_band_error(self, grid64):
         with pytest.raises(ValueError, match="no lattice modes"):
-            tf.make_band_forcing(tf.ForcingSpec(11, 11, 1e5, NU), grid64)
+            tf.make_band_forcing(tf.ForcingSpec(11, 11, 1e5), grid64, NU)
+
+    def test_nonpositive_viscosity_rejected(self, grid64):
+        with pytest.raises(ValueError, match="viscosity must be positive"):
+            tf.make_band_forcing(tf.ForcingSpec(10, 12, 1e5), grid64, 0.0)
 
     def test_band_order_validated(self):
         with pytest.raises(ValueError):
-            tf.ForcingSpec(12, 10, 1e5, NU)
+            tf.ForcingSpec(12, 10, 1e5)
 
     def test_sup_norm_renormalization(self, grid64):
-        spec = tf.ForcingSpec(10, 12, 1e5, NU, phase_seed=7, norm_kind="linf")
-        f = tf.make_band_forcing(spec, grid64)
+        spec = tf.ForcingSpec(10, 12, 1e5, phase_seed=7, norm_kind="linf")
+        f = tf.make_band_forcing(spec, grid64, NU)
         assert force_sup_norm(f) / NU**2 == pytest.approx(1e5, rel=1e-12)
 
 

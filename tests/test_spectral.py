@@ -7,6 +7,7 @@ from twinflow.spectral import (
     hermitian_defect,
     hermitianize,
     inner_h,
+    low_mode_mask,
     spectral_power,
     zero_field,
 )
@@ -81,6 +82,13 @@ class TestProjections:
     def test_rejects_nonpositive_cutoff(self, grid64, rng):
         with pytest.raises(ValueError):
             tf.project_low(random_psi(grid64, rng), 0.0)
+
+    def test_low_mode_mask_shared_and_read_only(self, grid64):
+        mask = low_mode_mask(grid64, 7.5)
+        assert low_mode_mask(tf.SpectralGrid(64), 7.5) is mask
+        assert np.array_equal(mask, grid64.kmag <= 7.5)
+        with pytest.raises(ValueError):
+            mask[0, 0] = False
 
 
 class TestNorms:

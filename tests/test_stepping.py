@@ -29,7 +29,7 @@ def small_cfg(grid32):
 
 @pytest.fixture
 def forced_cfg(grid32):
-    spec = tf.ForcingSpec(10, 12, 500.0, 0.01, phase_seed=3)
+    spec = tf.ForcingSpec(10, 12, 500.0, phase_seed=3)
     return tf.SimConfig(nu=0.01, dt=0.01, grid=grid32, forcing=spec)
 
 
@@ -59,7 +59,7 @@ class TestIntegratingFactor:
 class TestPairStep:
     def test_single_equals_trivial_pair(self, grid32, forced_cfg, rng):
         psi = random_psi(grid32, rng)
-        f = tf.make_band_forcing(forced_cfg.forcing, grid32)
+        f = tf.make_band_forcing(forced_cfg.forcing, grid32, forced_cfg.nu)
         single = tf.step_single(psi, forced_cfg, f)
         pair = tf.step_pair(
             tf.PairState(psi, psi),
@@ -79,6 +79,8 @@ class TestPairStep:
             ("degenerate_sync", {}),
             ("mutual_nudge", dict(mu1=5.0, mu2=2.0)),
             ("symmetric_nudge", dict(mu1=5.0, mu2=2.0)),
+            ("general_nudge", dict(matrix=(1.0, 3.0, 0.5, 2.0))),
+            ("general_sync", dict(matrix=(0.7, 0.3, 0.6, 0.4))),
         ],
     )
     def test_against_scalar_reference_at_res8(self, rng, variant, kwargs):
@@ -106,7 +108,7 @@ class TestPairStep:
         # difference contracts by exactly the viscous factor per mode
         cutoff = 5.0
         spec = tf.IntertwinementSpec("mutual_sync", cutoff, theta1=0.5)
-        f = tf.make_band_forcing(forced_cfg.forcing, grid32)
+        f = tf.make_band_forcing(forced_cfg.forcing, grid32, forced_cfg.nu)
         state = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng))
         efac = np.exp(-forced_cfg.nu * grid32.ksq * forced_cfg.dt)
         for _ in range(5):
@@ -122,7 +124,7 @@ class TestPairStep:
     def test_degenerate_sync_low_modes_stay_matched(self, grid32, forced_cfg, rng):
         cutoff = 5.0
         spec = tf.IntertwinementSpec("degenerate_sync", cutoff)
-        f = tf.make_band_forcing(forced_cfg.forcing, grid32)
+        f = tf.make_band_forcing(forced_cfg.forcing, grid32, forced_cfg.nu)
         psi1 = random_psi(grid32, rng)
         state = tf.PairState(psi1, tf.project_low(psi1, cutoff))
         state = advance(state, forced_cfg, spec, f, f, 100)
@@ -161,7 +163,7 @@ VARIANT_SPECS = [
 class TestOneStepPath:
     @pytest.mark.parametrize("spec", VARIANT_SPECS, ids=lambda s: s.variant)
     def test_step_pair_k_times_equals_advance(self, grid32, forced_cfg, rng, spec):
-        f = tf.make_band_forcing(forced_cfg.forcing, grid32)
+        f = tf.make_band_forcing(forced_cfg.forcing, grid32, forced_cfg.nu)
         start = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng), 0.25, 3)
         state = start
         for _ in range(7):
@@ -173,7 +175,7 @@ class TestOneStepPath:
 
     def test_step_single_k_times_equals_decorrelate(self, grid32, forced_cfg, rng):
         psi0 = random_psi(grid32, rng)
-        f = tf.make_band_forcing(forced_cfg.forcing, grid32)
+        f = tf.make_band_forcing(forced_cfg.forcing, grid32, forced_cfg.nu)
         psi = psi0
         for _ in range(7):
             psi = tf.step_single(psi, forced_cfg, f)
@@ -182,7 +184,7 @@ class TestOneStepPath:
 
     @pytest.mark.parametrize("spec", VARIANT_SPECS, ids=lambda s: s.variant)
     def test_pair_states_handed_out_are_exact(self, grid32, forced_cfg, rng, spec):
-        f = tf.make_band_forcing(forced_cfg.forcing, grid32)
+        f = tf.make_band_forcing(forced_cfg.forcing, grid32, forced_cfg.nu)
         start = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng))
         seen = []
         final = advance(start, forced_cfg, spec, f, f, 6, seen.append, 2)
@@ -195,7 +197,7 @@ class TestOneStepPath:
 
     def test_single_states_and_checkpoints_are_exact(self, grid32, forced_cfg, rng,
                                                      tmp_path):
-        f = tf.make_band_forcing(forced_cfg.forcing, grid32)
+        f = tf.make_band_forcing(forced_cfg.forcing, grid32, forced_cfg.nu)
         spun = tf.spin_up(forced_cfg, 0.3, checkpoint_dir=tmp_path, checkpoint_every=0.1)
         ckpts = sorted(tmp_path.glob("spinup_*.ckpt"))
         assert len(ckpts) == 3
@@ -249,7 +251,7 @@ class TestSpinUpDecorrelate:
         assert ckpts
         state, dt = load_checkpoint(ckpts[-1], forced_cfg.grid)
         psi = state.psi1
-        f = tf.make_band_forcing(forced_cfg.forcing, forced_cfg.grid)
+        f = tf.make_band_forcing(forced_cfg.forcing, forced_cfg.grid, forced_cfg.nu)
         for _ in range(50):
             psi = tf.step_single(psi, forced_cfg, f)
         assert np.array_equal(psi.coeffs, full.coeffs)

@@ -16,7 +16,7 @@ NU = 0.005
 
 def shared_bundle(grid64, g_rms):
     # shared force: g_rms = sqrt(2) * g1, so target g1 = g_rms / sqrt(2)
-    f = tf.make_band_forcing(tf.ForcingSpec(10, 12, g_rms / math.sqrt(2), NU, 0), grid64)
+    f = tf.make_band_forcing(tf.ForcingSpec(10, 12, g_rms / math.sqrt(2), 0), grid64, NU)
     return tf.GrashofBundle(f, f, NU)
 
 
