@@ -71,7 +71,8 @@ def _cmd_spinup(args) -> int:
         checkpoint_every=cfg.checkpoint_every,
     )
     path = out / "base.ckpt"
-    save_checkpoint(PairState(psi, psi, cfg.spinup_time), cfg.dt, path)
+    nsteps = int(round(cfg.spinup_time / cfg.dt))
+    save_checkpoint(PairState(psi, psi, cfg.spinup_time, nsteps), cfg.dt, path)
     print(f"spun up {cfg.spinup_time:g} time units -> {path}")
     return 0
 

@@ -29,9 +29,11 @@ from .forcing import make_band_forcing
 from .spectral import (
     SpectralField,
     StreamFunction,
+    half_plane,
+    half_plane_energy_weights,
     low_mode_mask,
-    norm_hn,
     project_low,
+    weighted_power,
 )
 from .stepping import (
     BlowUpError,
@@ -87,24 +89,29 @@ def error_record(state: PairState, cutoff: float) -> ErrorRecord:
     """Velocity-space error norms of a pair state.
 
     Streamfunction differences map to velocity norms with one extra
-    power of |k|; the low/high split squares to err_h^2 exactly.
+    power of |k|; the low/high split squares to err_h^2 exactly. The sums
+    run over the half-plane with the column weights of
+    ``half_plane_energy_weights``, so the pair must be Hermitian, as every
+    state the stepper hands out is.
     """
     grid = state.grid
-    diff = state.psi1.coeffs - state.psi2.coeffs
-    wdiff = grid.ksq * np.abs(diff) ** 2  # |k|^2 |psi_k|^2 = velocity energy density
-    mask = low_mode_mask(grid, cutoff)
-    total = float(np.sum(wdiff))
-    low = float(np.sum(wdiff * mask))
+    weights = half_plane_energy_weights(grid)
+    p1, p2 = half_plane(state.psi1.coeffs), half_plane(state.psi2.coeffs)
+    diff = p1 - p2
+    # |k|^2 |psi_k|^2 = velocity energy density, mirror modes included
+    wdiff = weights * (diff.real * diff.real + diff.imag * diff.imag)
+    total = float(wdiff.sum())
+    low = float(wdiff[half_plane(low_mode_mask(grid, cutoff))].sum())
     high = total - low
     two_pi = 2.0 * np.pi
     return ErrorRecord(
         t=state.t,
         err_h=two_pi * math.sqrt(total),
-        err_v=two_pi * math.sqrt(float(np.sum(grid.ksq * wdiff))),
+        err_v=two_pi * math.sqrt(float(np.vdot(half_plane(grid.ksq), wdiff))),
         err_low=two_pi * math.sqrt(low),
         err_high=two_pi * math.sqrt(max(high, 0.0)),
-        energy1=norm_hn(state.psi1, 1) ** 2,
-        energy2=norm_hn(state.psi2, 1) ** 2,
+        energy1=two_pi**2 * weighted_power(weights, p1),
+        energy2=two_pi**2 * weighted_power(weights, p2),
     )
 
 

@@ -10,7 +10,16 @@ the brute-force oracle in the tests rely on.
 
 The stepper evaluates the advection term on raw ``rfft2`` half-plane
 arrays (``nonlinear_half``); ``nse_nonlinear_term`` is the full-lattice
-view of the same computation.
+view of the same computation. It uses Basdevant's form of the advection
+term (Basdevant 1983; Canuto et al., *Spectral Methods*, 2006): for
+``u = (u, v)`` divergence-free,
+
+    u . grad(omega) = (d_x^2 - d_y^2)(u v) + d_x d_y (v^2 - u^2),
+
+so a call makes two inverse transforms (``u``, ``v``) and two forward
+ones (``u v``, ``v^2 - u^2``). Each transform runs as its two axis passes,
+and the complex pass covers only the columns ``ky <= grid.dealias_kmax``
+that the 2/3 mask keeps.
 """
 
 from __future__ import annotations
@@ -26,7 +35,6 @@ from .spectral import (
     SpectralGrid,
     StreamFunction,
     from_half,
-    half_plane,
     mirror_column,
     to_half,
     to_physical,
@@ -87,39 +95,56 @@ def _deriv_phys(field: SpectralField, axis: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _half_plane_operators(grid: SpectralGrid):
-    """Derivative multipliers and the output factor on the half-plane.
+    """Derivative multipliers and output factors on the dealiased columns.
 
-    ``i*kx`` and ``-i*kx`` as columns, ``-i*ky`` as a row (they broadcast),
-    ``|k|^2`` as a view of the grid's array, and one factor that folds the
-    2/3 mask, the inverse laplacian and the zero mean mode together.
+    The half-plane columns ``ky = 0 .. grid.dealias_kmax`` are the ones the
+    2/3 mask keeps; there are ``m`` of them. ``i*kx`` is a column and
+    ``-i*ky`` a row of them (they broadcast). ``fa = (kx^2 - ky^2)/|k|^2``
+    and ``fb = kx*ky/|k|^2``, both times the mask and zero at ``k = 0``,
+    map the transforms of ``u v`` and ``v^2 - u^2`` to the output.
     """
-    ikx = 1j * grid.kx[:, :1]
-    neg_ikx = -ikx
-    neg_iky = -1j * half_plane(grid.ky)[:1]
-    ksq = half_plane(grid.ksq)
+    m = grid.dealias_kmax + 1
+    kx = grid.kx[:, :m]
+    ky = grid.ky[:, :m]
+    ksq = grid.ksq[:, :m]
+    ikx = 1j * kx[:, :1]
+    neg_iky = -1j * ky[:1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(ksq > 0, half_plane(grid.dealias_mask) / -ksq, 0.0)
-    for arr in (ikx, neg_ikx, neg_iky, factor):
+        scale = np.where(ksq > 0, grid.dealias_mask[:, :m] / ksq, 0.0)
+    fa = (kx * kx - ky * ky) * scale
+    fb = (kx * ky) * scale
+    for arr in (ikx, neg_iky, fa, fb):
         arr.setflags(write=False)
-    return ikx, neg_ikx, neg_iky, ksq, factor
+    return m, ikx, neg_iky, fa, fb
 
 
 def nonlinear_half(psi: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Advection term invlap( u . grad(lap psi) ) of a half-plane array.
 
-    Four ``irfft2`` and one ``rfft2``. The input must be dealiased and
-    Hermitian in its column ``ky = 0``; the output is dealiased, mean-free
-    and exactly Hermitian there too.
+    Two inverse and two forward transforms, with the complex pass on the
+    dealiased columns only. The input must be dealiased and Hermitian in
+    its column ``ky = 0``; the output is dealiased (zero in the columns
+    ``ky > grid.dealias_kmax``), mean-free and exactly Hermitian in column
+    ``ky = 0``.
     """
-    ikx, neg_ikx, neg_iky, ksq, factor = _half_plane_operators(grid)
-    ux = np.fft.irfft2(psi * neg_iky, norm="forward")
-    uy = np.fft.irfft2(psi * ikx, norm="forward")
-    lap = ksq * psi  # -omega
-    wx = np.fft.irfft2(lap * neg_ikx, norm="forward")
-    wy = np.fft.irfft2(lap * neg_iky, norm="forward")
-    c = np.fft.rfft2(ux * wx + uy * wy, norm="forward")
-    c *= factor
-    # rfft2 leaves column ky = 0 Hermitian only to roundoff; make it exact
+    m, ikx, neg_iky, fa, fb = _half_plane_operators(grid)
+    n = grid.resolution
+    low = psi[:, :m]
+    # inverse: complex pass on the kept columns; irfft zero-pads the rest
+    u = np.fft.irfft(np.fft.ifft(low * neg_iky, axis=0, norm="forward"),
+                     n=n, axis=1, norm="forward")
+    v = np.fft.irfft(np.fft.ifft(low * ikx, axis=0, norm="forward"),
+                     n=n, axis=1, norm="forward")
+    uv = np.fft.fft(np.fft.rfft(u * v, axis=1, norm="forward")[:, :m],
+                    axis=0, norm="forward")
+    d = np.fft.fft(np.fft.rfft(v * v - u * u, axis=1, norm="forward")[:, :m],
+                   axis=0, norm="forward")
+    uv *= fa
+    d *= fb
+    c = np.zeros(psi.shape, dtype=np.complex128)
+    np.add(uv, d, out=c[:, :m])
+    # the forward pass leaves column ky = 0 Hermitian only to roundoff;
+    # make it exact
     mirror_column(c[:, 0])
     return c
 

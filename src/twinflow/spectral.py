@@ -12,8 +12,10 @@ Conventions, fixed once for the whole package:
   constant is pinned by the physical-quadrature oracle in the tests.
 * Fields are real-valued in physical space (Hermitian coefficient
   symmetry), mean-free (``c_0 = 0``), and dealiased with the square 2/3
-  mask ``|k_i| <= N/3``. Spectral ball projections use the circular mask
-  ``|k| <= cutoff`` (inclusive).
+  mask ``3 |k_i| < N``, which is ``|k_i| <= N/3`` unless 3 divides ``N``
+  (then ``|k_i| = N/3`` would alias onto itself in a quadratic product).
+  Spectral ball projections use the circular mask ``|k| <= cutoff``
+  (inclusive).
 
 ``SpectralField`` values are immutable: their coefficient arrays are
 flagged read-only, and every operation returns a new field.
@@ -56,8 +58,8 @@ class SpectralGrid:
         kx, ky = np.meshgrid(k1d, k1d, indexing="ij")
         ksq = (kx * kx + ky * ky).astype(np.float64)
         kmag = np.sqrt(ksq)
-        cutoff = self.dealias_cutoff
-        mask = (np.abs(kx) <= cutoff) & (np.abs(ky) <= cutoff)
+        kmax = self.dealias_kmax
+        mask = (np.abs(kx) <= kmax) & (np.abs(ky) <= kmax)
         x1d = 2.0 * np.pi * np.arange(n) / n - np.pi
         for name, arr in (
             ("kx", kx),
@@ -74,6 +76,12 @@ class SpectralGrid:
     def dealias_cutoff(self) -> float:
         # (2/3)*(N/2) = N/3 per axis
         return self.resolution / 3.0
+
+    @property
+    def dealias_kmax(self) -> int:
+        """Largest ``|k_i|`` the 2/3 mask keeps: the largest with ``3 |k_i| < N``,
+        so that products of kept modes never alias onto kept modes."""
+        return (self.resolution - 1) // 3
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -162,6 +170,29 @@ def half_plane(arr: np.ndarray) -> np.ndarray:
     return arr[:, : arr.shape[0] // 2 + 1]
 
 
+@lru_cache(maxsize=8)
+def half_plane_energy_weights(grid: SpectralGrid) -> np.ndarray:
+    """Weights of ``|u|^2 = sum |k|^2 |psi_k|^2`` on the half-plane (read-only).
+
+    Columns ``ky = 0`` and ``ky = N/2`` hold each mode once; every other
+    half-plane column stands for itself and its mirror, so counts twice.
+    Summing these weights times ``|c_k|^2`` over the half-plane of a
+    Hermitian array gives the full-lattice sum.
+    """
+    ksq = half_plane(grid.ksq)
+    weights = 2.0 * ksq
+    weights[:, 0] = ksq[:, 0]
+    weights[:, -1] = ksq[:, -1]
+    weights.setflags(write=False)
+    return weights
+
+
+def weighted_power(weights: np.ndarray, c: np.ndarray) -> float:
+    """``sum(weights * |c|^2)`` with ``|c|^2`` as ``re^2 + im^2``; NaN and
+    Inf propagate."""
+    return float(np.vdot(weights, c.real * c.real + c.imag * c.imag))
+
+
 def to_half(coeffs: np.ndarray) -> np.ndarray:
     """Half-plane copy (columns ``ky = 0 .. N/2``) of a full-lattice array.
 
@@ -222,7 +253,7 @@ def hermitian_defect(field: SpectralField) -> float:
 
 
 def dealias(field: SpectralField) -> SpectralField:
-    """Apply the square 2/3 mask: zero modes with |k_i| > N/3. Idempotent."""
+    """Apply the square 2/3 mask: zero modes with 3 |k_i| >= N. Idempotent."""
     return SpectralField(field.grid, field.coeffs * field.grid.dealias_mask)
 
 

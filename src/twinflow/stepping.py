@@ -43,8 +43,10 @@ from .spectral import (
     StreamFunction,
     from_half,
     half_plane,
+    half_plane_energy_weights,
     shared_grid,
     to_half,
+    weighted_power,
     zero_field,
 )
 
@@ -115,19 +117,10 @@ class PairState:
 @lru_cache(maxsize=16)
 def _step_constants(grid: SpectralGrid, nu: float, dt: float):
     """Half-plane integrating factor (dealias mask folded in) and the
-    weights of the blow-up energy sum |k|^2 |psi_k|^2.
-
-    Columns ``ky = 0`` and ``ky = N/2`` hold each mode once; every other
-    half-plane column stands for itself and its mirror, so counts twice.
-    """
-    ksq = half_plane(grid.ksq)
-    efac = np.exp(-nu * ksq * dt) * half_plane(grid.dealias_mask)
-    weights = 2.0 * ksq
-    weights[:, 0] = ksq[:, 0]
-    weights[:, -1] = ksq[:, -1]
-    for arr in (efac, weights):
-        arr.setflags(write=False)
-    return efac, weights
+    weights of the blow-up energy sum |k|^2 |psi_k|^2."""
+    efac = np.exp(-nu * half_plane(grid.ksq) * dt) * half_plane(grid.dealias_mask)
+    efac.setflags(write=False)
+    return efac, half_plane_energy_weights(grid)
 
 
 @lru_cache(maxsize=16)
@@ -140,7 +133,7 @@ def _blowup_radius(spec: ForcingSpec, resolution: int, nu: float) -> float:
 def _check_finite(psi: np.ndarray, weights: np.ndarray, cfg: SimConfig, t: float,
                   last_checkpoint: Optional[str]):
     # |u|^2 in one reduction over the half-plane: NaN/Inf propagate.
-    energy = float(np.sum(weights * (psi.real * psi.real + psi.imag * psi.imag)))
+    energy = weighted_power(weights, psi)
     if not np.isfinite(energy):
         raise BlowUpError(t, "non-finite coefficient detected", last_checkpoint)
     if cfg.forcing is not None:

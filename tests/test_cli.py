@@ -5,7 +5,7 @@ import twinflow as tf
 from twinflow.cli import cli_main
 from twinflow.config import write_config
 from twinflow.experiment import read_series_csv
-from twinflow.stepping import save_checkpoint
+from twinflow.stepping import load_checkpoint, save_checkpoint
 
 from conftest import random_psi
 from test_experiment import tiny_config
@@ -65,7 +65,11 @@ def test_spinup_writes_checkpoint(tmp_path, config_file):
     out = tmp_path / "spin"
     code = cli_main(["spinup", "--config", str(config_file), "--out", str(out)])
     assert code == 0
-    assert (out / "base.ckpt").exists()
+    cfg = tiny_config()
+    state, dt = load_checkpoint(out / "base.ckpt", cfg.grid)
+    assert dt == cfg.dt
+    assert state.t == cfg.spinup_time
+    assert state.step_index == int(round(cfg.spinup_time / cfg.dt)) > 0
 
 
 def test_sweep_cli(tmp_path, config_file):

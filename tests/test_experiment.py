@@ -22,9 +22,11 @@ from twinflow.experiment import (
     threshold_report,
     write_series_csv,
 )
+from twinflow.spectral import from_half, to_half
 from twinflow.stepping import save_checkpoint
 
 from conftest import random_psi
+from oracles import full_lattice_error_record
 
 
 def tiny_config(**overrides):
@@ -63,6 +65,21 @@ class TestErrorRecord:
             tf.norm_hn(tf.project_low(w, 10.0), 1), rel=1e-12
         )
         assert rec.energy1 == pytest.approx(tf.norm_hn(p1, 1) ** 2, rel=1e-12)
+
+    def test_matches_full_lattice_sums(self, grid32, rng):
+        # not dealiased, so the self-mirrored columns ky = 0 and ky = N/2
+        # carry energy and their single weight counts
+        def field():
+            c = tf.field_from_physical(grid32, rng.standard_normal(grid32.shape)).coeffs
+            return tf.SpectralField(grid32, from_half(to_half(c)))
+
+        state = tf.PairState(field(), field(), 0.5)
+        assert np.any(state.psi1.coeffs[:, 16]) and np.any(state.psi1.coeffs[1:, 0])
+        rec = error_record(state, 7.0)
+        expected = full_lattice_error_record(state, 7.0)
+        got = (rec.err_h, rec.err_v, rec.err_low, rec.err_high, rec.energy1, rec.energy2)
+        for a, b in zip(got, expected):
+            assert a == pytest.approx(b, rel=1e-13)
 
     def test_identical_pair_is_zero(self, grid64, rng):
         p = random_psi(grid64, rng)

@@ -4,13 +4,14 @@ import pytest
 import twinflow as tf
 from twinflow.fieldops import (
     force_velocity,
+    nonlinear_half,
     stream_force_term,
     velocity_laplacian,
 )
-from twinflow.spectral import zero_field
+from twinflow.spectral import to_half, zero_field
 
 from conftest import random_psi, velocity_norm
-from oracles import convolution_nonlinear_term
+from oracles import convolution_nonlinear_term, five_transform_nonlinear_half
 
 
 class TestVelocityFromStream:
@@ -90,8 +91,10 @@ class TestNonlinearTerm:
         assert np.max(np.abs(fast)) > 0.01
         assert np.max(np.abs(fast - slow)) <= 1e-10 * np.max(np.abs(slow))
 
-    def test_random_fields_against_convolution(self, rng):
-        grid = tf.SpectralGrid(16)
+    @pytest.mark.parametrize("n", [16, 18, 20])
+    def test_random_fields_against_convolution(self, rng, n):
+        # n mod 3 = 1, 0, 2: the kept band |k_i| < n/3 ends at each boundary
+        grid = tf.SpectralGrid(n)
         for _ in range(3):
             psi = random_psi(grid, rng, decay=1.5)
             fast = tf.nse_nonlinear_term(psi).coeffs
@@ -101,6 +104,16 @@ class TestNonlinearTerm:
     def test_output_dealiased(self, grid64, rng):
         out = tf.nse_nonlinear_term(random_psi(grid64, rng, decay=1.0))
         assert not np.any(out.coeffs[~grid64.dealias_mask])
+
+    def test_half_plane_against_five_transform_form(self, grid64, rng):
+        for decay in (3.0, 1.5):
+            psi = to_half(random_psi(grid64, rng, decay=decay).coeffs)
+            fast = nonlinear_half(psi, grid64)
+            slow = five_transform_nonlinear_half(psi, grid64)
+            assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(slow))
+            assert not np.any(fast[:, 64 // 3 + 1:])  # ky > N/3
+            col = fast[:, 0]
+            assert np.array_equal(col[1:], np.conj(col[:0:-1]))
 
 
 class TestTrilinear:
