@@ -50,7 +50,6 @@ from .stepping import (
     load_checkpoint,
     save_checkpoint,
     spin_up,
-    step_pair,
     step_single,
 )
 
@@ -88,7 +87,6 @@ __all__ = [
     "SimConfig",
     "PairState",
     "step_single",
-    "step_pair",
     "spin_up",
     "decorrelate",
     "save_checkpoint",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import configparser
 import platform
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -78,6 +78,12 @@ class ExperimentConfig:
             raise ConfigError("record_every must be >= 1")
         if self.nu <= 0 or self.dt <= 0:
             raise ConfigError(f"nu and dt must be positive, got nu={self.nu}, dt={self.dt}")
+        for name in ("t_end", "spinup_time", "decorrelate_time"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ConfigError(f"{name} must be nonnegative, got {value}")
+        if not self.checkpoint_every > 0:
+            raise ConfigError(f"checkpoint_every must be positive, got {self.checkpoint_every}")
         grid = shared_grid(self.resolution)
         if self.coupling.cutoff > grid.dealias_cutoff:
             raise ConfigError(
@@ -94,14 +100,37 @@ class ExperimentConfig:
         return SimConfig(self.nu, self.dt, self.grid, self.forcing)
 
 
+def _path(value: str) -> Optional[str]:
+    return value or None
+
+
+# Optional keys per section: INI key -> (dataclass field, parser). Only the
+# keys present are passed on, so every default lives in its dataclass.
+_FORCING_KEYS = {"band_low": ("band_low", int), "band_high": ("band_high", int),
+                 "grashof": ("grashof_target", float), "seed": ("phase_seed", int),
+                 "norm": ("norm_kind", str)}
+_COUPLING_KEYS = {"theta1": ("theta1", float), "mu1": ("mu1", float), "mu2": ("mu2", float)}
+_EXPERIMENT_KEYS = {
+    "init": ("init_kind", str),
+    "spinup_time": ("spinup_time", float),
+    "decorrelate_time": ("decorrelate_time", float),
+    "checkpoint1": ("checkpoint1", _path),
+    "checkpoint2": ("checkpoint2", _path),
+    "base_checkpoint": ("base_checkpoint", _path),
+    "checkpoint_every": ("checkpoint_every", float),
+    "record_every": ("record_every", int),
+    "c_lad": ("c_lad", float),
+    "c_agmon": ("c_agmon", float),
+    "c_sob": ("c_sob", float),
+}
+
+
+def _present(items: dict, keys: dict) -> dict:
+    return {field: parse(items[key]) for key, (field, parse) in keys.items() if key in items}
+
+
 def _forcing_from_items(items: dict) -> ForcingSpec:
-    return ForcingSpec(
-        band_low=int(items.get("band_low", 10)),
-        band_high=int(items.get("band_high", 12)),
-        grashof_target=float(items.get("grashof", 1.0e5)),
-        phase_seed=int(items.get("seed", 0)),
-        norm_kind=items.get("norm", "h"),
-    )
+    return ForcingSpec(**_present(items, _FORCING_KEYS))
 
 
 def _coupling_from_items(items: dict) -> IntertwinementSpec:
@@ -115,10 +144,8 @@ def _coupling_from_items(items: dict) -> IntertwinementSpec:
     return IntertwinementSpec(
         variant=variant,
         cutoff=float(items.get("cutoff", 20.0)),
-        theta1=float(items.get("theta1", 0.0)),
-        mu1=float(items.get("mu1", 0.0)),
-        mu2=float(items.get("mu2", 0.0)),
         matrix=matrix,
+        **_present(items, _COUPLING_KEYS),
     )
 
 
@@ -137,17 +164,7 @@ def _build(parser: configparser.ConfigParser) -> ExperimentConfig:
             forcing=_forcing_from_items(dict(parser["forcing"])),
             forcing2=forcing2,
             coupling=_coupling_from_items(dict(parser["intertwinement"])),
-            init_kind=exp.get("init", "projected_low"),
-            spinup_time=float(exp.get("spinup_time", 200.0)),
-            decorrelate_time=float(exp.get("decorrelate_time", 100.0)),
-            checkpoint1=exp.get("checkpoint1") or None,
-            checkpoint2=exp.get("checkpoint2") or None,
-            base_checkpoint=exp.get("base_checkpoint") or None,
-            checkpoint_every=float(exp.get("checkpoint_every", 100.0)),
-            record_every=int(exp.get("record_every", 10)),
-            c_lad=float(exp.get("c_lad", 1.0)),
-            c_agmon=float(exp.get("c_agmon", 1.0)),
-            c_sob=float(exp.get("c_sob", 1.0)),
+            **_present(exp, _EXPERIMENT_KEYS),
         )
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from None
@@ -287,18 +304,7 @@ def _paper_text() -> ExperimentConfig:
 
 
 def _paper_figure() -> ExperimentConfig:
-    return ExperimentConfig(
-        resolution=512,
-        nu=0.005,
-        dt=0.001,
-        t_end=100.0,
-        forcing=ForcingSpec(10, 12, 1.0e5, 0),
-        coupling=IntertwinementSpec("mutual_sync", 50.0, theta1=0.5),
-        init_kind="decorrelated",
-        spinup_time=10000.0,
-        decorrelate_time=100.0,
-        record_every=100,
-    )
+    return replace(_paper_text(), nu=0.005, dt=0.001)
 
 
 # desk is a scaled-down replicate that runs on a laptop; the paper-* presets

@@ -232,13 +232,6 @@ def from_half(half: np.ndarray) -> np.ndarray:
     return full
 
 
-def hermitianize(field: SpectralField) -> SpectralField:
-    """Project onto the Hermitian-symmetric part, (c_k + conj(c_{-k}))/2."""
-    c = field.coeffs
-    sym = 0.5 * (c + np.conj(c[_reflect(field.grid)]))
-    return SpectralField(field.grid, sym)
-
-
 @lru_cache(maxsize=8)
 def _reflect(grid: SpectralGrid):
     n = grid.resolution
@@ -315,18 +308,6 @@ def spectral_power(field: SpectralField, p: float) -> SpectralField:
     with np.errstate(divide="ignore"):
         weights = np.where(kmag > 0, kmag**p, 0.0)
     return SpectralField(field.grid, field.coeffs * weights)
-
-
-def laplacian(field: SpectralField) -> SpectralField:
-    return SpectralField(field.grid, field.coeffs * (-field.grid.ksq))
-
-
-def inv_laplacian(field: SpectralField) -> SpectralField:
-    """Inverse laplacian with the mean-free convention (zero at k=0)."""
-    ksq = field.grid.ksq
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(ksq > 0, -1.0 / ksq, 0.0)
-    return SpectralField(field.grid, field.coeffs * inv)
 
 
 def energy_spectrum(field: SpectralField) -> np.ndarray:

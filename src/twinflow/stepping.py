@@ -9,14 +9,17 @@ exponential factor is premultiplied by the dealias mask, which keeps the
 state dealiased without a separate pass.
 
 Every stepping entry point (``advance``, ``spin_up``, ``decorrelate``,
-``step_pair``, ``step_single``) converts its input once to raw ``rfft2``
-half-plane arrays (``N x (N/2+1)``) and runs all per-step work on them:
-the nonlinear term, the update and the blow-up check. The coupling is
-evaluated on the observed modes ``P_N`` alone, gathered from those arrays
-and written back into the right-hand side. Full-lattice
-``SpectralField`` states are rebuilt by exact Hermitian
-reflection only where a caller sees them: the observer on its cadence,
-rolling checkpoints, and the returned state. So every state handed out is
+``step_single``) converts its input once to raw ``rfft2`` half-plane
+arrays (``N x (N/2+1)``) and runs one loop on them, for a single flow
+or a coupled pair: the nonlinear term, the right-hand side, the update
+in place, and the blow-up check. A single flow is the uncoupled case. In
+a pair the coupling is evaluated on the observed modes ``P_N`` alone,
+gathered from those arrays and written back into the right-hand side.
+One callback on the loop's cadence feeds the pair observer, or writes a
+spin-up's rolling checkpoint and then reports progress. Full-lattice
+``SpectralField`` states are rebuilt by exact Hermitian reflection only
+where a caller sees them: the observer, rolling checkpoints, and the
+returned state. So every state handed out is
 exactly Hermitian, and stepping k times one call at a time equals one
 k-step call bitwise. Inputs must be Hermitian (see ``spectral.to_half``).
 Checkpoints serialize a full pair state losslessly (see
@@ -56,7 +59,6 @@ __all__ = [
     "BlowUpError",
     "CheckpointError",
     "step_single",
-    "step_pair",
     "advance",
     "spin_up",
     "decorrelate",
@@ -123,97 +125,81 @@ def _step_constants(grid: SpectralGrid, nu: float, dt: float):
     return efac, half_plane_energy_weights(grid)
 
 
-@lru_cache(maxsize=16)
-def _blowup_radius(spec: ForcingSpec, resolution: int, nu: float) -> float:
-    f = make_band_forcing(spec, shared_grid(resolution), nu)
-    rho0, _ = absorbing_radii(f, nu)
-    return BLOWUP_FACTOR * rho0
-
-
-def _check_finite(psi: np.ndarray, weights: np.ndarray, cfg: SimConfig, t: float,
+def _check_finite(psi: np.ndarray, weights: np.ndarray, limit: float, t: float,
                   last_checkpoint: Optional[str]):
     # |u|^2 in one reduction over the half-plane: NaN/Inf propagate.
     energy = weighted_power(weights, psi)
     if not np.isfinite(energy):
         raise BlowUpError(t, "non-finite coefficient detected", last_checkpoint)
-    if cfg.forcing is not None:
-        limit = _blowup_radius(cfg.forcing, cfg.grid.resolution, cfg.nu)
-        if limit > 0 and 2.0 * np.pi * np.sqrt(energy) > limit:
-            raise BlowUpError(
-                t, f"|u| exceeded {BLOWUP_FACTOR:g} x absorbing radius", last_checkpoint
-            )
-
-
-def _rhs(g: np.ndarray, nonlin: np.ndarray, c: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """``g - nonlin``, with the coupling ``c`` on the observed modes (flat
-    indices ``low``).
-
-    There it is ``(c - nonlin) + g``: subtracting first lets coupled low
-    modes cancel exactly when the coupling reproduces the nonlinear term
-    coefficientwise.
-    """
-    r = g - nonlin
-    r.put(low, (c - nonlin.take(low)) + g.take(low))
-    return r
+    if 2.0 * np.pi * np.sqrt(energy) > limit:
+        raise BlowUpError(
+            t, f"|u| exceeded {BLOWUP_FACTOR:g} x absorbing radius", last_checkpoint
+        )
 
 
 def _full(grid: SpectralGrid, psi: np.ndarray) -> StreamFunction:
     return StreamFunction(grid, from_half(psi))
 
 
-def _force_half(f: SpectralField) -> np.ndarray:
-    return to_half(stream_force_term(f).coeffs)
+def _evolve(cfg: SimConfig, ps: list, forces: list, nsteps: int, t: float = 0.0,
+            step: int = 0, spec: Optional[IntertwinementSpec] = None,
+            cadence: Optional[Callable] = None, every: int = 1,
+            last_checkpoint: Optional[str] = None) -> tuple[list, float, int]:
+    """``nsteps`` steps of the half-plane arrays ``ps`` under ``forces``:
+    one flow, or two coupled through ``spec``.
 
-
-def _evolve_single(
-    psi: StreamFunction,
-    cfg: SimConfig,
-    f: SpectralField,
-    nsteps: int,
-    checkpoint_dir: Optional[Path] = None,
-    every: int = 1,
-    progress: Optional[Callable[[float], None]] = None,
-) -> StreamFunction:
-    """``nsteps`` single-flow steps on the half-plane, clock from zero.
-
-    Every ``every`` steps, writes a rolling checkpoint into
-    ``checkpoint_dir`` (when given) and calls ``progress`` (when given).
+    Returns the arrays, the clock and the step index. Every ``every`` steps
+    calls ``cadence(ps, t, step)``; a checkpoint path it returns is the one
+    a later ``BlowUpError`` names.
     """
     grid, dt = cfg.grid, cfg.dt
     efac, weights = _step_constants(grid, cfg.nu, dt)
-    g = _force_half(f)
-    h = to_half(psi.coeffs)
-    last_ckpt = None
+    limit = np.inf
+    if cfg.forcing is not None:
+        rho0, _ = absorbing_radii(make_band_forcing(cfg.forcing, grid, cfg.nu), cfg.nu)
+        limit = BLOWUP_FACTOR * rho0
+    gs = [to_half(stream_force_term(f).coeffs) for f in forces]
+    if spec is not None:
+        low = np.flatnonzero(half_plane(observation_mask(spec, grid)))
+        acts_on_nonlinear, _ = spec.form
     for i in range(nsteps):
-        t = (i + 1) * dt
-        nonlin = nonlinear_half(h, grid)
-        h = efac * (h + dt * (g - nonlin))
-        _check_finite(h, weights, cfg, t, last_ckpt)
-        if (i + 1) % every == 0:
-            if checkpoint_dir is not None:
-                path = Path(checkpoint_dir) / f"spinup_{i + 1:09d}.ckpt"
-                out = _full(grid, h)
-                save_checkpoint(PairState(out, out, t, i + 1), dt, path)
-                last_ckpt = str(path)
-            if progress is not None:
-                progress(t)
-    return psi if nsteps == 0 else _full(grid, h)
+        ns = [nonlinear_half(p, grid) for p in ps]
+        rs = [g - n for g, n in zip(gs, ns)]
+        if spec is not None:
+            # On the observed modes the right-hand side is (c - n) + g:
+            # subtracting first lets coupled low modes cancel exactly when
+            # the coupling reproduces the nonlinear term coefficientwise.
+            x1, x2 = ns if acts_on_nonlinear else ps
+            cs = coupling_arrays(spec, x1.take(low), x2.take(low))
+            for r, g, n, c in zip(rs, gs, ns, cs):
+                r.put(low, (c - n.take(low)) + g.take(low))
+        for r, p in zip(rs, ps):
+            # efac * (p + dt * r), bitwise, without temporaries
+            r *= dt
+            r += p
+            r *= efac
+        ps = rs
+        t, step = t + dt, step + 1
+        for p in ps:
+            _check_finite(p, weights, limit, t, last_checkpoint)
+        if cadence is not None and (i + 1) % every == 0:
+            last_checkpoint = cadence(ps, t, step) or last_checkpoint
+    return ps, t, step
+
+
+def _evolve_single(psi: StreamFunction, cfg: SimConfig, f: SpectralField, nsteps: int,
+                   cadence: Optional[Callable] = None, every: int = 1) -> StreamFunction:
+    """``nsteps`` single-flow steps, clock from zero."""
+    if nsteps == 0:
+        return psi
+    (h,), _, _ = _evolve(cfg, [to_half(psi.coeffs)], [f], nsteps,
+                         cadence=cadence, every=every)
+    return _full(cfg.grid, h)
 
 
 def step_single(psi: StreamFunction, cfg: SimConfig, f: SpectralField) -> StreamFunction:
     """One integrating-factor Euler step of a single flow."""
     return _evolve_single(psi, cfg, f, 1)
-
-
-def step_pair(
-    state: PairState,
-    cfg: SimConfig,
-    spec: IntertwinementSpec,
-    f1: SpectralField,
-    f2: SpectralField,
-) -> PairState:
-    """One step of the coupled pair under forces (f1, f2)."""
-    return advance(state, cfg, spec, f1, f2, 1)
 
 
 def advance(
@@ -227,38 +213,32 @@ def advance(
     observe_every: int = 1,
     last_checkpoint: Optional[str] = None,
 ) -> PairState:
-    """Run ``nsteps`` pair steps, invoking ``observer`` on the cadence.
+    """Run ``nsteps`` steps of the pair coupled through ``spec`` under forces
+    (f1, f2), invoking ``observer`` on the cadence.
 
-    The observer also sees the initial state. Forces, the pair and the
-    flat indices of the observed modes move to the half-plane once, outside
-    the loop.
+    The observer also sees the initial state. The state it sees at the
+    last step is the one returned.
     """
+    grid, end = cfg.grid, state.step_index + nsteps
+    final = state
+
+    def observe(ps, t, step):
+        nonlocal final
+        out = PairState(_full(grid, ps[0]), _full(grid, ps[1]), t, step)
+        observer(out)
+        if step == end:
+            final = out
+
     if observer is not None:
         observer(state)
-    grid, dt = cfg.grid, cfg.dt
-    efac, weights = _step_constants(grid, cfg.nu, dt)
-    low = np.flatnonzero(half_plane(observation_mask(spec, grid)))
-    acts_on_nonlinear, _ = spec.form
-    g1, g2 = _force_half(f1), _force_half(f2)
-    p1, p2 = to_half(state.psi1.coeffs), to_half(state.psi2.coeffs)
-    t, step = state.t, state.step_index
-    out = state
-    for i in range(nsteps):
-        n1, n2 = nonlinear_half(p1, grid), nonlinear_half(p2, grid)
-        x1, x2 = (n1, n2) if acts_on_nonlinear else (p1, p2)
-        c1, c2 = coupling_arrays(spec, x1.take(low), x2.take(low))
-        p1 = efac * (p1 + dt * _rhs(g1, n1, c1, low))
-        p2 = efac * (p2 + dt * _rhs(g2, n2, c2, low))
-        t, step = t + dt, step + 1
-        _check_finite(p1, weights, cfg, t, last_checkpoint)
-        _check_finite(p2, weights, cfg, t, last_checkpoint)
-        out = None
-        if observer is not None and (i + 1) % observe_every == 0:
-            out = PairState(_full(grid, p1), _full(grid, p2), t, step)
-            observer(out)
-    if out is None:
-        out = PairState(_full(grid, p1), _full(grid, p2), t, step)
-    return out
+    (p1, p2), t, step = _evolve(
+        cfg, [to_half(state.psi1.coeffs), to_half(state.psi2.coeffs)], [f1, f2], nsteps,
+        state.t, state.step_index, spec, observe if observer is not None else None,
+        observe_every, last_checkpoint,
+    )
+    if final.step_index != end:
+        final = PairState(_full(grid, p1), _full(grid, p2), t, step)
+    return final
 
 
 def spin_up(
@@ -282,7 +262,19 @@ def spin_up(
     force = make_band_forcing(cfg.forcing, cfg.grid, cfg.nu)
     nsteps = int(round(duration / cfg.dt))
     every = max(1, int(round(checkpoint_every / cfg.dt)))
-    return _evolve_single(psi, cfg, force, nsteps, checkpoint_dir, every, progress)
+
+    def cadence(ps, t, step):
+        # checkpoint first: progress may rely on it being on disk
+        path = None
+        if checkpoint_dir is not None:
+            path = str(Path(checkpoint_dir) / f"spinup_{step:09d}.ckpt")
+            out = _full(cfg.grid, ps[0])
+            save_checkpoint(PairState(out, out, t, step), cfg.dt, path)
+        if progress is not None:
+            progress(t)
+        return path
+
+    return _evolve_single(psi, cfg, force, nsteps, cadence, every)
 
 
 def decorrelate(
@@ -353,12 +345,16 @@ def load_checkpoint(path, grid: Optional[SpectralGrid] = None) -> tuple[PairStat
             f"resolution mismatch on resume: checkpoint has {n}, "
             f"configuration has {grid.resolution}"
         )
-    g = grid if grid is not None else shared_grid(n)
+    if grid is None:
+        try:
+            grid = shared_grid(n)
+        except ValueError as exc:
+            raise CheckpointError(f"bad checkpoint header in {path}: {exc}") from None
     size = n * n * 16
     offset = _HEADER.size
     fields = []
     for _ in range(2):
         arr = np.frombuffer(raw, dtype="<c16", count=n * n, offset=offset)
-        fields.append(SpectralField(g, arr.reshape(n, n).astype(np.complex128)))
+        fields.append(SpectralField(grid, arr.reshape(n, n).astype(np.complex128)))
         offset += size
     return PairState(fields[0], fields[1], t, step), dt

@@ -72,6 +72,15 @@ def test_spinup_writes_checkpoint(tmp_path, config_file):
     assert state.step_index == int(round(cfg.spinup_time / cfg.dt)) > 0
 
 
+def test_spinup_negative_duration_exits_2(capsys, tmp_path, config_file):
+    out = tmp_path / "spin"
+    code = cli_main(["spinup", "--config", str(config_file),
+                     "--set", "experiment.spinup_time=-1", "--out", str(out)])
+    assert code == 2
+    assert "spinup_time" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_cli(tmp_path, config_file):
     out = tmp_path / "sweep"
     code = cli_main(

@@ -272,6 +272,16 @@ class TestConfigIO:
         with pytest.raises(ConfigError, match="nu and dt must be positive"):
             apply_overrides(tiny_config(), [override])
 
+    @pytest.mark.parametrize(
+        "override",
+        ["sim.t_end=-5", "experiment.spinup_time=-1", "experiment.decorrelate_time=-0.5",
+         "experiment.checkpoint_every=0", "experiment.checkpoint_every=-1"],
+    )
+    def test_negative_durations_or_cadence_rejected(self, override):
+        key = override.split("=")[0].split(".")[1]
+        with pytest.raises(ConfigError, match=key):
+            apply_overrides(tiny_config(), [override])
+
     def test_cutoff_validation(self):
         with pytest.raises(ConfigError, match="resolved band"):
             tiny_config(coupling=tf.IntertwinementSpec("mutual_sync", 11.0, theta1=0.5))

@@ -5,7 +5,6 @@ import twinflow as tf
 from twinflow.spectral import (
     SpectralField,
     hermitian_defect,
-    hermitianize,
     inner_h,
     low_mode_mask,
     spectral_power,
@@ -151,13 +150,6 @@ class TestTransforms:
         assert hermitian_defect(f) <= 1e-15
         with pytest.raises(ValueError):
             f.coeffs[1, 1] = 9.0
-
-    def test_hermitianize_projects(self, grid64, rng):
-        c = rng.standard_normal(grid64.shape) + 1j * rng.standard_normal(grid64.shape)
-        f = tf.field_from_coeffs(grid64, c)
-        h = hermitianize(f)
-        assert hermitian_defect(h) <= 1e-14
-        assert np.max(np.abs(tf.to_physical(h) - tf.to_physical(f))) <= 1e-12
 
     def test_grid_mismatch_rejected(self, grid64, grid32, rng):
         with pytest.raises(ValueError):

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -61,12 +64,13 @@ class TestPairStep:
         psi = random_psi(grid32, rng)
         f = tf.make_band_forcing(forced_cfg.forcing, grid32, forced_cfg.nu)
         single = tf.step_single(psi, forced_cfg, f)
-        pair = tf.step_pair(
+        pair = advance(
             tf.PairState(psi, psi),
             forced_cfg,
             tf.IntertwinementSpec("trivial", 5.0),
             f,
             f,
+            1,
         )
         assert np.array_equal(single.coeffs, pair.psi1.coeffs)
         assert np.array_equal(pair.psi1.coeffs, pair.psi2.coeffs)
@@ -92,7 +96,7 @@ class TestPairStep:
         psi1, psi2 = random_psi(grid, rng, decay=1.0), random_psi(grid, rng, decay=1.0)
         f1, f2 = random_psi(grid, rng, decay=1.0), random_psi(grid, rng, decay=1.0)
         state = tf.PairState(psi1, psi2)
-        stepped = tf.step_pair(state, cfg, spec, f1, f2)
+        stepped = advance(state, cfg, spec, f1, f2, 1)
         from twinflow.fieldops import stream_force_term
 
         ref1, ref2 = scalar_reference_pair_step(
@@ -113,7 +117,7 @@ class TestPairStep:
         efac = np.exp(-forced_cfg.nu * grid32.ksq * forced_cfg.dt)
         for _ in range(5):
             before = tf.project_low(state.psi1 - state.psi2, cutoff)
-            state = tf.step_pair(state, forced_cfg, spec, f, f)
+            state = advance(state, forced_cfg, spec, f, f, 1)
             after = tf.project_low(state.psi1 - state.psi2, cutoff)
             expected = efac * before.coeffs
             mask = grid32.kmag <= cutoff
@@ -167,7 +171,7 @@ class TestOneStepPath:
         start = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng), 0.25, 3)
         state = start
         for _ in range(7):
-            state = tf.step_pair(state, forced_cfg, spec, f, f)
+            state = advance(state, forced_cfg, spec, f, f, 1)
         batched = advance(start, forced_cfg, spec, f, f, 7)
         assert np.array_equal(state.psi1.coeffs, batched.psi1.coeffs)
         assert np.array_equal(state.psi2.coeffs, batched.psi2.coeffs)
@@ -190,7 +194,7 @@ class TestOneStepPath:
         final = advance(start, forced_cfg, spec, f, f, 6, seen.append, 2)
         assert [s.step_index for s in seen] == [0, 2, 4, 6]
         assert seen[-1] is final
-        stepped = tf.step_pair(start, forced_cfg, spec, f, f)
+        stepped = advance(start, forced_cfg, spec, f, f, 1)
         for state in seen[1:] + [stepped]:
             assert_exact_state(state.psi1)
             assert_exact_state(state.psi2)
@@ -227,7 +231,7 @@ class TestBlowUpDetection:
         state = tf.PairState(random_psi(grid32, rng), tf.SpectralField(grid32, c))
         spec = tf.IntertwinementSpec("mutual_nudge", 5.0, mu1=1.0, mu2=1.0)
         with pytest.raises(BlowUpError, match="non-finite"):
-            tf.step_pair(state, small_cfg, spec, zero_force(grid32), zero_force(grid32))
+            advance(state, small_cfg, spec, zero_force(grid32), zero_force(grid32), 1)
 
     def test_runaway_magnitude_detected(self, grid32, forced_cfg, rng):
         huge = random_psi(grid32, rng, scale=1e12)
@@ -265,6 +269,19 @@ class TestSpinUpDecorrelate:
         a = tf.spin_up(forced_cfg, 0.5)
         b = tf.spin_up(forced_cfg, 0.5)
         assert np.array_equal(a.coeffs, b.coeffs)
+
+    def test_progress_follows_each_checkpoint(self, forced_cfg, tmp_path):
+        calls = []
+
+        def progress(t):
+            # the interval's rolling checkpoint is on disk, and is the newest
+            written = sorted(tmp_path.glob("spinup_*.ckpt"))
+            state, _ = load_checkpoint(written[-1])
+            calls.append((int(round(t / forced_cfg.dt)), state.step_index, len(written)))
+
+        tf.spin_up(forced_cfg, 0.3, checkpoint_dir=tmp_path, checkpoint_every=0.1,
+                   progress=progress)
+        assert calls == [(10, 10, 1), (20, 20, 2), (30, 30, 3)]
 
 
 class TestCheckpoints:
@@ -308,6 +325,17 @@ class TestCheckpoints:
         bad.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="CRC"):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize("n", [0, 3, 5])
+    def test_impossible_resolution_rejected(self, tmp_path, n):
+        # a CRC-valid file whose header names a resolution no grid can have
+        blob = struct.pack("<8sIIddQ", b"INTWNSE1", 1, n, 0.01, 0.0, 0)
+        blob += bytes(2 * n * n * 16)
+        blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
+        path = tmp_path / "odd.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointError, match="resolution"):
+            load_checkpoint(path)
 
     def test_resolution_mismatch_names_both(self, grid32, rng, tmp_path):
         path = tmp_path / "state.ckpt"
