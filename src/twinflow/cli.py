@@ -1,6 +1,6 @@
 """Command-line entry points: spinup, run, sweep, thresholds, spectrum.
 
-Every compute subcommand takes ``--config`` and/or ``--preset`` plus
+Every compute subcommand takes ``--config`` or ``--preset`` plus
 repeatable ``--set section.key=value`` overrides, and writes a manifest
 next to its outputs. Exit code 2 signals configuration/usage problems;
 nothing is ever partially written silently.
@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .config import (
+    PRESETS,
     ConfigError,
     apply_overrides,
     parse_config,
@@ -20,7 +21,7 @@ from .config import (
     provenance_info,
     write_config,
 )
-from .experiment import run_experiment, sweep, threshold_report
+from .experiment import SWEEP_AXES, run_experiment, sweep, threshold_report
 from .spectral import energy_spectrum, spectral_power
 from .stepping import (
     BlowUpError,
@@ -36,8 +37,8 @@ def _add_config_args(sub: argparse.ArgumentParser):
     sub.add_argument("--config", type=Path, help="config file (INI)")
     sub.add_argument(
         "--preset",
-        choices=("paper-text", "paper-figure", "desk"),
-        help="named parameter preset (base for --config/--set)",
+        choices=sorted(PRESETS),
+        help="named parameter preset (base for --set; excludes --config)",
     )
     sub.add_argument(
         "--set",
@@ -51,13 +52,13 @@ def _add_config_args(sub: argparse.ArgumentParser):
 
 def _load_config(args):
     if args.config is None and args.preset is None:
-        raise ConfigError("provide --config and/or --preset")
+        raise ConfigError("provide --config or --preset")
+    if args.config is not None and args.preset is not None:
+        raise ConfigError("--config and --preset are mutually exclusive")
     if args.config is not None:
         cfg = parse_config(args.config)
     else:
         cfg = preset_config(args.preset)
-    if args.config is not None and args.preset is not None:
-        raise ConfigError("--config and --preset are mutually exclusive")
     return apply_overrides(cfg, args.overrides)
 
 
@@ -72,8 +73,10 @@ def _cmd_spinup(args) -> int:
     )
     path = out / "base.ckpt"
     nsteps = int(round(cfg.spinup_time / cfg.dt))
-    save_checkpoint(PairState(psi, psi, cfg.spinup_time, nsteps), cfg.dt, path)
-    print(f"spun up {cfg.spinup_time:g} time units -> {path}")
+    # the clock of the state stepped, not the requested duration
+    t = nsteps * cfg.dt
+    save_checkpoint(PairState(psi, psi, t, nsteps), cfg.dt, path)
+    print(f"spun up {t:g} time units -> {path}")
     return 0
 
 
@@ -146,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("sweep", help="run a parameter sweep")
     _add_config_args(sub)
-    sub.add_argument("--axis", required=True, choices=("theta1", "mu2", "cutoff"))
+    sub.add_argument("--axis", required=True, choices=SWEEP_AXES)
     sub.add_argument("--values", required=True, help="comma-separated axis values")
     sub.add_argument("--out", required=True, help="output directory")
     sub.set_defaults(func=_cmd_sweep)

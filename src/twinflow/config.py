@@ -1,6 +1,6 @@
 """Experiment configuration: INI schema, presets, overrides, manifests.
 
-A config file has four sections::
+A config file has five sections::
 
     [sim]            resolution, nu, dt, t_end
     [forcing]        band_low, band_high, grashof, seed, norm
@@ -10,17 +10,19 @@ A config file has four sections::
                      checkpoint1/2, base_checkpoint, checkpoint_every,
                      c_lad, c_agmon, c_sob
 
-Manifests written next to run outputs are config files with an extra
-``[provenance]`` section (versions, seed, command line);
-the parser ignores that section, so a manifest re-runs as-is.
+Any other section or key is an error. Manifests written next to run
+outputs are config files with an extra ``[provenance]`` section (versions,
+seed, command line); the parser ignores that section, so a manifest re-runs
+as-is.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import platform
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -55,9 +57,9 @@ class ExperimentConfig:
     resolution: int
     nu: float
     dt: float
-    t_end: float
     forcing: ForcingSpec
     coupling: IntertwinementSpec
+    t_end: float = 0.0
     forcing2: Optional[ForcingSpec] = None
     init_kind: str = "projected_low"
     spinup_time: float = 200.0
@@ -76,14 +78,18 @@ class ExperimentConfig:
             raise ConfigError(f"unknown init mode {self.init_kind!r}")
         if self.record_every < 1:
             raise ConfigError("record_every must be >= 1")
-        if self.nu <= 0 or self.dt <= 0:
-            raise ConfigError(f"nu and dt must be positive, got nu={self.nu}, dt={self.dt}")
+        if not (0 < self.nu < math.inf and 0 < self.dt < math.inf):
+            raise ConfigError(
+                f"nu and dt must be positive and finite, got nu={self.nu}, dt={self.dt}"
+            )
         for name in ("t_end", "spinup_time", "decorrelate_time"):
             value = getattr(self, name)
-            if not value >= 0:
-                raise ConfigError(f"{name} must be nonnegative, got {value}")
-        if not self.checkpoint_every > 0:
-            raise ConfigError(f"checkpoint_every must be positive, got {self.checkpoint_every}")
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"{name} must be nonnegative and finite, got {value}")
+        if not 0 < self.checkpoint_every < math.inf:
+            raise ConfigError(
+                f"checkpoint_every must be positive and finite, got {self.checkpoint_every}"
+            )
         grid = shared_grid(self.resolution)
         if self.coupling.cutoff > grid.dealias_cutoff:
             raise ConfigError(
@@ -104,68 +110,71 @@ def _path(value: str) -> Optional[str]:
     return value or None
 
 
-# Optional keys per section: INI key -> (dataclass field, parser). Only the
-# keys present are passed on, so every default lives in its dataclass.
-_FORCING_KEYS = {"band_low": ("band_low", int), "band_high": ("band_high", int),
-                 "grashof": ("grashof_target", float), "seed": ("phase_seed", int),
-                 "norm": ("norm_kind", str)}
-_COUPLING_KEYS = {"theta1": ("theta1", float), "mu1": ("mu1", float), "mu2": ("mu2", float)}
-_EXPERIMENT_KEYS = {
-    "init": ("init_kind", str),
-    "spinup_time": ("spinup_time", float),
-    "decorrelate_time": ("decorrelate_time", float),
-    "checkpoint1": ("checkpoint1", _path),
-    "checkpoint2": ("checkpoint2", _path),
-    "base_checkpoint": ("base_checkpoint", _path),
-    "checkpoint_every": ("checkpoint_every", float),
-    "record_every": ("record_every", int),
-    "c_lad": ("c_lad", float),
-    "c_agmon": ("c_agmon", float),
-    "c_sob": ("c_sob", float),
+def _matrix(value: str) -> tuple[float, float, float, float]:
+    entries = tuple(float(v) for v in value.replace(",", " ").split())
+    if len(entries) != 4:
+        raise ConfigError("matrix must have 4 entries (row-major 2x2)")
+    return entries
+
+
+_FORCING = {"band_low": ("band_low", int), "band_high": ("band_high", int),
+            "grashof": ("grashof_target", float), "seed": ("phase_seed", int),
+            "norm": ("norm_kind", str)}
+
+# The INI schema, read by the parser, the manifest writer and the overrides:
+# section -> INI key -> (dataclass field, parser). Only the keys present are
+# passed on, so every default lives in its dataclass, and a field without one
+# is a required key.
+_SCHEMA = {
+    "sim": {"resolution": ("resolution", int), "nu": ("nu", float), "dt": ("dt", float),
+            "t_end": ("t_end", float)},
+    "forcing": _FORCING,
+    "forcing2": _FORCING,
+    "intertwinement": {"variant": ("variant", str), "cutoff": ("cutoff", float),
+                       "theta1": ("theta1", float), "mu1": ("mu1", float),
+                       "mu2": ("mu2", float), "matrix": ("matrix", _matrix)},
+    "experiment": {
+        "init": ("init_kind", str),
+        "spinup_time": ("spinup_time", float),
+        "decorrelate_time": ("decorrelate_time", float),
+        "checkpoint1": ("checkpoint1", _path),
+        "checkpoint2": ("checkpoint2", _path),
+        "base_checkpoint": ("base_checkpoint", _path),
+        "checkpoint_every": ("checkpoint_every", float),
+        "record_every": ("record_every", int),
+        "c_lad": ("c_lad", float),
+        "c_agmon": ("c_agmon", float),
+        "c_sob": ("c_sob", float),
+    },
 }
+_REQUIRED = [f.name for f in fields(ExperimentConfig) if f.default is MISSING]
 
 
-def _present(items: dict, keys: dict) -> dict:
+def _section(parser: configparser.ConfigParser, name: str) -> dict:
+    keys = _SCHEMA[name]
+    items = parser[name]
+    for key in items:
+        if key not in keys:
+            raise ConfigError(f"unknown config key {name}.{key}")
     return {field: parse(items[key]) for key, (field, parse) in keys.items() if key in items}
 
 
-def _forcing_from_items(items: dict) -> ForcingSpec:
-    return ForcingSpec(**_present(items, _FORCING_KEYS))
-
-
-def _coupling_from_items(items: dict) -> IntertwinementSpec:
-    variant = items.get("variant", "trivial")
-    matrix = None
-    if "matrix" in items:
-        parts = [float(v) for v in items["matrix"].replace(",", " ").split()]
-        if len(parts) != 4:
-            raise ConfigError("matrix must have 4 entries (row-major 2x2)")
-        matrix = tuple(parts)
-    return IntertwinementSpec(
-        variant=variant,
-        cutoff=float(items.get("cutoff", 20.0)),
-        matrix=matrix,
-        **_present(items, _COUPLING_KEYS),
-    )
-
-
 def _build(parser: configparser.ConfigParser) -> ExperimentConfig:
+    for name in parser.sections():
+        if name not in _SCHEMA and name != "provenance":
+            raise ConfigError(f"unknown config section [{name}]")
     try:
-        sim = dict(parser["sim"])
-        exp = dict(parser["experiment"]) if parser.has_section("experiment") else {}
-        forcing2 = None
+        given = _section(parser, "sim")
+        given["forcing"] = ForcingSpec(**_section(parser, "forcing"))
+        given["coupling"] = IntertwinementSpec(**_section(parser, "intertwinement"))
         if parser.has_section("forcing2"):
-            forcing2 = _forcing_from_items(dict(parser["forcing2"]))
-        return ExperimentConfig(
-            resolution=int(sim["resolution"]),
-            nu=float(sim["nu"]),
-            dt=float(sim["dt"]),
-            t_end=float(sim.get("t_end", 0.0)),
-            forcing=_forcing_from_items(dict(parser["forcing"])),
-            forcing2=forcing2,
-            coupling=_coupling_from_items(dict(parser["intertwinement"])),
-            **_present(exp, _EXPERIMENT_KEYS),
-        )
+            given["forcing2"] = ForcingSpec(**_section(parser, "forcing2"))
+        if parser.has_section("experiment"):
+            given.update(_section(parser, "experiment"))
+        for name in _REQUIRED:
+            if name not in given:
+                raise KeyError(name)
+        return ExperimentConfig(**given)
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from None
     except ValueError as exc:
@@ -190,52 +199,24 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return _build(parser)
 
 
+def _format(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ", ".join(repr(v) for v in value)
+    return str(value)
+
+
 def _as_parser(cfg: ExperimentConfig) -> configparser.ConfigParser:
     parser = _new_parser()
-    parser["sim"] = {
-        "resolution": str(cfg.resolution),
-        "nu": repr(cfg.nu),
-        "dt": repr(cfg.dt),
-        "t_end": repr(cfg.t_end),
-    }
-
-    def forcing_items(fs: ForcingSpec) -> dict:
-        return {
-            "band_low": str(fs.band_low),
-            "band_high": str(fs.band_high),
-            "grashof": repr(fs.grashof_target),
-            "seed": str(fs.phase_seed),
-            "norm": fs.norm_kind,
-        }
-
-    parser["forcing"] = forcing_items(cfg.forcing)
-    if cfg.forcing2 is not None:
-        parser["forcing2"] = forcing_items(cfg.forcing2)
-    coupling = {
-        "variant": cfg.coupling.variant,
-        "cutoff": repr(cfg.coupling.cutoff),
-        "theta1": repr(cfg.coupling.theta1),
-        "mu1": repr(cfg.coupling.mu1),
-        "mu2": repr(cfg.coupling.mu2),
-    }
-    if cfg.coupling.matrix is not None:
-        coupling["matrix"] = ", ".join(repr(v) for v in cfg.coupling.matrix)
-    parser["intertwinement"] = coupling
-    exp = {
-        "init": cfg.init_kind,
-        "spinup_time": repr(cfg.spinup_time),
-        "decorrelate_time": repr(cfg.decorrelate_time),
-        "checkpoint_every": repr(cfg.checkpoint_every),
-        "record_every": str(cfg.record_every),
-        "c_lad": repr(cfg.c_lad),
-        "c_agmon": repr(cfg.c_agmon),
-        "c_sob": repr(cfg.c_sob),
-    }
-    for key in ("checkpoint1", "checkpoint2", "base_checkpoint"):
-        value = getattr(cfg, key)
-        if value:
-            exp[key] = str(value)
-    parser["experiment"] = exp
+    owners = {"sim": cfg, "forcing": cfg.forcing, "forcing2": cfg.forcing2,
+              "intertwinement": cfg.coupling, "experiment": cfg}
+    for name, keys in _SCHEMA.items():
+        owner = owners[name]
+        if owner is None:
+            continue
+        values = {key: getattr(owner, field) for key, (field, _) in keys.items()}
+        parser[name] = {key: _format(v) for key, v in values.items() if v is not None}
     return parser
 
 

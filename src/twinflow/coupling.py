@@ -92,8 +92,8 @@ class IntertwinementSpec:
     well-posedness guarantee and is exposed for experimentation only.
     """
 
-    variant: str
-    cutoff: float
+    variant: str = "trivial"
+    cutoff: float = 20.0
     theta1: float = 0.0
     mu1: float = 0.0
     mu2: float = 0.0
@@ -102,11 +102,12 @@ class IntertwinementSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown coupling variant {self.variant!r}")
-        if self.cutoff <= 0:
-            raise ValueError(f"cutoff must be positive, got {self.cutoff}")
-        if self.variant in ("mutual_nudge", "symmetric_nudge"):
-            if self.mu1 < 0 or self.mu2 < 0:
-                raise ValueError("nudging strengths must be nonnegative")
+        if not 0 < self.cutoff < math.inf:
+            raise ValueError(f"cutoff must be positive and finite, got {self.cutoff}")
+        if not (0 <= self.mu1 < math.inf and 0 <= self.mu2 < math.inf):
+            raise ValueError(
+                f"mu1 and mu2 must be nonnegative and finite, got {self.mu1}, {self.mu2}"
+            )
         if self.variant == "symmetric_nudge" and self.mu1 < self.mu2:
             raise ValueError(
                 "symmetric nudging is canonicalized with mu1 >= mu2; "

@@ -46,6 +46,7 @@ from .stepping import (
 )
 
 __all__ = [
+    "SWEEP_AXES",
     "ErrorRecord",
     "RateFit",
     "SweepRow",
@@ -252,19 +253,13 @@ class SweepRow:
     error: str = ""
 
 
-_AXES = ("theta1", "mu2", "cutoff")
+SWEEP_AXES = ("theta1", "mu2", "cutoff")
 
 
 def _with_axis_value(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
-    if axis == "theta1":
-        coupling = replace(cfg.coupling, theta1=value)
-    elif axis == "mu2":
-        coupling = replace(cfg.coupling, mu2=value)
-    elif axis == "cutoff":
-        coupling = replace(cfg.coupling, cutoff=value)
-    else:
-        raise ValueError(f"unknown sweep axis {axis!r}; choose from {_AXES}")
-    return replace(cfg, coupling=coupling)
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
+    return replace(cfg, coupling=replace(cfg.coupling, **{axis: value}))
 
 
 def threshold_report(cfg: ExperimentConfig) -> dict[str, float | str | bool]:

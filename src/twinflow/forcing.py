@@ -15,6 +15,7 @@ its target exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -72,8 +73,10 @@ class ForcingSpec:
             raise ValueError(
                 f"band_low={self.band_low} exceeds band_high={self.band_high}"
             )
-        if self.grashof_target <= 0:
-            raise ValueError("grashof_target must be positive")
+        if not 0 < self.grashof_target < math.inf:
+            raise ValueError(
+                f"grashof_target must be positive and finite, got {self.grashof_target}"
+            )
         if self.norm_kind not in ("h", "linf"):
             raise ValueError(f"norm_kind must be 'h' or 'linf', got {self.norm_kind!r}")
 

@@ -28,6 +28,7 @@ Checkpoints serialize a full pair state losslessly (see
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -94,8 +95,8 @@ class SimConfig:
     forcing: Optional[ForcingSpec] = None
 
     def __post_init__(self):
-        if self.nu <= 0 or self.dt <= 0:
-            raise ValueError("nu and dt must be positive")
+        if not (0 < self.nu < math.inf and 0 < self.dt < math.inf):
+            raise ValueError("nu and dt must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,14 @@ def test_spinup_writes_checkpoint(tmp_path, config_file):
     assert state.t == cfg.spinup_time
     assert state.step_index == int(round(cfg.spinup_time / cfg.dt)) > 0
 
+    # a duration that is not a whole number of steps: the header carries the
+    # clock of the two steps taken
+    code = cli_main(["spinup", "--config", str(config_file), "--out", str(out),
+                     "--set", "experiment.spinup_time=0.025", "--set", "sim.dt=0.01"])
+    assert code == 0
+    state, dt = load_checkpoint(out / "base.ckpt", cfg.grid)
+    assert state.step_index == 2 and state.t == 2 * dt
+
 
 def test_spinup_negative_duration_exits_2(capsys, tmp_path, config_file):
     out = tmp_path / "spin"
@@ -78,6 +86,19 @@ def test_spinup_negative_duration_exits_2(capsys, tmp_path, config_file):
                      "--set", "experiment.spinup_time=-1", "--out", str(out)])
     assert code == 2
     assert "spinup_time" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "override, named",
+    [("sim.dt=nan", "dt"), ("intertwinement.thetal=0.3", "thetal"), ("simm.dt=0.1", "simm")],
+)
+def test_bad_config_exits_2(capsys, tmp_path, config_file, override, named):
+    out = tmp_path / "out"
+    code = cli_main(["run", "--config", str(config_file), "--set", override,
+                     "--out", str(out)])
+    assert code == 2
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,7 +268,7 @@ class TestConfigIO:
         with pytest.raises(ConfigError, match="missing config key"):
             parse_config_text("[sim]\nresolution = 32\n")
 
-    @pytest.mark.parametrize("override", ["sim.nu=0", "sim.dt=0"])
+    @pytest.mark.parametrize("override", ["sim.nu=0", "sim.dt=0", "sim.nu=nan", "sim.dt=nan"])
     def test_nonpositive_nu_or_dt_rejected(self, override):
         with pytest.raises(ConfigError, match="nu and dt must be positive"):
             apply_overrides(tiny_config(), [override])
@@ -275,12 +276,30 @@ class TestConfigIO:
     @pytest.mark.parametrize(
         "override",
         ["sim.t_end=-5", "experiment.spinup_time=-1", "experiment.decorrelate_time=-0.5",
-         "experiment.checkpoint_every=0", "experiment.checkpoint_every=-1"],
+         "experiment.checkpoint_every=0", "experiment.checkpoint_every=-1",
+         "sim.t_end=inf", "forcing.grashof=nan", "intertwinement.cutoff=nan",
+         "intertwinement.mu1=nan", "intertwinement.mu2=nan"],
     )
     def test_negative_durations_or_cadence_rejected(self, override):
         key = override.split("=")[0].split(".")[1]
         with pytest.raises(ConfigError, match=key):
             apply_overrides(tiny_config(), [override])
+
+    @pytest.mark.parametrize(
+        "old, new", [("record_every =", "record_evry ="), ("[sim]", "[simm]")],
+        ids=["key", "section"],
+    )
+    def test_unknown_key_or_section_rejected(self, tmp_path, old, new):
+        path = tmp_path / "cfg.ini"
+        write_config(tiny_config(), path)
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(ConfigError, match=new.strip("[] =")):
+            parse_config(path)
+
+    def test_readme_schema_is_desk_preset(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert parse_config_text(block) == preset_config("desk")
 
     def test_cutoff_validation(self):
         with pytest.raises(ConfigError, match="resolved band"):
