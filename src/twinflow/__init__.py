@@ -14,8 +14,6 @@ __version__ = "0.1.0"
 from .coupling import (
     GrashofBundle,
     IntertwinementSpec,
-    IntertwiningMatrix,
-    coupling_terms,
     threshold_degenerate_sync,
     threshold_mutual_nudge,
     threshold_mutual_sync,
@@ -25,7 +23,6 @@ from .experiment import ErrorRecord, RateFit, fit_decay_rate, run_experiment, sw
 from .fieldops import (
     VelocityField,
     divergence,
-    nse_nonlinear_term,
     trilinear_b,
     velocity_from_stream,
 )
@@ -36,7 +33,6 @@ from .spectral import (
     StreamFunction,
     dealias,
     energy_spectrum,
-    field_from_coeffs,
     field_from_physical,
     norm_hn,
     project_high,
@@ -59,7 +55,6 @@ __all__ = [
     "SpectralField",
     "StreamFunction",
     "VelocityField",
-    "field_from_coeffs",
     "field_from_physical",
     "to_physical",
     "dealias",
@@ -69,7 +64,6 @@ __all__ = [
     "energy_spectrum",
     "velocity_from_stream",
     "divergence",
-    "nse_nonlinear_term",
     "trilinear_b",
     "ForcingSpec",
     "make_band_forcing",
@@ -77,9 +71,7 @@ __all__ = [
     "shape_factor",
     "absorbing_radii",
     "IntertwinementSpec",
-    "IntertwiningMatrix",
     "GrashofBundle",
-    "coupling_terms",
     "threshold_mutual_sync",
     "threshold_degenerate_sync",
     "threshold_mutual_nudge",

@@ -89,7 +89,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--values: {exc}") from None
+    if not values:
+        raise ConfigError("--values: no values given")
     rows = sweep(cfg, args.axis, values, Path(args.out))
     for row in rows:
         status = row.error if row.error else f"rate={row.rate:.4g}"

@@ -86,10 +86,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not 0 <= value < math.inf:
                 raise ConfigError(f"{name} must be nonnegative and finite, got {value}")
-        if not 0 < self.checkpoint_every < math.inf:
-            raise ConfigError(
-                f"checkpoint_every must be positive and finite, got {self.checkpoint_every}"
-            )
+        for name in ("checkpoint_every", "c_lad", "c_agmon", "c_sob"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         grid = shared_grid(self.resolution)
         if self.coupling.cutoff > grid.dealias_cutoff:
             raise ConfigError(
@@ -236,6 +236,8 @@ def apply_overrides(cfg: ExperimentConfig, overrides: list[str]) -> ExperimentCo
             raise ConfigError(f"override must look like section.key=value: {item!r}")
         target, value = item.split("=", 1)
         section, key = target.split(".", 1)
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown config section [{section}]")
         if not parser.has_section(section):
             parser.add_section(section)
         parser[section][key.strip()] = value.strip()

@@ -19,11 +19,11 @@ Olson & Titi 2014). The named variants are rows of one table:
     general_sync      B         (m00, -m01, -m11, m10)
 
 with ``theta2 = 1 - theta1`` and ``(m00, m01, m10, m11)`` the configured
-``matrix``. ``coupling_terms`` returns the streamfunction-level
-right-hand-side additions for both systems. The threshold functions
-evaluate, in closed form, how large the cutoff N (and for nudging, the
-relaxation window for mu1 + mu2) must be for the coupled pair to
-synchronize. The interpolation constants they depend on (``c_lad``,
+``matrix``. ``coupling_arrays`` returns the right-hand-side additions
+for both systems on the observed modes (``observation_mask``). The
+threshold functions evaluate, in closed form, how large the cutoff N (and
+for nudging, the relaxation window for mu1 + mu2) must be for the coupled
+pair to synchronize. The interpolation constants they depend on (``c_lad``,
 ``c_agmon``, ``c_sob``) have no certified numeric values; defaults of 1.0
 make the outputs advisory scale estimates, not rigorous bounds.
 """
@@ -36,21 +36,12 @@ from typing import Optional
 
 import numpy as np
 
-from .fieldops import nse_nonlinear_term
-from .spectral import (
-    SpectralField,
-    SpectralGrid,
-    StreamFunction,
-    low_mode_mask,
-    norm_hn,
-)
+from .spectral import SpectralField, SpectralGrid, low_mode_mask, norm_hn
 
 __all__ = [
     "VARIANTS",
     "IntertwinementSpec",
-    "IntertwiningMatrix",
     "GrashofBundle",
-    "coupling_terms",
     "coupling_arrays",
     "observation_mask",
     "threshold_mutual_sync",
@@ -104,6 +95,8 @@ class IntertwinementSpec:
             raise ValueError(f"unknown coupling variant {self.variant!r}")
         if not 0 < self.cutoff < math.inf:
             raise ValueError(f"cutoff must be positive and finite, got {self.cutoff}")
+        if not 0 <= self.theta1 <= 1:
+            raise ValueError(f"theta1 must lie in [0, 1], got {self.theta1}")
         if not (0 <= self.mu1 < math.inf and 0 <= self.mu2 < math.inf):
             raise ValueError(
                 f"mu1 and mu2 must be nonnegative and finite, got {self.mu1}, {self.mu2}"
@@ -115,6 +108,8 @@ class IntertwinementSpec:
             )
         if self.variant in ("general_nudge", "general_sync") and self.matrix is None:
             raise ValueError(f"{self.variant} requires a 2x2 matrix")
+        if self.matrix is not None and not all(map(math.isfinite, self.matrix)):
+            raise ValueError(f"matrix entries must be finite, got {self.matrix}")
 
     @property
     def theta2(self) -> float:
@@ -128,28 +123,6 @@ class IntertwinementSpec:
         ``x`` the nonlinear term when ``acts_on_nonlinear``, else the state."""
         acts_on_nonlinear, entries = _FORMS[self.variant]
         return acts_on_nonlinear, entries(self)
-
-
-@dataclass(frozen=True)
-class IntertwiningMatrix:
-    """Symmetric coupling-strength matrix [[mu1, -mu2], [-mu2, mu1]].
-
-    Symmetric nudging couples through ``-entries``.
-    """
-
-    mu1: float
-    mu2: float
-
-    @property
-    def entries(self) -> np.ndarray:
-        return np.array([[self.mu1, -self.mu2], [-self.mu2, self.mu1]])
-
-    def eigenvalues(self) -> tuple[float, float]:
-        return (self.mu1 - self.mu2, self.mu1 + self.mu2)
-
-    @property
-    def is_nonnegative_definite(self) -> bool:
-        return self.mu1 >= abs(self.mu2)
 
 
 def observation_mask(spec: IntertwinementSpec, grid: SpectralGrid) -> np.ndarray:
@@ -169,26 +142,6 @@ def coupling_arrays(spec: IntertwinementSpec, x1: np.ndarray, x2: np.ndarray):
     ``spec.form``), in any layout the two share."""
     _, (a, b, c, d) = spec.form
     return a * x1 + b * x2, c * x1 + d * x2
-
-
-def coupling_terms(
-    spec: IntertwinementSpec, psi1: StreamFunction, psi2: StreamFunction
-) -> tuple[SpectralField, SpectralField]:
-    """Streamfunction-level RHS additions (c1, c2) for the coupled pair."""
-    grid = psi1.grid
-    if psi2.grid.resolution != grid.resolution:
-        raise ValueError("coupled fields live on different grids")
-    low = observation_mask(spec, grid)
-    acts_on_nonlinear, _ = spec.form
-    x1, x2 = psi1, psi2
-    if acts_on_nonlinear:
-        x1, x2 = nse_nonlinear_term(psi1), nse_nonlinear_term(psi2)
-    terms = []
-    for c in coupling_arrays(spec, x1.coeffs[low], x2.coeffs[low]):
-        out = np.zeros(grid.shape, dtype=np.complex128)
-        out[low] = c
-        terms.append(SpectralField(grid, out))
-    return tuple(terms)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,7 @@ exactly truncated convolution, which is what the trilinear identities and
 the brute-force oracle in the tests rely on.
 
 The stepper evaluates the advection term on raw ``rfft2`` half-plane
-arrays (``nonlinear_half``); ``nse_nonlinear_term`` is the full-lattice
-view of the same computation. It uses Basdevant's form of the advection
-term (Basdevant 1983; Canuto et al., *Spectral Methods*, 2006): for
+arrays (``nonlinear_half``), in Basdevant's form of the advection term (Basdevant 1983; Canuto et al., *Spectral Methods*, 2006): for
 ``u = (u, v)`` divergence-free,
 
     u . grad(omega) = (d_x^2 - d_y^2)(u v) + d_x d_y (v^2 - u^2),
@@ -34,9 +32,7 @@ from .spectral import (
     SpectralField,
     SpectralGrid,
     StreamFunction,
-    from_half,
     mirror_column,
-    to_half,
     to_physical,
 )
 
@@ -45,7 +41,6 @@ __all__ = [
     "velocity_from_stream",
     "velocity_laplacian",
     "divergence",
-    "nse_nonlinear_term",
     "nonlinear_half",
     "trilinear_b",
     "stream_force_term",
@@ -147,15 +142,6 @@ def nonlinear_half(psi: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     # make it exact
     mirror_column(c[:, 0])
     return c
-
-
-def nse_nonlinear_term(psi: StreamFunction) -> SpectralField:
-    """Streamfunction-level advection: invlap( u . grad(lap psi) ).
-
-    The input must be dealiased and Hermitian; the output is dealiased,
-    mean-free and exactly Hermitian.
-    """
-    return SpectralField(psi.grid, from_half(nonlinear_half(to_half(psi.coeffs), psi.grid)))
 
 
 def _advect(u: VelocityField, v: VelocityField) -> tuple[np.ndarray, np.ndarray]:

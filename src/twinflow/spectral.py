@@ -146,13 +146,6 @@ def zero_field(grid: SpectralGrid) -> SpectralField:
     return SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
 
 
-def field_from_coeffs(grid: SpectralGrid, coeffs: np.ndarray) -> SpectralField:
-    """Wrap a coefficient array, zeroing the mean mode."""
-    c = np.array(coeffs, dtype=np.complex128)
-    c[0, 0] = 0.0
-    return SpectralField(grid, c)
-
-
 def field_from_physical(grid: SpectralGrid, values: np.ndarray) -> SpectralField:
     """Transform real physical samples to a mean-free spectral field."""
     c = np.fft.fft2(np.asarray(values, dtype=np.float64), norm="forward")

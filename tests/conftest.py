@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import twinflow as tf
+from twinflow.fieldops import nonlinear_half
+from twinflow.spectral import from_half, to_half
 
 
 def random_psi(grid, rng, decay=3.0, scale=1.0):
@@ -10,6 +12,12 @@ def random_psi(grid, rng, decay=3.0, scale=1.0):
     fld = tf.field_from_physical(grid, phys)
     shaped = tf.SpectralField(grid, scale * fld.coeffs * (1.0 + grid.kmag) ** (-decay))
     return tf.dealias(shaped)
+
+
+def nonlinear_full(psi):
+    """The stepper's advection term (``nonlinear_half``) of a dealiased,
+    Hermitian field, rebuilt on the full lattice."""
+    return from_half(nonlinear_half(to_half(psi.coeffs), psi.grid))
 
 
 def velocity_norm(vel, n=0):

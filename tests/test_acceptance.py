@@ -26,7 +26,7 @@ from twinflow.experiment import error_record, fit_decay_rate, run_experiment
 from twinflow.fieldops import velocity_laplacian
 from twinflow.stepping import advance, load_checkpoint, save_checkpoint
 
-from conftest import random_psi, velocity_norm
+from conftest import nonlinear_full, random_psi, velocity_norm
 from oracles import convolution_nonlinear_term
 
 DESK = preset_config("desk")
@@ -87,7 +87,7 @@ def test_criterion_2_convolution_oracle(rng):
     grid = tf.SpectralGrid(16)
     for _ in range(20):
         psi = random_psi(grid, rng, decay=1.5)
-        fast = tf.nse_nonlinear_term(psi).coeffs
+        fast = nonlinear_full(psi)
         slow = convolution_nonlinear_term(psi)
         assert np.max(np.abs(fast - slow)) <= 1e-10 * np.max(np.abs(slow))
     _report(2, "advection term matches direct convolution, 20 fields",

@@ -91,7 +91,8 @@ def test_spinup_negative_duration_exits_2(capsys, tmp_path, config_file):
 
 @pytest.mark.parametrize(
     "override, named",
-    [("sim.dt=nan", "dt"), ("intertwinement.thetal=0.3", "thetal"), ("simm.dt=0.1", "simm")],
+    [("sim.dt=nan", "dt"), ("intertwinement.thetal=0.3", "thetal"), ("simm.dt=0.1", "simm"),
+     ("DEFAULT.x=1", "DEFAULT")],
 )
 def test_bad_config_exits_2(capsys, tmp_path, config_file, override, named):
     out = tmp_path / "out"
@@ -119,6 +120,16 @@ def test_sweep_cli(tmp_path, config_file):
     summary = (out / "summary.csv").read_text().splitlines()
     assert summary[0].startswith("theta1,")
     assert len(summary) == 3
+
+
+@pytest.mark.parametrize("values, named", [("0.1,abc", "abc"), (",", "no values")])
+def test_sweep_bad_values_exit_2(capsys, tmp_path, config_file, values, named):
+    out = tmp_path / "sweep"
+    code = cli_main(["sweep", "--config", str(config_file), "--axis", "theta1",
+                     "--values", values, "--out", str(out)])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_spectrum_subcommand(tmp_path, rng):

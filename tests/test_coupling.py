@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import twinflow as tf
-from twinflow.coupling import IntertwiningMatrix
+from twinflow.coupling import coupling_arrays, observation_mask
 
-from conftest import random_psi
+from conftest import nonlinear_full, random_psi
 
 ALL_VARIANT_SPECS = [
     tf.IntertwinementSpec("trivial", 10.0),
@@ -60,67 +60,77 @@ class TestSpecValidation:
         spec = tf.IntertwinementSpec("mutual_sync", 10.0, theta1=0.25)
         assert spec.theta1 + spec.theta2 == 1.0
 
-    def test_cutoff_above_dealias_rejected(self, grid64, rng):
+    def test_cutoff_above_dealias_rejected(self, grid64):
         spec = tf.IntertwinementSpec("mutual_nudge", 30.0, mu1=1.0)
-        p = random_psi(grid64, rng)
         with pytest.raises(ValueError, match="exceeds resolved band"):
-            tf.coupling_terms(spec, p, p)
+            observation_mask(spec, grid64)
+
+
+def observed(spec, pair):
+    """The observed modes ``P_N x`` of both systems, with ``x`` the nonlinear
+    term or the state per ``spec.form``: what the stepper hands to
+    ``coupling_arrays``."""
+    low = observation_mask(spec, pair[0].grid)
+    acts_on_nonlinear, _ = spec.form
+    if acts_on_nonlinear:
+        return tuple(nonlinear_full(p)[low] for p in pair)
+    return tuple(p.coeffs[low] for p in pair)
 
 
 class TestCouplingTerms:
     def test_trivial(self, grid64, pair):
-        c1, c2 = tf.coupling_terms(tf.IntertwinementSpec("trivial", 10.0), *pair)
-        assert not np.any(c1.coeffs) and not np.any(c2.coeffs)
+        spec = tf.IntertwinementSpec("trivial", 10.0)
+        c1, c2 = coupling_arrays(spec, *observed(spec, pair))
+        assert not np.any(c1) and not np.any(c2)
 
     def test_mutual_sync_vanishes_on_diagonal(self, grid64, pair):
         spec = tf.IntertwinementSpec("mutual_sync", 10.0, theta1=0.7)
-        c1, c2 = tf.coupling_terms(spec, pair[0], pair[0])
-        assert not np.any(c1.coeffs) and not np.any(c2.coeffs)
+        c1, c2 = coupling_arrays(spec, *observed(spec, (pair[0], pair[0])))
+        assert not np.any(c1) and not np.any(c2)
 
     @pytest.mark.parametrize("theta1", [0.25, 0.5, 0.75])
     def test_mutual_sync_sum_rule(self, pair, theta1):
         spec = tf.IntertwinementSpec("mutual_sync", 10.0, theta1=theta1)
-        c1, c2 = tf.coupling_terms(spec, *pair)
-        resid = c1.coeffs + (theta1 / (1.0 - theta1)) * c2.coeffs
-        scale = np.max(np.abs(c1.coeffs))
+        c1, c2 = coupling_arrays(spec, *observed(spec, pair))
+        resid = c1 + (theta1 / (1.0 - theta1)) * c2
+        scale = np.max(np.abs(c1))
         assert np.max(np.abs(resid)) <= 1e-15 * max(scale, 1.0)
 
     @pytest.mark.parametrize("spec", ALL_VARIANT_SPECS, ids=lambda s: s.variant)
     def test_coupling_supported_in_ball(self, grid64, pair, spec):
-        for c in tf.coupling_terms(spec, *pair):
-            assert not np.any(c.coeffs[grid64.kmag > 10.0])
+        low = observation_mask(spec, grid64)
+        assert not np.any(grid64.kmag[low] > 10.0)
+        for c in coupling_arrays(spec, *observed(spec, pair)):
+            assert c.shape == (np.count_nonzero(low),)
 
     def test_mutual_sync_low_mode_cancellation(self, grid64, pair):
         # rhs1 - rhs2 on |k| <= N equals the projected nonlinear difference
-        n1 = tf.nse_nonlinear_term(pair[0])
-        n2 = tf.nse_nonlinear_term(pair[1])
-        expected = tf.project_low(n1 - n2, 10.0)
+        low = observation_mask(tf.IntertwinementSpec("mutual_sync", 10.0), grid64)
+        expected = (nonlinear_full(pair[0]) - nonlinear_full(pair[1]))[low]
         for theta1 in (0.0, 0.5, 1.0):
             spec = tf.IntertwinementSpec("mutual_sync", 10.0, theta1=theta1)
-            c1, c2 = tf.coupling_terms(spec, *pair)
-            assert np.array_equal(c1.coeffs - c2.coeffs, expected.coeffs)
+            c1, c2 = coupling_arrays(spec, *observed(spec, pair))
+            assert np.array_equal(c1 - c2, expected)
 
     def test_degenerate_sync_equal_additions_on_diagonal(self, pair):
         spec = tf.IntertwinementSpec("degenerate_sync", 10.0)
-        c1, c2 = tf.coupling_terms(spec, pair[0], pair[0])
-        assert np.array_equal(c1.coeffs, c2.coeffs)
-        assert np.any(c1.coeffs)
+        c1, c2 = coupling_arrays(spec, *observed(spec, (pair[0], pair[0])))
+        assert np.array_equal(c1, c2)
+        assert np.any(c1)
 
-    def test_degenerate_sync_is_projected_own_nonlinearity(self, pair):
+    def test_degenerate_sync_is_projected_own_nonlinearity(self, grid64, pair):
         spec = tf.IntertwinementSpec("degenerate_sync", 10.0)
-        n1 = tf.nse_nonlinear_term(pair[0])
-        n2 = tf.nse_nonlinear_term(pair[1])
-        c1, c2 = tf.coupling_terms(spec, *pair)
-        assert np.array_equal(c1.coeffs, tf.project_low(n1, 10.0).coeffs)
-        assert np.array_equal(c2.coeffs, tf.project_low(n2, 10.0).coeffs)
+        low = observation_mask(spec, grid64)
+        c1, c2 = coupling_arrays(spec, *observed(spec, pair))
+        assert np.array_equal(c1, nonlinear_full(pair[0])[low])
+        assert np.array_equal(c2, nonlinear_full(pair[1])[low])
 
     def test_mutual_nudge_aot_reduction(self, grid64, pair):
         spec = tf.IntertwinementSpec("mutual_nudge", 10.0, mu1=50.0, mu2=0.0)
-        c1, c2 = tf.coupling_terms(spec, *pair)
-        p1 = tf.project_low(pair[0], 10.0).coeffs
-        p2 = tf.project_low(pair[1], 10.0).coeffs
-        assert np.array_equal(c1.coeffs, 50.0 * p2 - 50.0 * p1)
-        assert not np.any(c2.coeffs)
+        p1, p2 = observed(spec, pair)
+        c1, c2 = coupling_arrays(spec, p1, p2)
+        assert np.array_equal(c1, 50.0 * p2 - 50.0 * p1)
+        assert not np.any(c2)
 
     def test_nudge_diagonals_vanish_or_match(self, pair):
         p = pair[0]
@@ -128,10 +138,9 @@ class TestCouplingTerms:
             ("mutual_nudge", dict(mu1=50.0, mu2=25.0)),
             ("symmetric_nudge", dict(mu1=50.0, mu2=25.0)),
         ):
-            c1, c2 = tf.coupling_terms(
-                tf.IntertwinementSpec(variant, 10.0, **kwargs), p, p
-            )
-            assert np.array_equal(c1.coeffs, c2.coeffs)
+            spec = tf.IntertwinementSpec(variant, 10.0, **kwargs)
+            c1, c2 = coupling_arrays(spec, *observed(spec, (p, p)))
+            assert np.array_equal(c1, c2)
 
     @pytest.mark.parametrize(
         "named,general", NAMED_AS_GENERAL,
@@ -140,30 +149,9 @@ class TestCouplingTerms:
     )
     def test_named_variant_equals_general_matrix(self, pair, named, general):
         assert named.form == general.form
-        for a, b in zip(tf.coupling_terms(named, *pair), tf.coupling_terms(general, *pair)):
-            assert np.array_equal(a.coeffs, b.coeffs)
-
-
-class TestIntertwiningMatrix:
-    @pytest.mark.parametrize(
-        "mu1,mu2,expected",
-        [(50.0, 50.0, (0.0, 100.0)), (50.0, 0.0, (50.0, 50.0)), (50.0, 25.0, (25.0, 75.0))],
-    )
-    def test_eigenvalues(self, mu1, mu2, expected):
-        m = IntertwiningMatrix(mu1, mu2)
-        assert m.eigenvalues() == expected
-        vals = np.linalg.eigvalsh(m.entries)
-        assert np.allclose(sorted(vals), sorted(expected))
-
-    def test_symmetric_nudge_couples_through_negated_entries(self):
-        spec = tf.IntertwinementSpec("symmetric_nudge", 10.0, mu1=50.0, mu2=25.0)
-        _, entries = spec.form
-        assert entries == tuple(-IntertwiningMatrix(50.0, 25.0).entries.ravel())
-
-    def test_definiteness(self):
-        assert IntertwiningMatrix(50.0, 25.0).is_nonnegative_definite
-        assert IntertwiningMatrix(50.0, 50.0).is_nonnegative_definite
-        assert not IntertwiningMatrix(25.0, 50.0).is_nonnegative_definite
+        x = observed(named, pair)
+        for a, b in zip(coupling_arrays(named, *x), coupling_arrays(general, *x)):
+            assert np.array_equal(a, b)
 
 
 class TestGrashofBundle:

@@ -278,7 +278,11 @@ class TestConfigIO:
         ["sim.t_end=-5", "experiment.spinup_time=-1", "experiment.decorrelate_time=-0.5",
          "experiment.checkpoint_every=0", "experiment.checkpoint_every=-1",
          "sim.t_end=inf", "forcing.grashof=nan", "intertwinement.cutoff=nan",
-         "intertwinement.mu1=nan", "intertwinement.mu2=nan"],
+         "intertwinement.mu1=nan", "intertwinement.mu2=nan",
+         "intertwinement.theta1=nan", "intertwinement.theta1=1.5",
+         "intertwinement.theta1=-0.5", "intertwinement.matrix=1,nan,0,0",
+         "experiment.c_lad=nan", "experiment.c_lad=-1", "experiment.c_agmon=0",
+         "experiment.c_sob=inf"],
     )
     def test_negative_durations_or_cadence_rejected(self, override):
         key = override.split("=")[0].split(".")[1]

@@ -10,7 +10,7 @@ from twinflow.fieldops import (
 )
 from twinflow.spectral import to_half, zero_field
 
-from conftest import random_psi, velocity_norm
+from conftest import nonlinear_full, random_psi, velocity_norm
 from oracles import convolution_nonlinear_term, five_transform_nonlinear_half
 
 
@@ -59,19 +59,19 @@ class TestNonlinearTerm:
     def test_parallel_shear_vanishes(self, grid64):
         _, y = grid64.physical_coords()
         psi = tf.field_from_physical(grid64, np.cos(y))
-        assert np.max(np.abs(tf.nse_nonlinear_term(psi).coeffs)) == 0.0
+        assert np.max(np.abs(nonlinear_full(psi))) == 0.0
 
     def test_mean_mode_always_zero(self, grid64, rng):
-        out = tf.nse_nonlinear_term(random_psi(grid64, rng))
-        assert out.coeffs[0, 0] == 0.0
+        out = nonlinear_full(random_psi(grid64, rng))
+        assert out[0, 0] == 0.0
 
     @pytest.mark.parametrize("alpha", [2.0, -1.0, 0.5])
     def test_quadratic_scaling(self, grid64, rng, alpha):
         psi = random_psi(grid64, rng)
-        base = tf.nse_nonlinear_term(psi)
-        scaled = tf.nse_nonlinear_term(alpha * psi)
-        diff = np.max(np.abs(scaled.coeffs - alpha**2 * base.coeffs))
-        assert diff <= 1e-12 * np.max(np.abs(base.coeffs)) * alpha**2
+        base = nonlinear_full(psi)
+        scaled = nonlinear_full(alpha * psi)
+        diff = np.max(np.abs(scaled - alpha**2 * base))
+        assert diff <= 1e-12 * np.max(np.abs(base)) * alpha**2
 
     def test_equal_wavenumber_vortex_is_steady(self):
         # cos x + cos y advects its own vorticity not at all; both the
@@ -79,14 +79,14 @@ class TestNonlinearTerm:
         grid = tf.SpectralGrid(16)
         x, y = grid.physical_coords()
         psi = tf.field_from_physical(grid, np.cos(x) + np.cos(y))
-        assert np.max(np.abs(tf.nse_nonlinear_term(psi).coeffs)) <= 1e-15
+        assert np.max(np.abs(nonlinear_full(psi))) <= 1e-15
         assert np.max(np.abs(convolution_nonlinear_term(psi))) <= 1e-15
 
     def test_two_cosines_against_convolution(self):
         grid = tf.SpectralGrid(16)
         x, y = grid.physical_coords()
         psi = tf.field_from_physical(grid, np.cos(x) + np.cos(2 * y))
-        fast = tf.nse_nonlinear_term(psi).coeffs
+        fast = nonlinear_full(psi)
         slow = convolution_nonlinear_term(psi)
         assert np.max(np.abs(fast)) > 0.01
         assert np.max(np.abs(fast - slow)) <= 1e-10 * np.max(np.abs(slow))
@@ -97,13 +97,13 @@ class TestNonlinearTerm:
         grid = tf.SpectralGrid(n)
         for _ in range(3):
             psi = random_psi(grid, rng, decay=1.5)
-            fast = tf.nse_nonlinear_term(psi).coeffs
+            fast = nonlinear_full(psi)
             slow = convolution_nonlinear_term(psi)
             assert np.max(np.abs(fast - slow)) <= 1e-10 * np.max(np.abs(slow))
 
     def test_output_dealiased(self, grid64, rng):
-        out = tf.nse_nonlinear_term(random_psi(grid64, rng, decay=1.0))
-        assert not np.any(out.coeffs[~grid64.dealias_mask])
+        out = nonlinear_full(random_psi(grid64, rng, decay=1.0))
+        assert not np.any(out[~grid64.dealias_mask])
 
     def test_half_plane_against_five_transform_form(self, grid64, rng):
         for decay in (3.0, 1.5):
