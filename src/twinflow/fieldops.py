@@ -8,16 +8,19 @@ grid, then the square 2/3 mask. With dealiased inputs this equals the
 exactly truncated convolution, which is what the trilinear identities and
 the brute-force oracle in the tests rely on.
 
-The stepper evaluates the advection term on raw ``rfft2`` half-plane
-arrays (``nonlinear_half``), in Basdevant's form of the advection term (Basdevant 1983; Canuto et al., *Spectral Methods*, 2006): for
-``u = (u, v)`` divergence-free,
+The stepper evaluates the advection term on the dealiased block of the
+half-plane (``nonlinear_block``; see ``spectral.to_block``), in
+Basdevant's form of the advection term (Basdevant 1983; Canuto et al.,
+*Spectral Methods*, 2006): for ``u = (u, v)`` divergence-free,
 
     u . grad(omega) = (d_x^2 - d_y^2)(u v) + d_x d_y (v^2 - u^2),
 
 so a call makes two inverse transforms (``u``, ``v``) and two forward
 ones (``u v``, ``v^2 - u^2``). Each transform runs as its two axis passes,
 and the complex pass covers only the columns ``ky <= grid.dealias_kmax``
-that the 2/3 mask keeps.
+that the 2/3 mask keeps. Every transform and product writes into one
+workspace (``nonlinear_workspace``) that a stepping call allocates once
+and reuses for every evaluation, so a step allocates no ``N x N`` array.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .spectral import (
     SpectralField,
     SpectralGrid,
     StreamFunction,
+    block_of,
     mirror_column,
     to_physical,
 )
@@ -41,7 +45,8 @@ __all__ = [
     "velocity_from_stream",
     "velocity_laplacian",
     "divergence",
-    "nonlinear_half",
+    "nonlinear_block",
+    "nonlinear_workspace",
     "trilinear_b",
     "stream_force_term",
     "force_velocity",
@@ -89,59 +94,83 @@ def _deriv_phys(field: SpectralField, axis: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _half_plane_operators(grid: SpectralGrid):
-    """Derivative multipliers and output factors on the dealiased columns.
+def _block_operators(grid: SpectralGrid):
+    """Derivative multipliers, output factors and row map of the block.
 
-    The half-plane columns ``ky = 0 .. grid.dealias_kmax`` are the ones the
-    2/3 mask keeps; there are ``m`` of them. ``i*kx`` is a column and
-    ``-i*ky`` a row of them (they broadcast). ``fa = (kx^2 - ky^2)/|k|^2``
-    and ``fb = kx*ky/|k|^2``, both times the mask and zero at ``k = 0``,
-    map the transforms of ``u v`` and ``v^2 - u^2`` to the output.
+    On the block of ``to_block`` (rows ``kx = 0 .. K, -K .. -1``, columns
+    ``ky = 0 .. K``, ``K = grid.dealias_kmax``), ``i*kx`` is a column and
+    ``-i*ky`` a row (both broadcast to the block's shape).
+    ``fa = (kx^2 - ky^2)/|k|^2`` and ``fb = kx*ky/|k|^2``, zero at
+    ``k = 0``, map the transforms of ``u v`` and ``v^2 - u^2`` to the
+    output. ``rows`` pairs the block's ``kx >= 0`` and ``kx < 0`` row
+    ranges with the lattice rows they stand for.
     """
-    m = grid.dealias_kmax + 1
-    kx = grid.kx[:, :m]
-    ky = grid.ky[:, :m]
-    ksq = grid.ksq[:, :m]
-    ikx = 1j * kx[:, :1]
-    neg_iky = -1j * ky[:1]
+    n, kmax = grid.resolution, grid.dealias_kmax
+    m = kmax + 1
+    kx, ky, ksq = (block_of(a, kmax) for a in (grid.kx, grid.ky, grid.ksq))
+    shape = (2 * kmax + 1, m)
+    ikx = np.broadcast_to(1j * kx[:, :1], shape)
+    neg_iky = np.broadcast_to(-1j * ky[:1], shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(ksq > 0, grid.dealias_mask[:, :m] / ksq, 0.0)
+        scale = np.where(ksq > 0, 1.0 / ksq, 0.0)
     fa = (kx * kx - ky * ky) * scale
     fb = (kx * ky) * scale
-    for arr in (ikx, neg_iky, fa, fb):
+    for arr in (fa, fb):
         arr.setflags(write=False)
-    return m, ikx, neg_iky, fa, fb
+    rows = ((slice(0, m), slice(0, m)), (slice(m, None), slice(n - kmax, None)))
+    return m, ikx, neg_iky, fa, fb, rows
 
 
-def nonlinear_half(psi: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Advection term invlap( u . grad(lap psi) ) of a half-plane array.
+def nonlinear_workspace(grid: SpectralGrid) -> tuple[np.ndarray, ...]:
+    """Scratch arrays of ``nonlinear_block``: three real ``N x N`` (``u``,
+    ``v``, the product) and one complex ``N x (N/2+1)`` (the spectra)."""
+    n = grid.resolution
+    return (np.empty((n, n)), np.empty((n, n)), np.empty((n, n)),
+            np.empty((n, n // 2 + 1), dtype=np.complex128))
+
+
+def nonlinear_block(psi: np.ndarray, grid: SpectralGrid, work: tuple,
+                    out: np.ndarray) -> np.ndarray:
+    """Advection term invlap( u . grad(lap psi) ) of a block, written into
+    ``out`` (a block too, not ``psi``).
 
     Two inverse and two forward transforms, with the complex pass on the
-    dealiased columns only. The input must be dealiased and Hermitian in
-    its column ``ky = 0``; the output is dealiased (zero in the columns
-    ``ky > grid.dealias_kmax``), mean-free and exactly Hermitian in column
-    ``ky = 0``.
+    block's columns only; every array they write is in ``work``
+    (``nonlinear_workspace``), which holds nothing from one call to the
+    next. The input must be Hermitian in its column ``ky = 0``; the
+    output is mean-free and exactly Hermitian in column ``ky = 0``.
     """
-    m, ikx, neg_iky, fa, fb = _half_plane_operators(grid)
+    m, ikx, neg_iky, fa, fb, rows = _block_operators(grid)
     n = grid.resolution
-    low = psi[:, :m]
-    # inverse: complex pass on the kept columns; irfft zero-pads the rest
-    u = np.fft.irfft(np.fft.ifft(low * neg_iky, axis=0, norm="forward"),
-                     n=n, axis=1, norm="forward")
-    v = np.fft.irfft(np.fft.ifft(low * ikx, axis=0, norm="forward"),
-                     n=n, axis=1, norm="forward")
-    uv = np.fft.fft(np.fft.rfft(u * v, axis=1, norm="forward")[:, :m],
-                    axis=0, norm="forward")
-    d = np.fft.fft(np.fft.rfft(v * v - u * u, axis=1, norm="forward")[:, :m],
-                   axis=0, norm="forward")
-    uv *= fa
-    d *= fb
-    c = np.zeros(psi.shape, dtype=np.complex128)
-    np.add(uv, d, out=c[:, :m])
+    u, v, prod, spec = work
+    # the first m columns hold the complex pass of every transform
+    low = spec[:, :m]
+    for mult, phys in ((neg_iky, u), (ikx, v)):
+        # the rows |kx| > K are the zero padding of the inverse pass
+        low[m:n - m + 1] = 0.0
+        for b, lat in rows:
+            np.multiply(psi[b], mult[b], out=low[lat])
+        np.fft.ifft(low, axis=0, norm="forward", out=low)
+        # irfft zero-pads the columns ky > K
+        np.fft.irfft(low, n=n, axis=1, norm="forward", out=phys)
+    np.multiply(u, v, out=prod)
+    np.fft.rfft(prod, axis=1, norm="forward", out=spec)
+    np.fft.fft(low, axis=0, norm="forward", out=low)
+    for b, lat in rows:
+        np.multiply(low[lat], fa[b], out=out[b])
+    # v^2 - u^2, with u overwritten by u^2
+    np.multiply(v, v, out=prod)
+    np.multiply(u, u, out=u)
+    np.subtract(prod, u, out=prod)
+    np.fft.rfft(prod, axis=1, norm="forward", out=spec)
+    np.fft.fft(low, axis=0, norm="forward", out=low)
+    for b, lat in rows:
+        low[lat] *= fb[b]
+        out[b] += low[lat]
     # the forward pass leaves column ky = 0 Hermitian only to roundoff;
     # make it exact
-    mirror_column(c[:, 0])
-    return c
+    mirror_column(out[:, 0])
+    return out
 
 
 def _advect(u: VelocityField, v: VelocityField) -> tuple[np.ndarray, np.ndarray]:

@@ -20,12 +20,16 @@ Conventions, fixed once for the whole package:
 ``SpectralField`` values are immutable: their coefficient arrays are
 flagged read-only, and every operation returns a new field.
 
-Fields at the API hold the full ``N x N`` lattice. The time stepper works
-on raw ``N x (N/2+1)`` arrays instead: the ``rfft2`` half-plane, which
-keeps every ``kx`` and ``ky = 0 .. N/2``. A real field's coefficients
-satisfy ``c_{-k} = conj(c_k)``, so the half-plane determines the rest
-(``to_half`` / ``from_half``). Inputs to the stepper must be Hermitian:
-whatever lives only in the dropped columns is lost.
+Fields at the API hold the full ``N x N`` lattice. A real field's
+coefficients satisfy ``c_{-k} = conj(c_k)``, so the ``rfft2`` half-plane
+(every ``kx``, ``ky = 0 .. N/2``) determines the rest; the error norms
+sum over it (``half_plane``). The time stepper keeps less: the dealiased
+block of the half-plane, the ``(2K+1) x (K+1)`` raw array of the modes
+``|kx| <= K``, ``ky = 0 .. K`` with ``K = grid.dealias_kmax``, rows
+``kx = 0 .. K`` then ``-K .. -1`` (``to_block`` / ``from_block``; at
+``512^2`` that is ``341 x 171``, 44% of the half-plane). Inputs to the
+stepper must be Hermitian: whatever lives only in the dropped columns
+is lost, and so is every mode outside the 2/3 mask.
 """
 
 from __future__ import annotations
@@ -186,42 +190,48 @@ def weighted_power(weights: np.ndarray, c: np.ndarray) -> float:
     return float(np.vdot(weights, c.real * c.real + c.imag * c.imag))
 
 
-def to_half(coeffs: np.ndarray) -> np.ndarray:
-    """Half-plane copy (columns ``ky = 0 .. N/2``) of a full-lattice array.
+def to_block(coeffs: np.ndarray, kmax: int) -> np.ndarray:
+    """Copy of a full-lattice array on the dealiased block of the half-plane.
 
-    Columns ``ky = 0`` and ``ky = N/2`` are their own mirror images; their
-    ``kx < 0`` rows are reset to the conjugates of the ``kx > 0`` rows and
-    their self-mirrored entries to real values, so the result is exactly
+    The block holds the modes ``|kx| <= kmax``, ``ky = 0 .. kmax``: rows
+    ``kx = 0 .. kmax`` then ``-kmax .. -1``, one column per ``ky``, so
+    ``(2 kmax + 1) x (kmax + 1)``. Column ``ky = 0`` is its own mirror
+    image; its ``kx < 0`` rows are reset to the conjugates of the ``kx > 0``
+    rows and its ``k = 0`` entry to its real part, so the result is exactly
     Hermitian. For an exactly Hermitian input that changes nothing.
     """
-    n = coeffs.shape[0]
-    half = np.array(half_plane(coeffs), dtype=np.complex128)
-    for j in (0, n // 2):
-        col = half[:, j]
-        mirror_column(col)
-        col[0] = col[0].real
-        col[n // 2] = col[n // 2].real
-    return half
+    block = np.asarray(block_of(coeffs, kmax), dtype=np.complex128)
+    col = block[:, 0]
+    mirror_column(col)
+    col[0] = col[0].real
+    return block
+
+
+def block_of(arr: np.ndarray, kmax: int) -> np.ndarray:
+    """Copy of any full-lattice array (masks, wavenumbers) on the block of
+    ``to_block``, without its Hermitian fix."""
+    n = arr.shape[0]
+    return arr[np.r_[0:kmax + 1, n - kmax:n], : kmax + 1]
 
 
 def mirror_column(col: np.ndarray) -> None:
-    """Set the ``kx < 0`` rows of a self-mirrored column to the conjugates
-    of its ``kx > 0`` rows, in place."""
-    n = col.shape[0]
-    col[n // 2 + 1:] = np.conj(col[n // 2 - 1:0:-1])
+    """Set the ``kx < 0`` rows of a block's self-mirrored column to the
+    conjugates of its ``kx > 0`` rows, in place."""
+    kmax = col.shape[0] // 2
+    col[kmax + 1:] = np.conj(col[kmax:0:-1])
 
 
-def from_half(half: np.ndarray) -> np.ndarray:
-    """Full-lattice array from a half-plane one, by exact Hermitian reflection.
-
-    ``c[kx, ky] = conj(c[-kx, -ky])`` fills the columns ``ky < 0``; the
-    half-plane columns are copied unchanged.
-    """
-    n, m = half.shape
-    full = np.empty((n, n), dtype=np.complex128)
-    full[:, :m] = half
-    np.conjugate(half[0, m - 2:0:-1], out=full[0, m:])
-    np.conjugate(half[:0:-1, m - 2:0:-1], out=full[1:, m:])
+def from_block(block: np.ndarray, n: int) -> np.ndarray:
+    """Full ``n x n`` lattice array from a block (see ``to_block``), by exact
+    Hermitian reflection: ``c[kx, ky] = conj(c[-kx, -ky])`` fills the
+    columns ``ky < 0``, and every mode outside the block and its mirror
+    is zero."""
+    kmax = block.shape[1] - 1
+    full = np.zeros((n, n), dtype=np.complex128)
+    full[: kmax + 1, : kmax + 1] = block[: kmax + 1]
+    full[n - kmax:, : kmax + 1] = block[kmax + 1:]
+    np.conjugate(full[0, kmax:0:-1], out=full[0, n - kmax:])
+    np.conjugate(full[:0:-1, kmax:0:-1], out=full[1:, n - kmax:])
     return full
 
 

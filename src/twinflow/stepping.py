@@ -4,24 +4,31 @@ Per mode k != 0, one step applies
 
     psi_k <- exp(-nu*|k|^2*dt) * (psi_k + dt*(coupling_k - nonlinear_k + force_k))
 
-so diffusion is exact and everything else is explicit Euler. The
-exponential factor is premultiplied by the dealias mask, which keeps the
-state dealiased without a separate pass.
+so diffusion is exact and everything else is explicit Euler.
 
 Every stepping entry point (``advance``, ``spin_up``, ``decorrelate``,
-``step_single``) converts its input once to raw ``rfft2`` half-plane
-arrays (``N x (N/2+1)``) and runs one loop on them, for a single flow
-or a coupled pair: the nonlinear term, the right-hand side, the update
-in place, and the blow-up check. A single flow is the uncoupled case. In
-a pair the coupling is evaluated on the observed modes ``P_N`` alone,
-gathered from those arrays and written back into the right-hand side.
-One callback on the loop's cadence feeds the pair observer, or writes a
-spin-up's rolling checkpoint and then reports progress. Full-lattice
-``SpectralField`` states are rebuilt by exact Hermitian reflection only
-where a caller sees them: the observer, rolling checkpoints, and the
-returned state. So every state handed out is
-exactly Hermitian, and stepping k times one call at a time equals one
-k-step call bitwise. Inputs must be Hermitian (see ``spectral.to_half``).
+``step_single``) checks its input once for blow-up over the ``rfft2``
+half-plane, then keeps only the dealiased block of it: the raw
+``(2K+1) x (K+1)`` array of the modes the 2/3 mask keeps (``|kx|, ky <=
+K``, ``K = grid.dealias_kmax``; see ``spectral.to_block``). Whatever the
+input holds outside the block is dropped, so the state is dealiased by
+construction. One loop runs on the blocks, for a single flow or a
+coupled pair: the nonlinear term (written straight into the right-hand
+side), the right-hand side, the update in place, and the blow-up check.
+The loop allocates its scratch once per call: one transform workspace
+(``fieldops.nonlinear_workspace``) shared by both systems of a pair, and
+one right-hand-side block per system, which swaps roles with the state
+each step. A single flow is the uncoupled case. In a pair the coupling
+is evaluated on the observed modes ``P_N`` inside the block alone (when
+3 divides ``N`` the ball ``|k| <= N/3`` also holds modes outside it,
+which are never stepped), gathered from the blocks and written back into
+the right-hand side. One callback on the loop's cadence feeds the pair
+observer, or writes a spin-up's rolling checkpoint and then reports
+progress. Full-lattice ``SpectralField`` states are rebuilt by exact
+Hermitian reflection only where a caller sees them: the observer,
+rolling checkpoints, and the returned state (once). So every state handed
+out is exactly Hermitian, and stepping k times one call at a time equals
+one k-step call bitwise. Inputs must be Hermitian.
 Checkpoints serialize a full pair state losslessly (see
 ``save_checkpoint`` for the byte layout).
 """
@@ -29,6 +36,7 @@ Checkpoints serialize a full pair state losslessly (see
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -39,17 +47,18 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coupling import IntertwinementSpec, coupling_arrays, observation_mask
-from .fieldops import nonlinear_half, stream_force_term
+from .fieldops import nonlinear_block, nonlinear_workspace, stream_force_term
 from .forcing import ForcingSpec, absorbing_radii, make_band_forcing
 from .spectral import (
     SpectralField,
     SpectralGrid,
     StreamFunction,
-    from_half,
+    block_of,
+    from_block,
     half_plane,
     half_plane_energy_weights,
     shared_grid,
-    to_half,
+    to_block,
     weighted_power,
     zero_field,
 )
@@ -119,11 +128,17 @@ class PairState:
 
 @lru_cache(maxsize=16)
 def _step_constants(grid: SpectralGrid, nu: float, dt: float):
-    """Half-plane integrating factor (dealias mask folded in) and the
-    weights of the blow-up energy sum |k|^2 |psi_k|^2."""
-    efac = np.exp(-nu * half_plane(grid.ksq) * dt) * half_plane(grid.dealias_mask)
-    efac.setflags(write=False)
-    return efac, half_plane_energy_weights(grid)
+    """Integrating factor on the block and the block's weights of the
+    blow-up energy sum |k|^2 |psi_k|^2."""
+    ksq = block_of(grid.ksq, grid.dealias_kmax)
+    efac = np.exp(-nu * ksq * dt)
+    # column ky = 0 holds each mode once, every other column also stands
+    # for its mirror
+    weights = 2.0 * ksq
+    weights[:, 0] = ksq[:, 0]
+    for arr in (efac, weights):
+        arr.setflags(write=False)
+    return efac, weights
 
 
 def _check_finite(psi: np.ndarray, weights: np.ndarray, limit: float, t: float,
@@ -138,48 +153,65 @@ def _check_finite(psi: np.ndarray, weights: np.ndarray, limit: float, t: float,
         )
 
 
-def _full(grid: SpectralGrid, psi: np.ndarray) -> StreamFunction:
-    return StreamFunction(grid, from_half(psi))
+def _full(grid: SpectralGrid, block: np.ndarray) -> StreamFunction:
+    return StreamFunction(grid, from_block(block, grid.resolution))
 
 
-def _evolve(cfg: SimConfig, ps: list, forces: list, nsteps: int, t: float = 0.0,
+def _evolve(cfg: SimConfig, psis: list, forces: list, nsteps: int, t: float = 0.0,
             step: int = 0, spec: Optional[IntertwinementSpec] = None,
             cadence: Optional[Callable] = None, every: int = 1,
             last_checkpoint: Optional[str] = None) -> tuple[list, float, int]:
-    """``nsteps`` steps of the half-plane arrays ``ps`` under ``forces``:
+    """``nsteps`` steps of the full-lattice arrays ``psis`` under ``forces``:
     one flow, or two coupled through ``spec``.
 
-    Returns the arrays, the clock and the step index. Every ``every`` steps
-    calls ``cadence(ps, t, step)``; a checkpoint path it returns is the one
-    a later ``BlowUpError`` names.
+    Returns the stepped blocks (see ``spectral.to_block``), the clock and
+    the step index. Every ``every`` steps calls ``cadence(ps, t, step)``
+    with the blocks; a checkpoint path it returns is the one a later
+    ``BlowUpError`` names.
     """
     grid, dt = cfg.grid, cfg.dt
+    kmax = grid.dealias_kmax
     efac, weights = _step_constants(grid, cfg.nu, dt)
     limit = np.inf
     if cfg.forcing is not None:
         rho0, _ = absorbing_radii(make_band_forcing(cfg.forcing, grid, cfg.nu), cfg.nu)
         limit = BLOWUP_FACTOR * rho0
-    gs = [to_half(stream_force_term(f).coeffs) for f in forces]
+    # the input's modes outside the block are dropped below, so check them
+    # here, once
+    for c in psis:
+        _check_finite(half_plane(c), half_plane_energy_weights(grid), limit, t,
+                      last_checkpoint)
+    ps = [to_block(c, kmax) for c in psis]
+    rs = [np.empty_like(p) for p in ps]
+    gs = [to_block(stream_force_term(f).coeffs, kmax) for f in forces]
+    work = nonlinear_workspace(grid)
     if spec is not None:
-        low = np.flatnonzero(half_plane(observation_mask(spec, grid)))
+        # P_N on the block: when 3 | N, the ball |k| <= N/3 also holds
+        # modes outside the block, which are never stepped
+        low = np.flatnonzero(block_of(observation_mask(spec, grid), kmax))
+        g_low = [g.take(low) for g in gs]
         acts_on_nonlinear, _ = spec.form
     for i in range(nsteps):
-        ns = [nonlinear_half(p, grid) for p in ps]
-        rs = [g - n for g, n in zip(gs, ns)]
+        n_low = []
+        for p, r, g in zip(ps, rs, gs):
+            nonlinear_block(p, grid, work, r)
+            if spec is not None:
+                n_low.append(r.take(low))
+            np.subtract(g, r, out=r)
         if spec is not None:
             # On the observed modes the right-hand side is (c - n) + g:
             # subtracting first lets coupled low modes cancel exactly when
             # the coupling reproduces the nonlinear term coefficientwise.
-            x1, x2 = ns if acts_on_nonlinear else ps
-            cs = coupling_arrays(spec, x1.take(low), x2.take(low))
-            for r, g, n, c in zip(rs, gs, ns, cs):
-                r.put(low, (c - n.take(low)) + g.take(low))
+            x1, x2 = n_low if acts_on_nonlinear else [p.take(low) for p in ps]
+            cs = coupling_arrays(spec, x1, x2)
+            for r, gl, nl, c in zip(rs, g_low, n_low, cs):
+                r.put(low, (c - nl) + gl)
         for r, p in zip(rs, ps):
             # efac * (p + dt * r), bitwise, without temporaries
             r *= dt
             r += p
             r *= efac
-        ps = rs
+        ps, rs = rs, ps
         t, step = t + dt, step + 1
         for p in ps:
             _check_finite(p, weights, limit, t, last_checkpoint)
@@ -193,9 +225,8 @@ def _evolve_single(psi: StreamFunction, cfg: SimConfig, f: SpectralField, nsteps
     """``nsteps`` single-flow steps, clock from zero."""
     if nsteps == 0:
         return psi
-    (h,), _, _ = _evolve(cfg, [to_half(psi.coeffs)], [f], nsteps,
-                         cadence=cadence, every=every)
-    return _full(cfg.grid, h)
+    (p,), _, _ = _evolve(cfg, [psi.coeffs], [f], nsteps, cadence=cadence, every=every)
+    return _full(cfg.grid, p)
 
 
 def step_single(psi: StreamFunction, cfg: SimConfig, f: SpectralField) -> StreamFunction:
@@ -218,7 +249,9 @@ def advance(
     (f1, f2), invoking ``observer`` on the cadence.
 
     The observer also sees the initial state. The state it sees at the
-    last step is the one returned.
+    last step is the one returned. Stepping projects the state onto the
+    dealiased block first: a state with modes outside the 2/3 mask steps
+    exactly as its ``dealias()``ed copy does.
     """
     grid, end = cfg.grid, state.step_index + nsteps
     final = state
@@ -232,8 +265,10 @@ def advance(
 
     if observer is not None:
         observer(state)
+    if nsteps == 0:
+        return state
     (p1, p2), t, step = _evolve(
-        cfg, [to_half(state.psi1.coeffs), to_half(state.psi2.coeffs)], [f1, f2], nsteps,
+        cfg, [state.psi1.coeffs, state.psi2.coeffs], [f1, f2], nsteps,
         state.t, state.step_index, spec, observe if observer is not None else None,
         observe_every, last_checkpoint,
     )
@@ -253,7 +288,8 @@ def spin_up(
 
     Writes rolling checkpoints (pair format with both components equal)
     into ``checkpoint_dir`` every ``checkpoint_every`` time units when a
-    directory is given.
+    directory is given. Like every stepping call it steps the dealiased
+    block (see ``advance``); from zero data the state never leaves it.
     """
     if duration < 0:
         raise ValueError("spin-up duration must be nonnegative")
@@ -308,15 +344,27 @@ def save_checkpoint(state: PairState, dt: float, path) -> None:
     resolution u32, timestep f64, clock f64, step index u64, then both
     coefficient arrays as interleaved f64 (re, im) pairs in row-major
     wavenumber order, then CRC32 (u32) of all preceding bytes.
+
+    The bytes stream from the arrays into a sibling temporary file, which
+    then replaces ``path`` in one rename: a write that fails or is killed
+    midway leaves any previous file at ``path`` as it was.
     """
-    n = state.grid.resolution
-    blob = bytearray()
-    blob += _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, n, dt, state.t,
-                         state.step_index)
-    for field in (state.psi1, state.psi2):
-        blob += np.ascontiguousarray(field.coeffs, dtype="<c16").tobytes()
-    blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
-    Path(path).write_bytes(bytes(blob))
+    path = Path(path)
+    header = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, state.grid.resolution,
+                          dt, state.t, state.step_index)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            crc = 0
+            for chunk in (header, *(memoryview(np.ascontiguousarray(f.coeffs, "<c16"))
+                                    for f in (state.psi1, state.psi2))):
+                crc = zlib.crc32(chunk, crc)
+                fh.write(chunk)
+            fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path, grid: Optional[SpectralGrid] = None) -> tuple[PairState, float]:
@@ -339,7 +387,7 @@ def load_checkpoint(path, grid: Optional[SpectralGrid] = None) -> tuple[PairStat
             f"truncated checkpoint file: {path} ({len(raw)} bytes, expected {expected})"
         )
     stored_crc = struct.unpack_from("<I", raw, len(raw) - 4)[0]
-    if zlib.crc32(raw[:-4]) & 0xFFFFFFFF != stored_crc:
+    if zlib.crc32(memoryview(raw)[:-4]) & 0xFFFFFFFF != stored_crc:
         raise CheckpointError(f"checkpoint CRC mismatch in {path}")
     if grid is not None and grid.resolution != n:
         raise CheckpointError(

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import twinflow as tf
-from twinflow.fieldops import nonlinear_half
-from twinflow.spectral import from_half, to_half
+from twinflow.fieldops import nonlinear_block, nonlinear_workspace
+from twinflow.spectral import from_block, to_block
 
 
 def random_psi(grid, rng, decay=3.0, scale=1.0):
@@ -14,10 +14,20 @@ def random_psi(grid, rng, decay=3.0, scale=1.0):
     return tf.dealias(shaped)
 
 
+def hermitian_part(c):
+    """``(c_k + conj(c_{-k})) / 2``: exactly Hermitian, since the sum
+    commutes, so entry ``-k`` is the conjugate of entry ``k`` bitwise."""
+    mirror = (-np.arange(c.shape[0])) % c.shape[0]
+    return 0.5 * (c + np.conj(c[np.ix_(mirror, mirror)]))
+
+
 def nonlinear_full(psi):
-    """The stepper's advection term (``nonlinear_half``) of a dealiased,
-    Hermitian field, rebuilt on the full lattice."""
-    return from_half(nonlinear_half(to_half(psi.coeffs), psi.grid))
+    """The stepper's advection term (``nonlinear_block``, fresh workspace)
+    of a dealiased, Hermitian field, rebuilt on the full lattice."""
+    grid = psi.grid
+    block = to_block(psi.coeffs, grid.dealias_kmax)
+    out = nonlinear_block(block, grid, nonlinear_workspace(grid), np.empty_like(block))
+    return from_block(out, grid.resolution)
 
 
 def velocity_norm(vel, n=0):

@@ -2,12 +2,16 @@
 
 The brute-force oracles work coefficient-by-coefficient with explicit
 loops and no FFTs, so they share no code path with the package's
-pseudo-spectral evaluation. The last two keep earlier, more direct
-formulations of package functions (the five-transform advection term and
-the full-lattice error norms) as references for the faster ones.
+pseudo-spectral evaluation. Two keep earlier, more direct formulations
+of package functions (the five-transform advection term and the
+full-lattice error norms) as references for the faster ones; the last
+writes a checkpoint from the byte layout in the README, one number at a
+time.
 """
 
 import math
+import struct
+import zlib
 
 import numpy as np
 
@@ -148,3 +152,16 @@ def full_lattice_error_record(state, cutoff):
         two_pi**2 * float(np.sum(ksq * np.abs(state.psi1.coeffs) ** 2)),
         two_pi**2 * float(np.sum(ksq * np.abs(state.psi2.coeffs) ** 2)),
     )
+
+
+def checkpoint_bytes(state, dt):
+    """The checkpoint file of a pair state, built from the README's layout:
+    magic, version, resolution, dt, t, step, both arrays as (re, im) f64
+    pairs in row-major order, then the CRC32 of everything before it."""
+    n = state.grid.resolution
+    blob = b"INTWNSE1" + struct.pack("<IIddQ", 1, n, dt, state.t, state.step_index)
+    for psi in (state.psi1, state.psi2):
+        for row in psi.coeffs:
+            for c in row:
+                blob += struct.pack("<dd", c.real, c.imag)
+    return blob + struct.pack("<I", zlib.crc32(blob))

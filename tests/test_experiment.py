@@ -23,10 +23,9 @@ from twinflow.experiment import (
     threshold_report,
     write_series_csv,
 )
-from twinflow.spectral import from_half, to_half
 from twinflow.stepping import save_checkpoint
 
-from conftest import random_psi
+from conftest import hermitian_part, random_psi
 from oracles import full_lattice_error_record
 
 
@@ -72,7 +71,7 @@ class TestErrorRecord:
         # carry energy and their single weight counts
         def field():
             c = tf.field_from_physical(grid32, rng.standard_normal(grid32.shape)).coeffs
-            return tf.SpectralField(grid32, from_half(to_half(c)))
+            return tf.SpectralField(grid32, hermitian_part(c))
 
         state = tf.PairState(field(), field(), 0.5)
         assert np.any(state.psi1.coeffs[:, 16]) and np.any(state.psi1.coeffs[1:, 0])

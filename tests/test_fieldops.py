@@ -4,11 +4,12 @@ import pytest
 import twinflow as tf
 from twinflow.fieldops import (
     force_velocity,
-    nonlinear_half,
+    nonlinear_block,
+    nonlinear_workspace,
     stream_force_term,
     velocity_laplacian,
 )
-from twinflow.spectral import to_half, zero_field
+from twinflow.spectral import from_block, half_plane, to_block, zero_field
 
 from conftest import nonlinear_full, random_psi, velocity_norm
 from oracles import convolution_nonlinear_term, five_transform_nonlinear_half
@@ -106,14 +107,37 @@ class TestNonlinearTerm:
         assert not np.any(out[~grid64.dealias_mask])
 
     def test_half_plane_against_five_transform_form(self, grid64, rng):
+        # the block term, expanded to the half-plane, against the direct
+        # form on the whole half-plane: equal on the block, zero elsewhere
+        work = nonlinear_workspace(grid64)
         for decay in (3.0, 1.5):
-            psi = to_half(random_psi(grid64, rng, decay=decay).coeffs)
-            fast = nonlinear_half(psi, grid64)
-            slow = five_transform_nonlinear_half(psi, grid64)
-            assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(slow))
-            assert not np.any(fast[:, 64 // 3 + 1:])  # ky > N/3
+            psi = random_psi(grid64, rng, decay=decay).coeffs
+            block = to_block(psi, grid64.dealias_kmax)
+            fast = nonlinear_block(block, grid64, work, np.empty_like(block))
+            slow = five_transform_nonlinear_half(half_plane(psi), grid64)
+            diff = half_plane(from_block(fast, 64)) - slow
+            assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(slow))
             col = fast[:, 0]
             assert np.array_equal(col[1:], np.conj(col[:0:-1]))
+
+
+class TestBlockWorkspace:
+    def test_reused_workspace_holds_no_state(self, grid64, rng):
+        # A, then B, then A again through one workspace that starts out
+        # full of NaN: the third result is bitwise the first, and bitwise
+        # a fresh workspace's
+        a, b = (to_block(random_psi(grid64, rng, decay=d).coeffs, grid64.dealias_kmax)
+                for d in (3.0, 1.0))
+        work = nonlinear_workspace(grid64)
+        for arr in work:
+            arr.fill(np.nan)
+        first = nonlinear_block(a, grid64, work, np.full_like(a, np.nan))
+        nonlinear_block(b, grid64, work, np.empty_like(b))
+        third = nonlinear_block(a, grid64, work, np.empty_like(a))
+        fresh = nonlinear_block(a, grid64, nonlinear_workspace(grid64), np.empty_like(a))
+        assert np.all(np.isfinite(first))
+        assert np.array_equal(third, first)
+        assert np.array_equal(fresh, first)
 
 
 class TestTrilinear:

@@ -1,8 +1,8 @@
 """Short 32^2 runs of every coupling variant against a stored golden file.
 
 ``data/golden_runs.npz`` was written by ``data/make_golden_runs.py`` with
-the full-lattice complex-FFT stepper. The half-plane stepper reproduces it
-to roundoff, not bitwise, so the comparison is relative, per series column
+the full-lattice complex-FFT stepper. The stepper on the dealiased block
+reproduces it to roundoff, not bitwise, so the comparison is relative, per series column
 and per final coefficient array.
 """
 

@@ -1,6 +1,8 @@
 import struct
 import zlib
 
+import twinflow.stepping
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,8 @@ from twinflow.stepping import (
     save_checkpoint,
 )
 
-from conftest import random_psi
-from oracles import scalar_reference_pair_step
+from conftest import hermitian_part, random_psi
+from oracles import checkpoint_bytes, scalar_reference_pair_step
 
 
 def shear_mode(grid, amplitude=1.0):
@@ -187,6 +189,21 @@ class TestOneStepPath:
         assert np.array_equal(psi.coeffs, batched.coeffs)
 
     @pytest.mark.parametrize("spec", VARIANT_SPECS, ids=lambda s: s.variant)
+    def test_modes_outside_block_are_projected_away(self, grid32, forced_cfg, rng, spec):
+        # energy outside the 2/3 mask, Hermitian: stepping drops it first
+        f = tf.make_band_forcing(forced_cfg.forcing, grid32, forced_cfg.nu)
+        rough = [tf.SpectralField(grid32, hermitian_part(tf.field_from_physical(
+            grid32, 0.01 * rng.standard_normal(grid32.shape)).coeffs)) for _ in range(2)]
+        assert all(np.any(p.coeffs[~grid32.dealias_mask]) for p in rough)
+        start = tf.PairState(rough[0] + random_psi(grid32, rng),
+                             rough[1] + random_psi(grid32, rng), 0.5, 2)
+        clean = tf.PairState(tf.dealias(start.psi1), tf.dealias(start.psi2), 0.5, 2)
+        a = advance(start, forced_cfg, spec, f, f, 3)
+        b = advance(clean, forced_cfg, spec, f, f, 3)
+        assert np.array_equal(a.psi1.coeffs, b.psi1.coeffs)
+        assert np.array_equal(a.psi2.coeffs, b.psi2.coeffs)
+
+    @pytest.mark.parametrize("spec", VARIANT_SPECS, ids=lambda s: s.variant)
     def test_pair_states_handed_out_are_exact(self, grid32, forced_cfg, rng, spec):
         f = tf.make_band_forcing(forced_cfg.forcing, grid32, forced_cfg.nu)
         start = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng))
@@ -325,6 +342,36 @@ class TestCheckpoints:
         bad.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="CRC"):
             load_checkpoint(bad)
+
+    def test_bytes_match_independent_writer(self, grid32, rng, tmp_path):
+        state = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng), 3.5, 700)
+        path = tmp_path / "state.ckpt"
+        save_checkpoint(state, 0.005, path)
+        assert path.read_bytes() == checkpoint_bytes(state, 0.005)
+
+    def test_failed_write_keeps_previous_file(self, grid32, rng, tmp_path, monkeypatch):
+        path = tmp_path / "state.ckpt"
+        old = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng), 1.0, 100)
+        save_checkpoint(old, 0.01, path)
+        before = path.read_bytes()
+        crc32 = zlib.crc32
+        calls = []
+
+        def failing_crc32(data, value=0):
+            # the header and the first array pass; the second raises
+            calls.append(len(data))
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return crc32(data, value)
+
+        monkeypatch.setattr(twinflow.stepping.zlib, "crc32", failing_crc32)
+        new = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng), 2.0, 200)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(new, 0.01, path)
+        monkeypatch.undo()
+        assert len(calls) == 3
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ckpt"]
 
     @pytest.mark.parametrize("n", [0, 3, 5])
     def test_impossible_resolution_rejected(self, tmp_path, n):
