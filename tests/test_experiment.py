@@ -1,4 +1,6 @@
+import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,13 @@ from twinflow.stepping import save_checkpoint
 
 from conftest import hermitian_part, random_psi
 from oracles import full_lattice_error_record
+
+DATA = Path(__file__).parent / "data"
+sys.path.insert(0, str(DATA))
+
+from make_threshold_report import report_configs  # noqa: E402
+
+PINNED_REPORTS = json.loads((DATA / "threshold_report.json").read_text())
 
 
 def tiny_config(**overrides):
@@ -231,6 +240,19 @@ class TestThresholdReport:
         )
         report = threshold_report(cfg)
         assert {"n_a", "n_b", "mu_constraint_a", "mu_constraint_b"} <= set(report)
+
+    @pytest.mark.parametrize("name", list(PINNED_REPORTS))
+    def test_matches_pinned_values(self, name):
+        report = threshold_report(report_configs()[name])
+        pinned = PINNED_REPORTS[name]
+        assert list(report) == list(pinned)
+        for key, expected in pinned.items():
+            value = report[key]
+            assert type(value) is type(expected), key
+            if isinstance(expected, float):
+                assert value == pytest.approx(expected, rel=1e-12), key
+            else:
+                assert value == expected, key
 
 
 class TestConfigIO:
