@@ -12,7 +12,6 @@ with a CLI (``twinflow --help``).
 __version__ = "0.1.0"
 
 from .coupling import (
-    GrashofBundle,
     IntertwinementSpec,
     threshold_degenerate_sync,
     threshold_mutual_nudge,
@@ -71,7 +70,6 @@ __all__ = [
     "shape_factor",
     "absorbing_radii",
     "IntertwinementSpec",
-    "GrashofBundle",
     "threshold_mutual_sync",
     "threshold_degenerate_sync",
     "threshold_mutual_nudge",

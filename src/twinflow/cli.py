@@ -21,7 +21,7 @@ from .config import (
     provenance_info,
     write_config,
 )
-from .experiment import SWEEP_AXES, run_experiment, sweep, threshold_report
+from .experiment import SWEEP_AXES, run_experiment, sweep, sweep_label, threshold_report
 from .spectral import energy_spectrum, spectral_power
 from .stepping import (
     BlowUpError,
@@ -95,10 +95,13 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--values: {exc}") from None
     if not values:
         raise ConfigError("--values: no values given")
+    if len(set(values)) < len(values):
+        raise ConfigError("--values: a value is repeated")
     rows = sweep(cfg, args.axis, values, Path(args.out))
     for row in rows:
         status = row.error if row.error else f"rate={row.rate:.4g}"
-        print(f"{args.axis}={row.axis_value:g}: final_err_h={row.final_err_h:.4g} {status}")
+        label = sweep_label(row.axis_value)
+        print(f"{args.axis}={label}: final_err_h={row.final_err_h:.4g} {status}")
     failed = sum(1 for r in rows if r.error)
     if failed:
         print(f"{failed} of {len(rows)} runs failed", file=sys.stderr)

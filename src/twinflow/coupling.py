@@ -23,7 +23,9 @@ with ``theta2 = 1 - theta1`` and ``(m00, m01, m10, m11)`` the configured
 for both systems on the observed modes (``observation_mask``). The
 threshold functions evaluate, in closed form, how large the cutoff N (and
 for nudging, the relaxation window for mu1 + mu2) must be for the coupled
-pair to synchronize. The interpolation constants they depend on (``c_lad``,
+pair to synchronize, from Grashof numbers; the symmetric-nudging ``n_b``
+takes the paper's affine force split at g_tilde = 0 (the general split is
+not exposed). The interpolation constants they depend on (``c_lad``,
 ``c_agmon``, ``c_sob``) have no certified numeric values; defaults of 1.0
 make the outputs advisory scale estimates, not rigorous bounds.
 """
@@ -36,12 +38,11 @@ from typing import Optional
 
 import numpy as np
 
-from .spectral import SpectralField, SpectralGrid, low_mode_mask, norm_hn
+from .spectral import SpectralGrid, low_mode_mask
 
 __all__ = [
     "VARIANTS",
     "IntertwinementSpec",
-    "GrashofBundle",
     "coupling_arrays",
     "observation_mask",
     "threshold_mutual_sync",
@@ -144,72 +145,6 @@ def coupling_arrays(spec: IntertwinementSpec, x1: np.ndarray, x2: np.ndarray):
     return a * x1 + b * x2, c * x1 + d * x2
 
 
-@dataclass(frozen=True)
-class GrashofBundle:
-    """Force pair plus the nondimensional magnitudes the thresholds need.
-
-    For the optional affine split ``g = G_residual + mu_tilde * g_tilde``
-    (used by the gap-assisted symmetric-nudging cutoff) pass the tilde
-    components; with the default of zero tilde parts the residual is the
-    force pair itself.
-    """
-
-    g1: SpectralField
-    g2: SpectralField
-    nu: float
-    tilde_g1: Optional[SpectralField] = None
-    tilde_g2: Optional[SpectralField] = None
-    mu_tilde: float = 0.0
-
-    def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError(f"viscosity must be positive, got {self.nu}")
-
-    @property
-    def g1_number(self) -> float:
-        return norm_hn(self.g1, 0) / self.nu**2
-
-    @property
-    def g2_number(self) -> float:
-        return norm_hn(self.g2, 0) / self.nu**2
-
-    @property
-    def g_rms(self) -> float:
-        """Root-sum-square pair magnitude, g^2 = g1^2 + g2^2."""
-        return math.hypot(self.g1_number, self.g2_number)
-
-    @property
-    def g_max(self) -> float:
-        """max(g1, g2), the degenerate-synchronization magnitude."""
-        return max(self.g1_number, self.g2_number)
-
-    def g_lambda(self, lam: float) -> float:
-        """Magnitude of the convex combination (1-lam)*g1 + lam*g2."""
-        mix = (1.0 - lam) * self.g1.coeffs + lam * self.g2.coeffs
-        mixed = SpectralField(self.g1.grid, mix)
-        return norm_hn(mixed, 0) / self.nu**2
-
-    @property
-    def tilde_g_rms(self) -> float:
-        parts = []
-        for tg in (self.tilde_g1, self.tilde_g2):
-            parts.append(0.0 if tg is None else norm_hn(tg, 0) / self.nu**2)
-        return math.hypot(parts[0], parts[1])
-
-    def residual_number(self, mu_tilde: Optional[float] = None) -> float:
-        """Pair magnitude of g - mu_tilde * g_tilde (H x H norm)."""
-        mt = self.mu_tilde if mu_tilde is None else mu_tilde
-        r1 = self.g1.coeffs.copy()
-        r2 = self.g2.coeffs.copy()
-        if self.tilde_g1 is not None:
-            r1 -= mt * self.tilde_g1.coeffs
-        if self.tilde_g2 is not None:
-            r2 -= mt * self.tilde_g2.coeffs
-        n1 = norm_hn(SpectralField(self.g1.grid, r1), 0)
-        n2 = norm_hn(SpectralField(self.g2.grid, r2), 0)
-        return math.hypot(n1, n2) / self.nu**2
-
-
 def threshold_mutual_sync(
     glambda: float, lam: float, c_lad: float = 1.0, c_agmon: float = 1.0
 ) -> float:
@@ -303,24 +238,14 @@ def threshold_mutual_nudge(
 
 @dataclass(frozen=True)
 class SymmetricNudgeThresholds:
-    """Cutoffs and admissibility predicates for symmetric nudging."""
+    """Cutoffs and admissibility predicates for symmetric nudging; the
+    gap-assisted cutoff ``n_b`` is None unless mu1 > mu2."""
 
     n_a: float
     mu1: float
     mu2: float
     nu: float
-    _n_b: Optional[float] = None
-
-    @property
-    def n_b(self) -> float:
-        """Gap-assisted cutoff; defined only when mu1 > mu2 strictly."""
-        if self._n_b is None:
-            raise ValueError("strict gap mu1 > mu2 required for the gap-assisted cutoff")
-        return self._n_b
-
-    @property
-    def has_n_b(self) -> bool:
-        return self._n_b is not None
+    n_b: Optional[float] = None
 
     def mu_constraint_a(self, n: float) -> bool:
         """1/4*N_A^2*nu <= mu1+mu2 <= 1/4*N^2*nu (closed interval)."""
@@ -334,21 +259,21 @@ class SymmetricNudgeThresholds:
 
 
 def threshold_symmetric_nudge(
-    mu1: float, mu2: float, bundle: GrashofBundle, nu: float, c_lad: float = 1.0
+    mu1: float, mu2: float, g: float, nu: float, c_lad: float = 1.0
 ) -> SymmetricNudgeThresholds:
-    """Symmetric-nudging cutoffs from the force bundle.
+    """Symmetric-nudging cutoffs from the pair magnitude g (g^2 = g1^2 + g2^2).
 
     ``n_a = 4*c_lad*g`` always applies; when mu1 > mu2 the gap-assisted
-    alternative ``n_b = 4*c_lad*sqrt(nu/(mu1-mu2)*G_res^2 + g_tilde^2)``
-    uses the bundle's affine split with mu_tilde = mu1 - mu2.
+    alternative is ``n_b = 4*c_lad*sqrt(nu/(mu1-mu2)*g^2)``, the paper's
+    ``4*c_lad*sqrt(nu/(mu1-mu2)*G_res^2 + g_tilde^2)`` with the affine split
+    ``g = G_res + (mu1-mu2)*g_tilde`` at g_tilde = 0 (not exposed).
     """
+    if g < 0:
+        raise ValueError("grashof magnitude must be nonnegative")
     if not mu1 >= mu2 >= 0:
         raise ValueError(f"require mu1 >= mu2 >= 0, got mu1={mu1}, mu2={mu2}")
-    n_a = 4.0 * c_lad * bundle.g_rms
+    n_a = 4.0 * c_lad * g
     n_b = None
     if mu1 > mu2:
-        gap = mu1 - mu2
-        n_b = 4.0 * c_lad * math.sqrt(
-            (nu / gap) * bundle.residual_number(gap) ** 2 + bundle.tilde_g_rms**2
-        )
+        n_b = 4.0 * c_lad * math.sqrt(nu / (mu1 - mu2) * g**2)
     return SymmetricNudgeThresholds(n_a, mu1, mu2, nu, n_b)

@@ -19,14 +19,14 @@ import numpy as np
 
 from .config import ExperimentConfig, provenance_info, write_config
 from .coupling import (
-    GrashofBundle,
     threshold_degenerate_sync,
     threshold_mutual_nudge,
     threshold_mutual_sync,
     threshold_symmetric_nudge,
 )
-from .forcing import make_band_forcing
+from .forcing import grashof, make_band_forcing
 from .spectral import (
+    PARSEVAL_FACTOR,
     SpectralField,
     StreamFunction,
     half_plane,
@@ -55,6 +55,7 @@ __all__ = [
     "error_record",
     "fit_decay_rate",
     "sweep",
+    "sweep_label",
     "write_series_csv",
     "read_series_csv",
     "threshold_report",
@@ -104,15 +105,14 @@ def error_record(state: PairState, cutoff: float) -> ErrorRecord:
     total = float(wdiff.sum())
     low = float(wdiff[half_plane(low_mode_mask(grid, cutoff))].sum())
     high = total - low
-    two_pi = 2.0 * np.pi
     return ErrorRecord(
         t=state.t,
-        err_h=two_pi * math.sqrt(total),
-        err_v=two_pi * math.sqrt(float(np.vdot(half_plane(grid.ksq), wdiff))),
-        err_low=two_pi * math.sqrt(low),
-        err_high=two_pi * math.sqrt(max(high, 0.0)),
-        energy1=two_pi**2 * weighted_power(weights, p1),
-        energy2=two_pi**2 * weighted_power(weights, p2),
+        err_h=PARSEVAL_FACTOR * math.sqrt(total),
+        err_v=PARSEVAL_FACTOR * math.sqrt(float(np.vdot(half_plane(grid.ksq), wdiff))),
+        err_low=PARSEVAL_FACTOR * math.sqrt(low),
+        err_high=PARSEVAL_FACTOR * math.sqrt(max(high, 0.0)),
+        energy1=PARSEVAL_FACTOR**2 * weighted_power(weights, p1),
+        energy2=PARSEVAL_FACTOR**2 * weighted_power(weights, p2),
     )
 
 
@@ -269,28 +269,27 @@ def threshold_report(cfg: ExperimentConfig) -> dict[str, float | str | bool]:
     default to 1.0.
     """
     f1, f2 = _forces(cfg)
-    bundle = GrashofBundle(f1, f2, cfg.nu)
+    g1, g2 = grashof(f1, cfg.nu), grashof(f2, cfg.nu)
+    g = math.hypot(g1, g2)  # pair magnitude
     spec = cfg.coupling
     report: dict[str, float | str | bool] = {
         "variant": spec.variant,
         "cutoff": spec.cutoff,
-        "grashof_1": bundle.g1_number,
-        "grashof_2": bundle.g2_number,
+        "grashof_1": g1,
+        "grashof_2": g2,
     }
     if spec.variant == "mutual_sync":
-        glam = bundle.g_lambda(spec.theta1)
+        glam = grashof((1.0 - spec.theta1) * f1 + spec.theta1 * f2, cfg.nu)
         n_star = threshold_mutual_sync(glam, spec.theta1, cfg.c_lad, cfg.c_agmon)
         report.update(
             {"grashof_lambda": glam, "n_star": n_star, "cutoff_ok": spec.cutoff >= n_star}
         )
     elif spec.variant == "degenerate_sync":
-        n_star = threshold_degenerate_sync(bundle.g_max, cfg.c_lad, cfg.c_sob)
+        n_star = threshold_degenerate_sync(max(g1, g2), cfg.c_lad, cfg.c_sob)
         report.update({"n_star": n_star, "cutoff_ok": spec.cutoff >= n_star})
     elif spec.variant == "mutual_nudge":
         if min(spec.mu1, spec.mu2) > 0:
-            th = threshold_mutual_nudge(
-                spec.mu1, spec.mu2, bundle.g_rms, cfg.nu, cfg.c_lad
-            )
+            th = threshold_mutual_nudge(spec.mu1, spec.mu2, g, cfg.nu, cfg.c_lad)
             lo, hi = th.mu_band(spec.cutoff)
             report.update(
                 {
@@ -306,7 +305,7 @@ def threshold_report(cfg: ExperimentConfig) -> dict[str, float | str | bool]:
         else:
             report["note"] = "degenerate ratio (a zero strength); ratio bounds undefined"
     elif spec.variant == "symmetric_nudge":
-        th = threshold_symmetric_nudge(spec.mu1, spec.mu2, bundle, cfg.nu, cfg.c_lad)
+        th = threshold_symmetric_nudge(spec.mu1, spec.mu2, g, cfg.nu, cfg.c_lad)
         report.update(
             {
                 "n_a": th.n_a,
@@ -314,7 +313,7 @@ def threshold_report(cfg: ExperimentConfig) -> dict[str, float | str | bool]:
                 "cutoff_ok": spec.cutoff >= th.n_a,
             }
         )
-        if th.has_n_b:
+        if th.n_b is not None:
             report["n_b"] = th.n_b
             report["mu_constraint_b"] = th.mu_constraint_b(spec.cutoff)
     return report
@@ -332,6 +331,12 @@ def _verdict_string(cfg: ExperimentConfig) -> str:
         else:
             items.append(f"{key}={value}")
     return "; ".join(items)
+
+
+def sweep_label(value: float) -> str:
+    """Shortest round-trip text of a sweep value, without a trailing ``.0``:
+    distinct values get distinct run directories."""
+    return repr(float(value)).removesuffix(".0")
 
 
 def sweep(
@@ -360,7 +365,7 @@ def sweep(
     if share_initial and base_pair is None and values:
         base_pair = prepare_initial_pair(cfg)
     for value in values:
-        run_out = out / f"{axis}_{value:g}" if out is not None else None
+        run_out = out / f"{axis}_{sweep_label(value)}" if out is not None else None
         try:
             run_cfg = _with_axis_value(cfg, axis, float(value))
             series, _ = run_experiment(run_cfg, base_pair if share_initial else None,

@@ -50,6 +50,7 @@ from .coupling import IntertwinementSpec, coupling_arrays, observation_mask
 from .fieldops import nonlinear_block, nonlinear_workspace, stream_force_term
 from .forcing import ForcingSpec, absorbing_radii, make_band_forcing
 from .spectral import (
+    PARSEVAL_FACTOR,
     SpectralField,
     SpectralGrid,
     StreamFunction,
@@ -130,12 +131,9 @@ class PairState:
 def _step_constants(grid: SpectralGrid, nu: float, dt: float):
     """Integrating factor on the block and the block's weights of the
     blow-up energy sum |k|^2 |psi_k|^2."""
-    ksq = block_of(grid.ksq, grid.dealias_kmax)
-    efac = np.exp(-nu * ksq * dt)
-    # column ky = 0 holds each mode once, every other column also stands
-    # for its mirror
-    weights = 2.0 * ksq
-    weights[:, 0] = ksq[:, 0]
+    kmax = grid.dealias_kmax
+    efac = np.exp(-nu * block_of(grid.ksq, kmax) * dt)
+    weights = block_of(half_plane_energy_weights(grid), kmax)
     for arr in (efac, weights):
         arr.setflags(write=False)
     return efac, weights
@@ -147,7 +145,7 @@ def _check_finite(psi: np.ndarray, weights: np.ndarray, limit: float, t: float,
     energy = weighted_power(weights, psi)
     if not np.isfinite(energy):
         raise BlowUpError(t, "non-finite coefficient detected", last_checkpoint)
-    if 2.0 * np.pi * np.sqrt(energy) > limit:
+    if PARSEVAL_FACTOR * np.sqrt(energy) > limit:
         raise BlowUpError(
             t, f"|u| exceeded {BLOWUP_FACTOR:g} x absorbing radius", last_checkpoint
         )

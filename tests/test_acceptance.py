@@ -224,13 +224,13 @@ def test_criterion_8_symmetric_nudging_rates(desk_pair, desk_force):
             time.perf_counter() - t0, 900)
 
 
-def test_criterion_9_threshold_arithmetic(grid64):
+def test_criterion_9_threshold_arithmetic():
     t0 = time.perf_counter()
     nu = 0.005
     # spot values
-    assert threshold_symmetric_nudge(
-        50.0, 25.0, _bundle(grid64, 10.0, nu), nu
-    ).n_a == pytest.approx(40.0, rel=1e-12)
+    assert threshold_symmetric_nudge(50.0, 25.0, 10.0, nu).n_a == pytest.approx(
+        40.0, rel=1e-12
+    )
     assert threshold_mutual_nudge(50.0, 50.0, 10.0, nu).n_unassisted == pytest.approx(
         1.5 * math.sqrt(2.0) * 10.0, rel=1e-12
     )
@@ -256,18 +256,11 @@ def test_criterion_9_threshold_arithmetic(grid64):
         lo, hi = th.mu_band(th.n_unassisted + 1.0)
         assert lo == pytest.approx(4.0 / 3.0 * th.n_unassisted**2 * nu, rel=1e-12)
         assert hi >= lo
-        ths = threshold_symmetric_nudge(50.0, 25.0, _bundle(grid64, max(g, 0.1), nu), nu)
+        ths = threshold_symmetric_nudge(50.0, 25.0, g, nu)
         assert ths.n_a >= 0 and ths.n_b >= 0
         assert ths.mu_constraint_a(1e9)  # window opens for huge cutoffs
     _report(9, "threshold arithmetic: spot values and residuals",
             time.perf_counter() - t0, 1)
-
-
-def _bundle(grid, g_rms, nu):
-    f = tf.make_band_forcing(
-        tf.ForcingSpec(10, 12, g_rms / math.sqrt(2.0), 0), grid, nu
-    )
-    return tf.GrashofBundle(f, f, nu)
 
 
 def test_criterion_10_paper_scale_smoke():

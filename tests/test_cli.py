@@ -122,7 +122,23 @@ def test_sweep_cli(tmp_path, config_file):
     assert len(summary) == 3
 
 
-@pytest.mark.parametrize("values, named", [("0.1,abc", "abc"), (",", "no values")])
+def test_sweep_values_apart_in_7th_digit_get_own_runs(capsys, tmp_path, config_file):
+    out = tmp_path / "sweep"
+    code = cli_main(["sweep", "--config", str(config_file), "--set", "sim.t_end=1.0",
+                     "--axis", "theta1", "--values", "0.1234561,0.1234564",
+                     "--out", str(out)])
+    assert code == 0
+    runs = sorted(p.name for p in out.iterdir() if p.is_dir())
+    assert runs == ["theta1_0.1234561", "theta1_0.1234564"]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "theta1=0.1234561", "theta1=0.1234564"
+    ]
+
+
+@pytest.mark.parametrize(
+    "values, named", [("0.1,abc", "abc"), (",", "no values"), ("0.5,1,0.5", "repeated")]
+)
 def test_sweep_bad_values_exit_2(capsys, tmp_path, config_file, values, named):
     out = tmp_path / "sweep"
     code = cli_main(["sweep", "--config", str(config_file), "--axis", "theta1",

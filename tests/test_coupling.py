@@ -153,36 +153,3 @@ class TestCouplingTerms:
         for a, b in zip(coupling_arrays(named, *x), coupling_arrays(general, *x)):
             assert np.array_equal(a, b)
 
-
-class TestGrashofBundle:
-    def test_rms_identity(self, grid64):
-        nu = 0.005
-        f1 = tf.make_band_forcing(tf.ForcingSpec(10, 12, 300.0, 1), grid64, nu)
-        f2 = tf.make_band_forcing(tf.ForcingSpec(10, 12, 400.0, 2), grid64, nu)
-        b = tf.GrashofBundle(f1, f2, nu)
-        assert b.g_rms == pytest.approx(np.hypot(b.g1_number, b.g2_number), rel=1e-13)
-        assert b.g_rms == pytest.approx(500.0, rel=1e-12)
-        assert b.g_max == pytest.approx(400.0, rel=1e-12)
-
-    def test_g_lambda_endpoints(self, grid64):
-        nu = 0.005
-        f1 = tf.make_band_forcing(tf.ForcingSpec(10, 12, 300.0, 1), grid64, nu)
-        f2 = tf.make_band_forcing(tf.ForcingSpec(10, 12, 400.0, 2), grid64, nu)
-        b = tf.GrashofBundle(f1, f2, nu)
-        assert b.g_lambda(0.0) == pytest.approx(b.g1_number, rel=1e-13)
-        assert b.g_lambda(1.0) == pytest.approx(b.g2_number, rel=1e-13)
-
-    def test_tilde_quantities_default_to_plain(self, grid64):
-        nu = 0.005
-        f = tf.make_band_forcing(tf.ForcingSpec(10, 12, 300.0, 1), grid64, nu)
-        b = tf.GrashofBundle(f, f, nu)
-        assert b.tilde_g_rms == 0.0
-        assert b.residual_number() == pytest.approx(b.g_rms, rel=1e-13)
-
-    def test_residual_with_split(self, grid64):
-        nu = 0.005
-        f = tf.make_band_forcing(tf.ForcingSpec(10, 12, 300.0, 1), grid64, nu)
-        b = tf.GrashofBundle(f, f, nu, tilde_g1=f, tilde_g2=f, mu_tilde=1.0)
-        # G_res = g - mu*g_tilde = 0 when g_tilde = g and mu = 1
-        assert b.residual_number() == pytest.approx(0.0, abs=1e-12)
-        assert b.tilde_g_rms == pytest.approx(b.g_rms, rel=1e-13)

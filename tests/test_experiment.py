@@ -241,6 +241,37 @@ class TestThresholdReport:
         report = threshold_report(cfg)
         assert {"n_a", "n_b", "mu_constraint_a", "mu_constraint_b"} <= set(report)
 
+    @staticmethod
+    def pair_config(coupling):
+        return tiny_config(
+            forcing=tf.ForcingSpec(10, 12, 300.0, 1),
+            forcing2=tf.ForcingSpec(10, 12, 400.0, 2),
+            coupling=coupling,
+        )
+
+    def test_pair_magnitudes(self):
+        # degenerate sync reads max(g1, g2); nudging reads hypot(g1, g2)
+        cfg = self.pair_config(tf.IntertwinementSpec("degenerate_sync", 5.0))
+        report = threshold_report(cfg)
+        assert report["grashof_1"] == pytest.approx(300.0, rel=1e-12)
+        assert report["grashof_2"] == pytest.approx(400.0, rel=1e-12)
+        assert report["n_star"] == pytest.approx(
+            tf.threshold_degenerate_sync(400.0), rel=1e-12
+        )
+        cfg = self.pair_config(
+            tf.IntertwinementSpec("mutual_nudge", 5.0, mu1=2.0, mu2=1.0)
+        )
+        report = threshold_report(cfg)
+        th = tf.threshold_mutual_nudge(2.0, 1.0, 500.0, cfg.nu)
+        assert report["n_assisted"] == pytest.approx(th.n_assisted, rel=1e-12)
+        assert report["n_unassisted"] == pytest.approx(th.n_unassisted, rel=1e-12)
+
+    @pytest.mark.parametrize("theta1, single", [(0.0, "grashof_1"), (1.0, "grashof_2")])
+    def test_grashof_lambda_endpoints(self, theta1, single):
+        cfg = self.pair_config(tf.IntertwinementSpec("mutual_sync", 5.0, theta1=theta1))
+        report = threshold_report(cfg)
+        assert report["grashof_lambda"] == pytest.approx(report[single], rel=1e-13)
+
     @pytest.mark.parametrize("name", list(PINNED_REPORTS))
     def test_matches_pinned_values(self, name):
         report = threshold_report(report_configs()[name])

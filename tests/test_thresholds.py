@@ -1,9 +1,7 @@
 import math
 
-import numpy as np
 import pytest
 
-import twinflow as tf
 from twinflow.coupling import (
     threshold_degenerate_sync,
     threshold_mutual_nudge,
@@ -12,12 +10,6 @@ from twinflow.coupling import (
 )
 
 NU = 0.005
-
-
-def shared_bundle(grid64, g_rms):
-    # shared force: g_rms = sqrt(2) * g1, so target g1 = g_rms / sqrt(2)
-    f = tf.make_band_forcing(tf.ForcingSpec(10, 12, g_rms / math.sqrt(2), 0), grid64, NU)
-    return tf.GrashofBundle(f, f, NU)
 
 
 class TestMutualSync:
@@ -101,48 +93,48 @@ class TestMutualNudge:
 
 
 class TestSymmetricNudge:
-    def test_n_a_spot_value(self, grid64):
-        th = threshold_symmetric_nudge(50.0, 25.0, shared_bundle(grid64, 10.0), NU)
+    def test_n_a_spot_value(self):
+        th = threshold_symmetric_nudge(50.0, 25.0, 10.0, NU)
         assert th.n_a == pytest.approx(40.0, rel=1e-12)
 
-    def test_n_b_unavailable_at_equal_strengths(self, grid64):
-        th = threshold_symmetric_nudge(50.0, 50.0, shared_bundle(grid64, 10.0), NU)
+    def test_n_b_unavailable_at_equal_strengths(self):
+        th = threshold_symmetric_nudge(50.0, 50.0, 10.0, NU)
         assert th.n_a == pytest.approx(40.0, rel=1e-12)
-        assert not th.has_n_b
-        with pytest.raises(ValueError, match="strict gap"):
-            th.n_b
+        assert th.n_b is None
 
-    def test_n_b_formula_with_zero_tilde_split(self, grid64):
-        bundle = shared_bundle(grid64, 10.0)
-        th = threshold_symmetric_nudge(50.0, 25.0, bundle, NU)
-        expected = 4.0 * math.sqrt(NU / 25.0 * bundle.g_rms**2)
+    def test_n_b_formula_with_zero_tilde_split(self):
+        g = 10.0
+        th = threshold_symmetric_nudge(50.0, 25.0, g, NU)
+        expected = 4.0 * math.sqrt(NU / 25.0 * g**2)
         assert th.n_b == pytest.approx(expected, rel=1e-12)
 
-    def test_canonical_order_enforced(self, grid64):
+    def test_canonical_order_enforced(self):
         with pytest.raises(ValueError):
-            threshold_symmetric_nudge(25.0, 50.0, shared_bundle(grid64, 10.0), NU)
+            threshold_symmetric_nudge(25.0, 50.0, 10.0, NU)
 
-    def test_constraint_a_accepts_closed_endpoints(self, grid64):
-        bundle = shared_bundle(grid64, 10.0)
+    def test_rejects_negative_grashof(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            threshold_symmetric_nudge(50.0, 25.0, -1.0, NU)
+
+    def test_constraint_a_accepts_closed_endpoints(self):
         n_a = 40.0
         total = 0.25 * n_a**2 * NU
-        th = threshold_symmetric_nudge(total / 2, total / 2, bundle, NU)
+        th = threshold_symmetric_nudge(total / 2, total / 2, 10.0, NU)
         assert th.mu_constraint_a(n_a)
         assert th.mu_constraint_a(n_a + 1.0)
         assert not th.mu_constraint_a(n_a - 1.0)
 
-    def test_nondecreasing_in_grashof(self, grid64):
+    def test_nondecreasing_in_grashof(self):
         values = [
-            threshold_symmetric_nudge(50.0, 25.0, shared_bundle(grid64, g), NU).n_a
-            for g in (1.0, 5.0, 10.0)
+            threshold_symmetric_nudge(50.0, 25.0, g, NU).n_a for g in (1.0, 5.0, 10.0)
         ]
         assert values == sorted(values)
 
 
-def test_all_thresholds_nonnegative(grid64):
+def test_all_thresholds_nonnegative():
     assert threshold_mutual_sync(0.0, 0.5) >= 0
     assert threshold_degenerate_sync(0.0) >= 0
     th = threshold_mutual_nudge(1.0, 1.0, 0.0, NU)
     assert th.n_assisted >= 0 and th.n_unassisted >= 0
-    ths = threshold_symmetric_nudge(1.0, 0.0, shared_bundle(grid64, 1.0), NU)
+    ths = threshold_symmetric_nudge(1.0, 0.0, 1.0, NU)
     assert ths.n_a >= 0 and ths.n_b >= 0
