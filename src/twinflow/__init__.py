@@ -19,22 +19,14 @@ from .coupling import (
     threshold_symmetric_nudge,
 )
 from .experiment import ErrorRecord, RateFit, fit_decay_rate, run_experiment, sweep
-from .fieldops import (
-    VelocityField,
-    divergence,
-    trilinear_b,
-    velocity_from_stream,
-)
+from .fieldops import VelocityField, velocity_from_stream
 from .forcing import ForcingSpec, absorbing_radii, grashof, make_band_forcing, shape_factor
 from .spectral import (
     SpectralField,
     SpectralGrid,
     StreamFunction,
-    dealias,
     energy_spectrum,
-    field_from_physical,
     norm_hn,
-    project_high,
     project_low,
     to_physical,
 )
@@ -54,16 +46,11 @@ __all__ = [
     "SpectralField",
     "StreamFunction",
     "VelocityField",
-    "field_from_physical",
     "to_physical",
-    "dealias",
     "project_low",
-    "project_high",
     "norm_hn",
     "energy_spectrum",
     "velocity_from_stream",
-    "divergence",
-    "trilinear_b",
     "ForcingSpec",
     "make_band_forcing",
     "grashof",

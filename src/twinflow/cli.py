@@ -95,8 +95,6 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--values: {exc}") from None
     if not values:
         raise ConfigError("--values: no values given")
-    if len(set(values)) < len(values):
-        raise ConfigError("--values: a value is repeated")
     rows = sweep(cfg, args.axis, values, Path(args.out))
     for row in rows:
         status = row.error if row.error else f"rate={row.rate:.4g}"

@@ -163,9 +163,7 @@ def threshold_mutual_sync(
     return 15.0 * math.sqrt(27.0) * c_lad**2 * glambda**2
 
 
-def threshold_degenerate_sync(
-    g: float, c_lad: float = 1.0, c_sob: float = 1.0, max_iter: int = 200
-) -> float:
+def threshold_degenerate_sync(g: float, c_lad: float = 1.0, c_sob: float = 1.0) -> float:
     """Smallest cutoff satisfying both degenerate-synchronization bounds.
 
     The first bound is explicit, ``max(9*sqrt(3)/c_lad, 12*sqrt(2)*c_lad)*g``.
@@ -189,7 +187,7 @@ def threshold_degenerate_sync(
         )
 
     n = max(explicit, 1.0)
-    for _ in range(max_iter):
+    for _ in range(200):
         n_next = max(explicit, implicit(n), 1.0)
         if abs(n_next - n) <= 1e-12 * max(n_next, 1.0):
             return max(n_next, 1.0)

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig, provenance_info, write_config
+from .config import ConfigError, ExperimentConfig, provenance_info, write_config
 from .coupling import (
     threshold_degenerate_sync,
     threshold_mutual_nudge,
@@ -350,8 +350,13 @@ def sweep(
 
     The initial pair is prepared once from the base config and shared,
     except for cutoff sweeps with projection-matched init, where the
-    observer's initial state depends on the cutoff itself.
+    observer's initial state depends on the cutoff itself. Each value
+    names its run directory (``sweep_label``), so a repeated value raises
+    ``ConfigError`` before anything is made.
     """
+    labels = [sweep_label(value) for value in values]
+    if len(set(labels)) < len(labels):
+        raise ConfigError("sweep values: a value is repeated")
     rows: list[SweepRow] = []
     out = Path(output_dir) if output_dir is not None else None
     if out is not None:
@@ -364,8 +369,8 @@ def sweep(
     base_pair = initial
     if share_initial and base_pair is None and values:
         base_pair = prepare_initial_pair(cfg)
-    for value in values:
-        run_out = out / f"{axis}_{sweep_label(value)}" if out is not None else None
+    for value, label in zip(values, labels):
+        run_out = out / f"{axis}_{label}" if out is not None else None
         try:
             run_cfg = _with_axis_value(cfg, axis, float(value))
             series, _ = run_experiment(run_cfg, base_pair if share_initial else None,

@@ -3,10 +3,11 @@
 The solver state is a scalar streamfunction ``psi``; velocity
 ``u = (-d_y psi, d_x psi)`` and vorticity ``omega = lap(psi)`` are derived
 views. The advection term is evaluated pseudo-spectrally: derivatives in
-spectral space, the product ``u . grad(omega)`` pointwise on the physical
-grid, then the square 2/3 mask. With dealiased inputs this equals the
-exactly truncated convolution, which is what the trilinear identities and
-the brute-force oracle in the tests rely on.
+spectral space, products pointwise on the physical grid, then the square
+2/3 mask. With dealiased inputs this equals the exactly truncated
+convolution, so the truncated system conserves energy and enstrophy
+exactly; the tests check both identities, and the convolution, on
+``nonlinear_block`` itself.
 
 The stepper evaluates the advection term on the dealiased block of the
 half-plane (``nonlinear_block``; see ``spectral.to_block``), in
@@ -31,23 +32,18 @@ from functools import lru_cache
 import numpy as np
 
 from .spectral import (
-    PARSEVAL_FACTOR,
     SpectralField,
     SpectralGrid,
     StreamFunction,
     block_of,
     mirror_column,
-    to_physical,
 )
 
 __all__ = [
     "VelocityField",
     "velocity_from_stream",
-    "velocity_laplacian",
-    "divergence",
     "nonlinear_block",
     "nonlinear_workspace",
-    "trilinear_b",
     "stream_force_term",
     "force_velocity",
 ]
@@ -71,26 +67,6 @@ def velocity_from_stream(psi: StreamFunction) -> VelocityField:
     ux = SpectralField(grid, -1j * grid.ky * psi.coeffs)
     uy = SpectralField(grid, 1j * grid.kx * psi.coeffs)
     return VelocityField(ux, uy)
-
-
-def velocity_laplacian(u: VelocityField) -> VelocityField:
-    """Componentwise Stokes-operator action: coefficients times |k|^2."""
-    ksq = u.grid.ksq
-    return VelocityField(
-        SpectralField(u.grid, u.ux.coeffs * ksq),
-        SpectralField(u.grid, u.uy.coeffs * ksq),
-    )
-
-
-def divergence(u: VelocityField) -> SpectralField:
-    """Spectral divergence i k . u_k."""
-    grid = u.grid
-    return SpectralField(grid, 1j * (grid.kx * u.ux.coeffs + grid.ky * u.uy.coeffs))
-
-
-def _deriv_phys(field: SpectralField, axis: int) -> np.ndarray:
-    k = field.grid.kx if axis == 0 else field.grid.ky
-    return np.fft.ifft2(1j * k * field.coeffs, norm="forward").real
 
 
 @lru_cache(maxsize=8)
@@ -171,28 +147,6 @@ def nonlinear_block(psi: np.ndarray, grid: SpectralGrid, work: tuple,
     # make it exact
     mirror_column(out[:, 0])
     return out
-
-
-def _advect(u: VelocityField, v: VelocityField) -> tuple[np.ndarray, np.ndarray]:
-    """(u . grad) v on the physical grid."""
-    ux, uy = to_physical(u.ux), to_physical(u.uy)
-    ax = ux * _deriv_phys(v.ux, 0) + uy * _deriv_phys(v.ux, 1)
-    ay = ux * _deriv_phys(v.uy, 0) + uy * _deriv_phys(v.uy, 1)
-    return ax, ay
-
-
-def trilinear_b(u: VelocityField, v: VelocityField, w: VelocityField) -> float:
-    """Advection form <(u.grad)v, w> = integral ((u.grad)v).w dx.
-
-    Diagnostic only. For dealiased inputs the grid quadrature of the
-    triple product is exact, so the skew-symmetry and enstrophy
-    identities hold to roundoff.
-    """
-    ax, ay = _advect(u, v)
-    wx, wy = to_physical(w.ux), to_physical(w.uy)
-    total = np.sum(ax * wx + ay * wy)
-    n = u.grid.resolution
-    return PARSEVAL_FACTOR**2 * float(total) / (n * n)
 
 
 def stream_force_term(f: SpectralField) -> SpectralField:

@@ -120,16 +120,12 @@ def make_band_forcing(spec: ForcingSpec, grid: SpectralGrid, nu: float) -> Spect
     return SpectralField(grid, coeffs * (target / realized))
 
 
-def grashof(f: SpectralField, nu: float, norm_kind: str = "h") -> float:
-    """Grashof number |f| / nu^2 (time-independent force).
-
-    ``norm_kind="h"`` uses the L2 norm (the theorem-level definition);
-    ``"linf"`` uses the physical sup norm.
-    """
+def grashof(f: SpectralField, nu: float) -> float:
+    """Grashof number |f| / nu^2 (time-independent force), with the L2
+    norm of the theorems."""
     if nu <= 0:
         raise ValueError(f"viscosity must be positive, got {nu}")
-    mag = norm_hn(f, 0) if norm_kind == "h" else force_sup_norm(f)
-    return mag / nu**2
+    return norm_hn(f, 0) / nu**2
 
 
 def force_sup_norm(f: SpectralField) -> float:

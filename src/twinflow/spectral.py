@@ -64,14 +64,12 @@ class SpectralGrid:
         kmag = np.sqrt(ksq)
         kmax = self.dealias_kmax
         mask = (np.abs(kx) <= kmax) & (np.abs(ky) <= kmax)
-        x1d = 2.0 * np.pi * np.arange(n) / n - np.pi
         for name, arr in (
             ("kx", kx),
             ("ky", ky),
             ("ksq", ksq),
             ("kmag", kmag),
             ("dealias_mask", mask),
-            ("x1d", x1d),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -90,10 +88,6 @@ class SpectralGrid:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.resolution, self.resolution)
-
-    def physical_coords(self):
-        """Meshgrid ``(x, y)`` of physical sample points, 'ij' indexed."""
-        return np.meshgrid(self.x1d, self.x1d, indexing="ij")
 
 
 @lru_cache(maxsize=8)
@@ -130,9 +124,6 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs)
-
 
 # The solver state is a streamfunction stored as a plain spectral field;
 # the alias records intent at call sites.
@@ -148,13 +139,6 @@ def _check_same_grid(a: SpectralField, b: SpectralField):
 
 def zero_field(grid: SpectralGrid) -> SpectralField:
     return SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
-
-
-def field_from_physical(grid: SpectralGrid, values: np.ndarray) -> SpectralField:
-    """Transform real physical samples to a mean-free spectral field."""
-    c = np.fft.fft2(np.asarray(values, dtype=np.float64), norm="forward")
-    c[0, 0] = 0.0
-    return SpectralField(grid, c)
 
 
 def to_physical(field: SpectralField) -> np.ndarray:
@@ -235,36 +219,11 @@ def from_block(block: np.ndarray, n: int) -> np.ndarray:
     return full
 
 
-@lru_cache(maxsize=8)
-def _reflect(grid: SpectralGrid):
-    n = grid.resolution
-    idx = (-np.arange(n)) % n
-    return np.ix_(idx, idx)
-
-
-def hermitian_defect(field: SpectralField) -> float:
-    """Max |c_k - conj(c_{-k})| over the lattice."""
-    c = field.coeffs
-    return float(np.max(np.abs(c - np.conj(c[_reflect(field.grid)]))))
-
-
-def dealias(field: SpectralField) -> SpectralField:
-    """Apply the square 2/3 mask: zero modes with 3 |k_i| >= N. Idempotent."""
-    return SpectralField(field.grid, field.coeffs * field.grid.dealias_mask)
-
-
 def project_low(field: SpectralField, cutoff: float) -> SpectralField:
     """Retain modes with |k| <= cutoff (euclidean, inclusive). Idempotent."""
     if cutoff <= 0:
         raise ValueError(f"projection cutoff must be positive, got {cutoff}")
     return SpectralField(field.grid, field.coeffs * low_mode_mask(field.grid, cutoff))
-
-
-def project_high(field: SpectralField, cutoff: float) -> SpectralField:
-    """Complementary projection: zero modes with |k| <= cutoff."""
-    if cutoff <= 0:
-        raise ValueError(f"projection cutoff must be positive, got {cutoff}")
-    return SpectralField(field.grid, field.coeffs * ~low_mode_mask(field.grid, cutoff))
 
 
 @lru_cache(maxsize=32)
@@ -293,12 +252,6 @@ def norm_hn(field: SpectralField, n: int = 0) -> float:
         weights = np.where(ksq > 0, ksq**n, 0.0)
     total = np.sum(weights * np.abs(c) ** 2)
     return PARSEVAL_FACTOR * float(np.sqrt(total))
-
-
-def inner_h(a: SpectralField, b: SpectralField) -> float:
-    """L2 inner product (u, v) = integral of u*v over the box."""
-    _check_same_grid(a, b)
-    return PARSEVAL_FACTOR**2 * float(np.real(np.vdot(a.coeffs, b.coeffs)))
 
 
 def spectral_power(field: SpectralField, p: float) -> SpectralField:

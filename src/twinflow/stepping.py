@@ -249,7 +249,8 @@ def advance(
     The observer also sees the initial state. The state it sees at the
     last step is the one returned. Stepping projects the state onto the
     dealiased block first: a state with modes outside the 2/3 mask steps
-    exactly as its ``dealias()``ed copy does.
+    exactly as its copy with those modes zeroed
+    (``coeffs * grid.dealias_mask``) does.
     """
     grid, end = cfg.grid, state.step_index + nsteps
     final = state

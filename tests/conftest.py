@@ -5,13 +5,15 @@ import twinflow as tf
 from twinflow.fieldops import nonlinear_block, nonlinear_workspace
 from twinflow.spectral import from_block, to_block
 
+from oracles import field_from_physical
+
 
 def random_psi(grid, rng, decay=3.0, scale=1.0):
     """Random dealiased mean-free streamfunction with a decaying spectrum."""
     phys = rng.standard_normal(grid.shape)
-    fld = tf.field_from_physical(grid, phys)
-    shaped = tf.SpectralField(grid, scale * fld.coeffs * (1.0 + grid.kmag) ** (-decay))
-    return tf.dealias(shaped)
+    fld = field_from_physical(grid, phys)
+    shaped = scale * fld.coeffs * (1.0 + grid.kmag) ** (-decay)
+    return tf.SpectralField(grid, shaped * grid.dealias_mask)
 
 
 def hermitian_part(c):

@@ -1,12 +1,21 @@
 """Independent reference implementations used by the tests.
 
-The brute-force oracles work coefficient-by-coefficient with explicit
-loops and no FFTs, so they share no code path with the package's
-pseudo-spectral evaluation. Two keep earlier, more direct formulations
-of package functions (the five-transform advection term and the
-full-lattice error norms) as references for the faster ones; the last
-writes a checkpoint from the byte layout in the README, one number at a
-time.
+* ``convolution_nonlinear_term`` and ``scalar_reference_pair_step`` work
+  coefficient by coefficient with explicit loops and no FFTs, so they
+  share no code path with the package's pseudo-spectral evaluation.
+* ``five_transform_nonlinear_half`` and ``full_lattice_error_record``
+  keep earlier, more direct formulations of package functions (the
+  five-transform advection term, the full-lattice error norms) as
+  references for the faster ones.
+* ``trilinear_b`` is a second, full-lattice advection path: the form
+  ``<(u.grad)v, w>`` by complex ``ifft2`` derivatives and grid
+  quadrature, for the Navier-Stokes identities on velocity triples.
+  ``velocity_laplacian`` and ``divergence`` are the spectral operators
+  those checks use.
+* ``physical_coords``, ``field_from_physical`` and ``hermitian_defect``
+  build fields from physical samples and measure their symmetry.
+* ``checkpoint_bytes`` writes a checkpoint from the byte layout in the
+  README, one number at a time.
 """
 
 import math
@@ -14,6 +23,8 @@ import struct
 import zlib
 
 import numpy as np
+
+import twinflow as tf
 
 
 def convolution_nonlinear_term(psi):
@@ -165,3 +176,66 @@ def checkpoint_bytes(state, dt):
             for c in row:
                 blob += struct.pack("<dd", c.real, c.imag)
     return blob + struct.pack("<I", zlib.crc32(blob))
+
+
+def physical_coords(grid):
+    """Meshgrid ``(x, y)`` of the physical sample points of the box
+    ``[-pi, pi)^2``, 'ij' indexed."""
+    n = grid.resolution
+    x1d = 2.0 * np.pi * np.arange(n) / n - np.pi
+    return np.meshgrid(x1d, x1d, indexing="ij")
+
+
+def field_from_physical(grid, values):
+    """Transform real physical samples to a mean-free spectral field."""
+    c = np.fft.fft2(np.asarray(values, dtype=np.float64), norm="forward")
+    c[0, 0] = 0.0
+    return tf.SpectralField(grid, c)
+
+
+def hermitian_defect(field):
+    """Max |c_k - conj(c_{-k})| over the lattice."""
+    c = field.coeffs
+    mirror = (-np.arange(c.shape[0])) % c.shape[0]
+    return float(np.max(np.abs(c - np.conj(c[np.ix_(mirror, mirror)]))))
+
+
+def velocity_laplacian(u):
+    """Componentwise Stokes-operator action: coefficients times |k|^2."""
+    ksq = u.grid.ksq
+    return tf.VelocityField(
+        tf.SpectralField(u.grid, u.ux.coeffs * ksq),
+        tf.SpectralField(u.grid, u.uy.coeffs * ksq),
+    )
+
+
+def divergence(u):
+    """Spectral divergence i k . u_k."""
+    grid = u.grid
+    return tf.SpectralField(grid, 1j * (grid.kx * u.ux.coeffs + grid.ky * u.uy.coeffs))
+
+
+def _deriv_phys(field, axis):
+    k = field.grid.kx if axis == 0 else field.grid.ky
+    return np.fft.ifft2(1j * k * field.coeffs, norm="forward").real
+
+
+def _advect(u, v):
+    """(u . grad) v on the physical grid."""
+    ux, uy = tf.to_physical(u.ux), tf.to_physical(u.uy)
+    ax = ux * _deriv_phys(v.ux, 0) + uy * _deriv_phys(v.ux, 1)
+    ay = ux * _deriv_phys(v.uy, 0) + uy * _deriv_phys(v.uy, 1)
+    return ax, ay
+
+
+def trilinear_b(u, v, w):
+    """Advection form <(u.grad)v, w> = integral ((u.grad)v).w dx.
+
+    For dealiased inputs the grid quadrature of the triple product is
+    exact, so the skew-symmetry and enstrophy identities hold to roundoff.
+    """
+    ax, ay = _advect(u, v)
+    wx, wy = tf.to_physical(w.ux), tf.to_physical(w.uy)
+    total = np.sum(ax * wx + ay * wy)
+    n = u.grid.resolution
+    return (2.0 * np.pi) ** 2 * float(total) / (n * n)

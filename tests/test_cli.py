@@ -137,7 +137,9 @@ def test_sweep_values_apart_in_7th_digit_get_own_runs(capsys, tmp_path, config_f
 
 
 @pytest.mark.parametrize(
-    "values, named", [("0.1,abc", "abc"), (",", "no values"), ("0.5,1,0.5", "repeated")]
+    "values, named",
+    [("0.1,abc", "abc"), (",", "no values"), ("0.5,1,0.5", "repeated"),
+     ("nan,nan", "repeated")],
 )
 def test_sweep_bad_values_exit_2(capsys, tmp_path, config_file, values, named):
     out = tmp_path / "sweep"

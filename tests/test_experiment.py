@@ -28,7 +28,7 @@ from twinflow.experiment import (
 from twinflow.stepping import save_checkpoint
 
 from conftest import hermitian_part, random_psi
-from oracles import full_lattice_error_record
+from oracles import field_from_physical, full_lattice_error_record
 
 DATA = Path(__file__).parent / "data"
 sys.path.insert(0, str(DATA))
@@ -79,7 +79,7 @@ class TestErrorRecord:
         # not dealiased, so the self-mirrored columns ky = 0 and ky = N/2
         # carry energy and their single weight counts
         def field():
-            c = tf.field_from_physical(grid32, rng.standard_normal(grid32.shape)).coeffs
+            c = field_from_physical(grid32, rng.standard_normal(grid32.shape)).coeffs
             return tf.SpectralField(grid32, hermitian_part(c))
 
         state = tf.PairState(field(), field(), 0.5)
@@ -126,7 +126,7 @@ class TestRunExperiment:
         pair = prepare_initial_pair(cfg)
         low_diff = tf.project_low(pair.psi1 - pair.psi2, cfg.coupling.cutoff)
         assert not np.any(low_diff.coeffs)
-        assert np.any(tf.project_high(pair.psi1, cfg.coupling.cutoff).coeffs)
+        assert np.any((pair.psi1 - tf.project_low(pair.psi1, cfg.coupling.cutoff)).coeffs)
 
         cfg2 = tiny_config(init_kind="decorrelated", decorrelate_time=0.3)
         pair2 = prepare_initial_pair(cfg2)
@@ -219,6 +219,15 @@ class TestSweep:
         rows = tf.sweep(cfg, "cutoff", [5.0, 500.0], tmp_path)
         assert not rows[0].error
         assert rows[1].error and math.isnan(rows[1].final_err_h)
+
+    @pytest.mark.parametrize("values", [[0.5, 0.5], [math.nan, 0.25, math.nan]])
+    def test_repeated_value_rejected_before_any_run(self, tmp_path, values):
+        # each value names its run directory: a repeat (NaN included, which
+        # is unequal to itself) would run twice into one directory
+        out = tmp_path / "sweep"
+        with pytest.raises(ConfigError, match="repeated"):
+            tf.sweep(tiny_config(t_end=1.0), "theta1", values, out)
+        assert not out.exists()
 
     def test_shared_initial_matches_serial(self, tmp_path):
         cfg = tiny_config(t_end=1.0, record_every=2)

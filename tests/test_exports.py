@@ -17,3 +17,42 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"{module.__name__}.__all__ lists {name!r}"
             checked += 1
     assert checked > 0
+
+
+def test_public_surface_is_pinned():
+    # the package's public names, listed out: adding or removing one shows
+    # up as a diff to this list
+    assert sorted(twinflow.__all__) == [
+        "ErrorRecord",
+        "ForcingSpec",
+        "IntertwinementSpec",
+        "PairState",
+        "RateFit",
+        "SimConfig",
+        "SpectralField",
+        "SpectralGrid",
+        "StreamFunction",
+        "VelocityField",
+        "__version__",
+        "absorbing_radii",
+        "decorrelate",
+        "energy_spectrum",
+        "fit_decay_rate",
+        "grashof",
+        "load_checkpoint",
+        "make_band_forcing",
+        "norm_hn",
+        "project_low",
+        "run_experiment",
+        "save_checkpoint",
+        "shape_factor",
+        "spin_up",
+        "step_single",
+        "sweep",
+        "threshold_degenerate_sync",
+        "threshold_mutual_nudge",
+        "threshold_mutual_sync",
+        "threshold_symmetric_nudge",
+        "to_physical",
+        "velocity_from_stream",
+    ]

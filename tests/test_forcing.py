@@ -3,7 +3,9 @@ import pytest
 
 import twinflow as tf
 from twinflow.forcing import force_sup_norm
-from twinflow.spectral import hermitian_defect, zero_field
+from twinflow.spectral import zero_field
+
+from oracles import hermitian_defect
 
 
 NU = 0.0005

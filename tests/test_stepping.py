@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import twinflow as tf
-from twinflow.spectral import hermitian_defect, zero_field
+from twinflow.spectral import zero_field
 from twinflow.stepping import (
     BlowUpError,
     CheckpointError,
@@ -17,7 +17,12 @@ from twinflow.stepping import (
 )
 
 from conftest import hermitian_part, random_psi
-from oracles import checkpoint_bytes, scalar_reference_pair_step
+from oracles import (
+    checkpoint_bytes,
+    field_from_physical,
+    hermitian_defect,
+    scalar_reference_pair_step,
+)
 
 
 def shear_mode(grid, amplitude=1.0):
@@ -192,12 +197,13 @@ class TestOneStepPath:
     def test_modes_outside_block_are_projected_away(self, grid32, forced_cfg, rng, spec):
         # energy outside the 2/3 mask, Hermitian: stepping drops it first
         f = tf.make_band_forcing(forced_cfg.forcing, grid32, forced_cfg.nu)
-        rough = [tf.SpectralField(grid32, hermitian_part(tf.field_from_physical(
+        rough = [tf.SpectralField(grid32, hermitian_part(field_from_physical(
             grid32, 0.01 * rng.standard_normal(grid32.shape)).coeffs)) for _ in range(2)]
         assert all(np.any(p.coeffs[~grid32.dealias_mask]) for p in rough)
         start = tf.PairState(rough[0] + random_psi(grid32, rng),
                              rough[1] + random_psi(grid32, rng), 0.5, 2)
-        clean = tf.PairState(tf.dealias(start.psi1), tf.dealias(start.psi2), 0.5, 2)
+        clean = tf.PairState(*(tf.SpectralField(grid32, p.coeffs * grid32.dealias_mask)
+                               for p in (start.psi1, start.psi2)), 0.5, 2)
         a = advance(start, forced_cfg, spec, f, f, 3)
         b = advance(clean, forced_cfg, spec, f, f, 3)
         assert np.array_equal(a.psi1.coeffs, b.psi1.coeffs)
