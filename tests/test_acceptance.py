@@ -84,8 +84,9 @@ def test_criterion_1_trilinear_identities(rng):
     for n in (64, 96):  # 3 divides 96
         grid = tf.SpectralGrid(n)
         for _ in range(30):
-            psi = random_psi(grid, rng).coeffs
-            jac = grid.ksq * nonlinear_full(tf.SpectralField(grid, psi))
+            field = random_psi(grid, rng)
+            psi = field.coeffs
+            jac = grid.ksq * nonlinear_full(field)
             for name, a in (("energy", psi), ("enstrophy", grid.ksq * psi)):
                 bound = 1e-10 * np.linalg.norm(a) * np.linalg.norm(jac)
                 assert abs(np.vdot(a, jac)) <= bound, f"{name} identity at {n}^2"

@@ -202,8 +202,9 @@ class TestOneStepPath:
         assert all(np.any(p.coeffs[~grid32.dealias_mask]) for p in rough)
         start = tf.PairState(rough[0] + random_psi(grid32, rng),
                              rough[1] + random_psi(grid32, rng), 0.5, 2)
-        clean = tf.PairState(*(tf.SpectralField(grid32, p.coeffs * grid32.dealias_mask)
-                               for p in (start.psi1, start.psi2)), 0.5, 2)
+        mask = grid32.dealias_mask
+        clean = tf.PairState(tf.SpectralField(grid32, start.psi1.coeffs * mask),
+                             tf.SpectralField(grid32, start.psi2.coeffs * mask), 0.5, 2)
         a = advance(start, forced_cfg, spec, f, f, 3)
         b = advance(clean, forced_cfg, spec, f, f, 3)
         assert np.array_equal(a.psi1.coeffs, b.psi1.coeffs)
