@@ -19,7 +19,6 @@ from .coupling import (
     threshold_symmetric_nudge,
 )
 from .experiment import ErrorRecord, RateFit, fit_decay_rate, run_experiment, sweep
-from .fieldops import VelocityField, velocity_from_stream
 from .forcing import ForcingSpec, absorbing_radii, grashof, make_band_forcing, shape_factor
 from .spectral import (
     SpectralField,
@@ -45,12 +44,10 @@ __all__ = [
     "SpectralGrid",
     "SpectralField",
     "StreamFunction",
-    "VelocityField",
     "to_physical",
     "project_low",
     "norm_hn",
     "energy_spectrum",
-    "velocity_from_stream",
     "ForcingSpec",
     "make_band_forcing",
     "grashof",

@@ -36,7 +36,6 @@ from .spectral import (
     weighted_power,
 )
 from .stepping import (
-    BlowUpError,
     PairState,
     advance,
     decorrelate,
@@ -153,33 +152,32 @@ def run_experiment(
     initial: Optional[PairState] = None,
     output_dir: Optional[Path] = None,
 ) -> tuple[list[ErrorRecord], PairState]:
-    """Advance the pair to t_end, recording every ``record_every`` steps.
+    """Advance the pair to t_end, recording at step 0 and every
+    ``record_every`` steps.
 
     With an output directory, writes ``series.csv``, ``final.ckpt`` and
-    ``manifest.ini``. On blow-up the partial series is flushed before the
-    error propagates.
+    ``manifest.ini``. On blow-up the partial series is written before the
+    error propagates, and no ``final.ckpt`` is.
     """
     state = prepare_initial_pair(cfg) if initial is None else initial
     f1, f2 = _forces(cfg)
     nsteps = int(round(cfg.t_end / cfg.dt))
-    series: list[ErrorRecord] = []
-    observer = lambda s: series.append(error_record(s, cfg.coupling.cutoff))
+    cutoff = cfg.coupling.cutoff
 
     out = Path(output_dir) if output_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         write_config(cfg, out / "manifest.ini", provenance_info())
+    series = [error_record(state, cutoff)]
     try:
         state = advance(
-            state, cfg.sim, cfg.coupling, f1, f2, nsteps, observer, cfg.record_every,
-            last_checkpoint=cfg.base_checkpoint,
+            state, cfg.sim, cfg.coupling, f1, f2, nsteps,
+            lambda s: series.append(error_record(s, cutoff)), cfg.record_every,
         )
-    except BlowUpError:
+    finally:
         if out is not None:
             write_series_csv(series, out / "series.csv")
-        raise
     if out is not None:
-        write_series_csv(series, out / "series.csv")
         save_checkpoint(state, cfg.dt, out / "final.ckpt")
     return series, state
 
@@ -344,7 +342,6 @@ def sweep(
     axis: str,
     values: Sequence[float],
     output_dir: Optional[Path] = None,
-    initial: Optional[PairState] = None,
 ) -> list[SweepRow]:
     """Run one experiment per axis value; failures do not stop the sweep.
 
@@ -363,18 +360,13 @@ def sweep(
         out.mkdir(parents=True, exist_ok=True)
     # The prepared pair is axis-independent except when the cutoff itself
     # shapes the projection-matched observer.
-    share_initial = initial is not None or not (
-        axis == "cutoff" and cfg.init_kind == "projected_low"
-    )
-    base_pair = initial
-    if share_initial and base_pair is None and values:
-        base_pair = prepare_initial_pair(cfg)
+    share_initial = not (axis == "cutoff" and cfg.init_kind == "projected_low")
+    base_pair = prepare_initial_pair(cfg) if share_initial and values else None
     for value, label in zip(values, labels):
         run_out = out / f"{axis}_{label}" if out is not None else None
         try:
             run_cfg = _with_axis_value(cfg, axis, float(value))
-            series, _ = run_experiment(run_cfg, base_pair if share_initial else None,
-                                       run_out)
+            series, _ = run_experiment(run_cfg, base_pair, run_out)
             fit = fit_decay_rate(series)
             rows.append(
                 SweepRow(

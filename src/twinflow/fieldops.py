@@ -26,7 +26,6 @@ and reuses for every evaluation, so a step allocates no ``N x N`` array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,39 +33,15 @@ import numpy as np
 from .spectral import (
     SpectralField,
     SpectralGrid,
-    StreamFunction,
     block_of,
     mirror_column,
 )
 
 __all__ = [
-    "VelocityField",
-    "velocity_from_stream",
     "nonlinear_block",
     "nonlinear_workspace",
     "stream_force_term",
-    "force_velocity",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class VelocityField:
-    """Two spectral components of a divergence-free velocity."""
-
-    ux: SpectralField
-    uy: SpectralField
-
-    @property
-    def grid(self) -> SpectralGrid:
-        return self.ux.grid
-
-
-def velocity_from_stream(psi: StreamFunction) -> VelocityField:
-    """u = perp-gradient of psi: ux_k = -i k2 psi_k, uy_k = i k1 psi_k."""
-    grid = psi.grid
-    ux = SpectralField(grid, -1j * grid.ky * psi.coeffs)
-    uy = SpectralField(grid, 1j * grid.kx * psi.coeffs)
-    return VelocityField(ux, uy)
 
 
 @lru_cache(maxsize=8)
@@ -162,7 +137,3 @@ def stream_force_term(f: SpectralField) -> SpectralField:
         inv = np.where(kmag > 0, 1.0 / kmag, 0.0)
     return SpectralField(f.grid, f.coeffs * inv)
 
-
-def force_velocity(f: SpectralField) -> VelocityField:
-    """Velocity-space components of the force a field represents."""
-    return velocity_from_stream(stream_force_term(f))

@@ -4,8 +4,8 @@ A force is a divergence-free (curl-type) vector field supported on an
 annulus of low wavenumbers. It is stored as a single scalar
 ``SpectralField`` - the amplitude profile whose Sobolev norms coincide
 with the vector force's, levelwise: ``|A^(n/2) f| == norm_hn(profile, n)``.
-The velocity components, when needed (e.g. for the sup-norm), are
-recovered via ``fieldops.force_velocity``.
+The sup-norm builds the velocity components from the profile
+(``force_sup_norm``).
 
 Every band mode gets unit magnitude and a phase derived from an integer
 hash of ``(k, seed)``, so the force is bit-reproducible across runs and
@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fieldops import force_velocity
+from .fieldops import stream_force_term
 from .spectral import SpectralField, SpectralGrid, norm_hn, to_physical
 
 __all__ = [
@@ -129,9 +129,11 @@ def grashof(f: SpectralField, nu: float) -> float:
 
 
 def force_sup_norm(f: SpectralField) -> float:
-    """max over grid points of the pointwise force magnitude |f(x)|."""
-    vel = force_velocity(f)
-    fx, fy = to_physical(vel.ux), to_physical(vel.uy)
+    """max over grid points of the pointwise force magnitude |f(x)|: the
+    force is the perp-gradient of ``stream_force_term(f)``."""
+    grid, g = f.grid, stream_force_term(f).coeffs
+    fx, fy = (to_physical(SpectralField(grid, d * g))
+              for d in (-1j * grid.ky, 1j * grid.kx))
     return float(np.sqrt(np.max(fx * fx + fy * fy)))
 
 

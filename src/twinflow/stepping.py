@@ -22,13 +22,14 @@ each step. A single flow is the uncoupled case. In a pair the coupling
 is evaluated on the observed modes ``P_N`` inside the block alone (when
 3 divides ``N`` the ball ``|k| <= N/3`` also holds modes outside it,
 which are never stepped), gathered from the blocks and written back into
-the right-hand side. One callback on the loop's cadence feeds the pair
-observer, or writes a spin-up's rolling checkpoint and then reports
-progress. Full-lattice ``SpectralField`` states are rebuilt by exact
-Hermitian reflection only where a caller sees them: the observer,
-rolling checkpoints, and the returned state (once). So every state handed
-out is exactly Hermitian, and stepping k times one call at a time equals
-one k-step call bitwise. Inputs must be Hermitian.
+the right-hand side. One callback on the loop's cadence hands a pair's
+stepped state to ``advance``'s observer, or writes a spin-up's rolling
+checkpoint and then reports progress; the checkpoint it writes is the
+one a later ``BlowUpError`` names. Full-lattice ``SpectralField`` states
+are rebuilt by exact Hermitian reflection only where a caller sees them:
+the observer, rolling checkpoints, and the returned state. So every
+state handed out is exactly Hermitian, and stepping k times one call at
+a time equals one k-step call bitwise. Inputs must be Hermitian.
 Checkpoints serialize a full pair state losslessly (see
 ``save_checkpoint`` for the byte layout).
 """
@@ -140,7 +141,7 @@ def _step_constants(grid: SpectralGrid, nu: float, dt: float):
 
 
 def _check_finite(psi: np.ndarray, weights: np.ndarray, limit: float, t: float,
-                  last_checkpoint: Optional[str]):
+                  last_checkpoint: Optional[str] = None):
     # |u|^2 in one reduction over the half-plane: NaN/Inf propagate.
     energy = weighted_power(weights, psi)
     if not np.isfinite(energy):
@@ -157,8 +158,8 @@ def _full(grid: SpectralGrid, block: np.ndarray) -> StreamFunction:
 
 def _evolve(cfg: SimConfig, psis: list, forces: list, nsteps: int, t: float = 0.0,
             step: int = 0, spec: Optional[IntertwinementSpec] = None,
-            cadence: Optional[Callable] = None, every: int = 1,
-            last_checkpoint: Optional[str] = None) -> tuple[list, float, int]:
+            cadence: Optional[Callable] = None,
+            every: int = 1) -> tuple[list, float, int]:
     """``nsteps`` steps of the full-lattice arrays ``psis`` under ``forces``:
     one flow, or two coupled through ``spec``.
 
@@ -177,12 +178,12 @@ def _evolve(cfg: SimConfig, psis: list, forces: list, nsteps: int, t: float = 0.
     # the input's modes outside the block are dropped below, so check them
     # here, once
     for c in psis:
-        _check_finite(half_plane(c), half_plane_energy_weights(grid), limit, t,
-                      last_checkpoint)
+        _check_finite(half_plane(c), half_plane_energy_weights(grid), limit, t)
     ps = [to_block(c, kmax) for c in psis]
     rs = [np.empty_like(p) for p in ps]
     gs = [to_block(stream_force_term(f).coeffs, kmax) for f in forces]
     work = nonlinear_workspace(grid)
+    checkpoint = None
     if spec is not None:
         # P_N on the block: when 3 | N, the ball |k| <= N/3 also holds
         # modes outside the block, which are never stepped
@@ -212,9 +213,9 @@ def _evolve(cfg: SimConfig, psis: list, forces: list, nsteps: int, t: float = 0.
         ps, rs = rs, ps
         t, step = t + dt, step + 1
         for p in ps:
-            _check_finite(p, weights, limit, t, last_checkpoint)
+            _check_finite(p, weights, limit, t, checkpoint)
         if cadence is not None and (i + 1) % every == 0:
-            last_checkpoint = cadence(ps, t, step) or last_checkpoint
+            checkpoint = cadence(ps, t, step) or checkpoint
     return ps, t, step
 
 
@@ -241,39 +242,30 @@ def advance(
     nsteps: int,
     observer: Optional[Callable[[PairState], None]] = None,
     observe_every: int = 1,
-    last_checkpoint: Optional[str] = None,
 ) -> PairState:
     """Run ``nsteps`` steps of the pair coupled through ``spec`` under forces
-    (f1, f2), invoking ``observer`` on the cadence.
+    (f1, f2), and return the stepped state (the input itself when
+    ``nsteps`` is 0).
 
-    The observer also sees the initial state. The state it sees at the
-    last step is the one returned. Stepping projects the state onto the
+    ``observer`` sees the stepped state after every ``observe_every``
+    steps, never the input. Stepping projects the state onto the
     dealiased block first: a state with modes outside the 2/3 mask steps
     exactly as its copy with those modes zeroed
     (``coeffs * grid.dealias_mask``) does.
     """
-    grid, end = cfg.grid, state.step_index + nsteps
-    final = state
-
-    def observe(ps, t, step):
-        nonlocal final
-        out = PairState(_full(grid, ps[0]), _full(grid, ps[1]), t, step)
-        observer(out)
-        if step == end:
-            final = out
-
-    if observer is not None:
-        observer(state)
     if nsteps == 0:
         return state
+    grid = cfg.grid
+
+    def observe(ps, t, step):
+        observer(PairState(_full(grid, ps[0]), _full(grid, ps[1]), t, step))
+
     (p1, p2), t, step = _evolve(
         cfg, [state.psi1.coeffs, state.psi2.coeffs], [f1, f2], nsteps,
         state.t, state.step_index, spec, observe if observer is not None else None,
-        observe_every, last_checkpoint,
+        observe_every,
     )
-    if final.step_index != end:
-        final = PairState(_full(grid, p1), _full(grid, p2), t, step)
-    return final
+    return PairState(_full(grid, p1), _full(grid, p2), t, step)
 
 
 def spin_up(

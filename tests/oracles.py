@@ -10,8 +10,9 @@
 * ``trilinear_b`` is a second, full-lattice advection path: the form
   ``<(u.grad)v, w>`` by complex ``ifft2`` derivatives and grid
   quadrature, for the Navier-Stokes identities on velocity triples.
-  ``velocity_laplacian`` and ``divergence`` are the spectral operators
-  those checks use.
+  ``VelocityField`` holds such a velocity, ``velocity_from_stream`` and
+  ``force_velocity`` build one, and ``velocity_laplacian`` and
+  ``divergence`` are the spectral operators those checks use.
 * ``physical_coords``, ``field_from_physical`` and ``hermitian_defect``
   build fields from physical samples and measure their symmetry.
 * ``checkpoint_bytes`` writes a checkpoint from the byte layout in the
@@ -21,10 +22,12 @@
 import math
 import struct
 import zlib
+from dataclasses import dataclass
 
 import numpy as np
 
 import twinflow as tf
+from twinflow.fieldops import stream_force_term
 
 
 def convolution_nonlinear_term(psi):
@@ -200,10 +203,35 @@ def hermitian_defect(field):
     return float(np.max(np.abs(c - np.conj(c[np.ix_(mirror, mirror)]))))
 
 
+@dataclass(frozen=True, eq=False)
+class VelocityField:
+    """Two spectral components of a divergence-free velocity."""
+
+    ux: tf.SpectralField
+    uy: tf.SpectralField
+
+    @property
+    def grid(self):
+        return self.ux.grid
+
+
+def velocity_from_stream(psi):
+    """u = perp-gradient of psi: ux_k = -i k2 psi_k, uy_k = i k1 psi_k."""
+    grid = psi.grid
+    ux = tf.SpectralField(grid, -1j * grid.ky * psi.coeffs)
+    uy = tf.SpectralField(grid, 1j * grid.kx * psi.coeffs)
+    return VelocityField(ux, uy)
+
+
+def force_velocity(f):
+    """Velocity-space components of the force a field represents."""
+    return velocity_from_stream(stream_force_term(f))
+
+
 def velocity_laplacian(u):
     """Componentwise Stokes-operator action: coefficients times |k|^2."""
     ksq = u.grid.ksq
-    return tf.VelocityField(
+    return VelocityField(
         tf.SpectralField(u.grid, u.ux.coeffs * ksq),
         tf.SpectralField(u.grid, u.uy.coeffs * ksq),
     )

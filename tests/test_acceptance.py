@@ -22,11 +22,16 @@ from twinflow.coupling import (
     threshold_mutual_sync,
     threshold_symmetric_nudge,
 )
-from twinflow.experiment import error_record, fit_decay_rate, run_experiment
-from twinflow.stepping import advance, load_checkpoint, save_checkpoint
+from twinflow.experiment import fit_decay_rate, run_experiment
+from twinflow.stepping import load_checkpoint, save_checkpoint
 
 from conftest import nonlinear_full, random_psi, velocity_norm
-from oracles import convolution_nonlinear_term, trilinear_b, velocity_laplacian
+from oracles import (
+    convolution_nonlinear_term,
+    trilinear_b,
+    velocity_from_stream,
+    velocity_laplacian,
+)
 
 DESK = preset_config("desk")
 
@@ -61,17 +66,12 @@ def desk_pair(desk_base):
     return tf.PairState(psi1, psi2)
 
 
-@pytest.fixture(scope="session")
-def desk_force():
-    return tf.make_band_forcing(DESK.forcing, DESK.grid, DESK.nu)
-
-
 def test_criterion_1_trilinear_identities(rng):
     t0 = time.perf_counter()
     grid = tf.SpectralGrid(64)
     for _ in range(100):
-        u = tf.velocity_from_stream(random_psi(grid, rng))
-        v = tf.velocity_from_stream(random_psi(grid, rng))
+        u = velocity_from_stream(random_psi(grid, rng))
+        v = velocity_from_stream(random_psi(grid, rng))
         skew = abs(trilinear_b(u, v, v))
         assert skew <= 1e-10 * velocity_norm(u, 1) * velocity_norm(v, 1) ** 2
         au = velocity_laplacian(u)
@@ -123,40 +123,33 @@ def test_criterion_3_integrating_factor_exactness():
     _report(3, "viscous decay exact over 10^4 steps", time.perf_counter() - t0, 5)
 
 
-def test_criterion_4_observed_mode_heat_invariant(desk_pair, desk_force):
+def _desk_run(coupling, t_end, record_every, initial):
+    """Error series of a desk-scale run of the given pair."""
+    cfg = replace(DESK, coupling=coupling, t_end=t_end, record_every=record_every)
+    series, _ = run_experiment(cfg, initial=initial)
+    return series
+
+
+def test_criterion_4_observed_mode_heat_invariant(desk_pair):
     t0 = time.perf_counter()
-    cutoff = 20.0
-    spec = tf.IntertwinementSpec("mutual_sync", cutoff, theta1=0.5)
-    plow0 = tf.norm_hn(tf.project_low(desk_pair.psi1 - desk_pair.psi2, cutoff), 1)
+    spec = tf.IntertwinementSpec("mutual_sync", 20.0, theta1=0.5)
+    series = _desk_run(spec, 10.0, 5, desk_pair)
     slack = 1e-10 * tf.norm_hn(desk_pair.psi1, 1)
-    samples = []
-    observer = lambda s: samples.append(
-        (s.t, tf.norm_hn(tf.project_low(s.psi1 - s.psi2, cutoff), 1))
-    )
-    advance(desk_pair, DESK.sim, spec, desk_force, desk_force,
-            int(round(10.0 / DESK.dt)), observer, 5)
-    for t, plow in samples:
-        assert plow <= math.exp(-DESK.nu * t) * plow0 + slack
+    for rec in series:
+        assert rec.err_low <= math.exp(-DESK.nu * rec.t) * series[0].err_low + slack
     _report(4, "observed modes of mutual sync obey the heat bound",
             time.perf_counter() - t0, 120)
 
 
-def test_criterion_5_degenerate_low_mode_identity(desk_base, desk_force):
+def test_criterion_5_degenerate_low_mode_identity(desk_base):
     t0 = time.perf_counter()
     psi1, _ = desk_base
     cutoff = 20.0
     spec = tf.IntertwinementSpec("degenerate_sync", cutoff)
     state = tf.PairState(psi1, tf.project_low(psi1, cutoff))
-    scale = tf.norm_hn(psi1, 1)
-    worst = 0.0
-
-    def observer(s):
-        nonlocal worst
-        drift = tf.norm_hn(tf.project_low(s.psi1 - s.psi2, cutoff), 1)
-        worst = max(worst, drift)
-
-    advance(state, DESK.sim, spec, desk_force, desk_force, 1000, observer, 10)
-    assert worst <= 1e-12 * scale
+    series = _desk_run(spec, 1000 * DESK.dt, 10, state)
+    assert len(series) == 101  # step 0 and every 10th of 1000 steps
+    assert max(r.err_low for r in series) <= 1e-12 * tf.norm_hn(psi1, 1)
     _report(5, "degenerate sync keeps projected states identical for 1000 steps",
             time.perf_counter() - t0, 60)
 
@@ -187,21 +180,17 @@ def test_criterion_6_theta_sweep(desk_base):
             time.perf_counter() - t0, 900)
 
 
-def _nudging_runs(desk_pair, desk_force, variant):
-    runs = {}
-    for mu2 in (0.0, 25.0, 50.0):
-        spec = tf.IntertwinementSpec(variant, 20.0, mu1=50.0, mu2=mu2)
-        series = []
-        observer = lambda s: series.append(error_record(s, 20.0))
-        advance(desk_pair, DESK.sim, spec, desk_force, desk_force,
-                int(round(12.0 / DESK.dt)), observer, 1)
-        runs[mu2] = series
-    return runs
+def _nudging_runs(desk_pair, variant):
+    return {
+        mu2: _desk_run(tf.IntertwinementSpec(variant, 20.0, mu1=50.0, mu2=mu2),
+                       12.0, 1, desk_pair)
+        for mu2 in (0.0, 25.0, 50.0)
+    }
 
 
-def test_criterion_7_mutual_nudging_rates(desk_pair, desk_force):
+def test_criterion_7_mutual_nudging_rates(desk_pair):
     t0 = time.perf_counter()
-    runs = _nudging_runs(desk_pair, desk_force, "mutual_nudge")
+    runs = _nudging_runs(desk_pair, "mutual_nudge")
     early, late = {}, {}
     for mu2, series in runs.items():
         drop = series[0].err_h / min(r.err_h for r in series)
@@ -217,9 +206,9 @@ def test_criterion_7_mutual_nudging_rates(desk_pair, desk_force):
             time.perf_counter() - t0, 900)
 
 
-def test_criterion_8_symmetric_nudging_rates(desk_pair, desk_force):
+def test_criterion_8_symmetric_nudging_rates(desk_pair):
     t0 = time.perf_counter()
-    runs = _nudging_runs(desk_pair, desk_force, "symmetric_nudge")
+    runs = _nudging_runs(desk_pair, "symmetric_nudge")
     fits = {}
     for mu2, series in runs.items():
         drop = series[0].err_h / min(r.err_h for r in series)

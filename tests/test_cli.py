@@ -8,7 +8,7 @@ from twinflow.experiment import read_series_csv
 from twinflow.stepping import load_checkpoint, save_checkpoint
 
 from conftest import random_psi
-from test_experiment import tiny_config
+from test_experiment import blowup_config, tiny_config
 
 
 @pytest.fixture
@@ -50,6 +50,16 @@ def test_run_missing_checkpoint_exits_2(capsys, tmp_path, config_file):
     )
     assert code == 2
     assert "ghost.ckpt" in capsys.readouterr().err
+
+
+def test_run_blow_up_exits_3(capsys, tmp_path):
+    config = tmp_path / "blowup.ini"
+    write_config(blowup_config(), config)
+    out = tmp_path / "out"
+    code = cli_main(["run", "--config", str(config), "--out", str(out)])
+    assert code == 3
+    assert "blow-up" in capsys.readouterr().err
+    assert (out / "series.csv").exists() and not (out / "final.ckpt").exists()
 
 
 def test_run_writes_series(tmp_path, config_file):

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from twinflow.experiment import (
     threshold_report,
     write_series_csv,
 )
-from twinflow.stepping import save_checkpoint
+from twinflow.stepping import BlowUpError, save_checkpoint
 
 from conftest import hermitian_part, random_psi
 from oracles import field_from_physical, full_lattice_error_record
@@ -54,6 +55,17 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def blowup_config():
+    """Mutual nudging at mu * dt = 10: explicit Euler multiplies the observed
+    difference of the pair by -19 a step, so a decorrelated pair blows up
+    within ten steps."""
+    return tiny_config(
+        coupling=tf.IntertwinementSpec("mutual_nudge", 5.0, mu1=1e3, mu2=1e3),
+        init_kind="decorrelated",
+        record_every=1,
+    )
 
 
 class TestErrorRecord:
@@ -120,6 +132,19 @@ class TestRunExperiment:
         back = read_series_csv(tmp_path / "series.csv")
         assert len(back) == len(series)
         assert back[-1].err_h == series[-1].err_h  # 17 digits round-trips doubles
+
+    def test_blow_up_writes_records_taken(self, tmp_path):
+        cfg = blowup_config()
+        with pytest.raises(BlowUpError) as info:
+            run_experiment(cfg, output_dir=tmp_path)
+        assert info.value.last_checkpoint is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.ini",
+                                                              "series.csv"]
+        # the records of the steps before the one that blew up
+        done = int(round(info.value.t / cfg.dt)) - 1
+        assert done >= 1
+        series, _ = run_experiment(replace(cfg, t_end=done * cfg.dt))
+        assert read_series_csv(tmp_path / "series.csv") == series
 
     def test_init_modes(self, tmp_path):
         cfg = tiny_config(init_kind="projected_low")
@@ -231,9 +256,8 @@ class TestSweep:
 
     def test_shared_initial_matches_serial(self, tmp_path):
         cfg = tiny_config(t_end=1.0, record_every=2)
-        pair = prepare_initial_pair(cfg)
-        rows = tf.sweep(cfg, "mu2", [0.0], initial=pair)
-        series, _ = run_experiment(cfg, initial=pair)
+        rows = tf.sweep(cfg, "mu2", [0.0])
+        series, _ = run_experiment(cfg, initial=prepare_initial_pair(cfg))
         assert rows[0].final_err_h == series[-1].err_h
 
 

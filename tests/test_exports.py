@@ -32,7 +32,6 @@ def test_public_surface_is_pinned():
         "SpectralField",
         "SpectralGrid",
         "StreamFunction",
-        "VelocityField",
         "__version__",
         "absorbing_radii",
         "decorrelate",
@@ -54,5 +53,4 @@ def test_public_surface_is_pinned():
         "threshold_mutual_sync",
         "threshold_symmetric_nudge",
         "to_physical",
-        "velocity_from_stream",
     ]

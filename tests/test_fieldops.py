@@ -2,22 +2,20 @@ import numpy as np
 import pytest
 
 import twinflow as tf
-from twinflow.fieldops import (
-    force_velocity,
-    nonlinear_block,
-    nonlinear_workspace,
-    stream_force_term,
-)
+from twinflow.fieldops import nonlinear_block, nonlinear_workspace, stream_force_term
 from twinflow.spectral import from_block, half_plane, to_block, zero_field
 
 from conftest import nonlinear_full, random_psi, velocity_norm
 from oracles import (
+    VelocityField,
     convolution_nonlinear_term,
     divergence,
     field_from_physical,
     five_transform_nonlinear_half,
+    force_velocity,
     physical_coords,
     trilinear_b,
+    velocity_from_stream,
     velocity_laplacian,
 )
 
@@ -26,12 +24,12 @@ class TestVelocityFromStream:
     def test_shear_mode(self, grid64):
         x, y = physical_coords(grid64)
         psi = field_from_physical(grid64, np.cos(y))
-        u = tf.velocity_from_stream(psi)
+        u = velocity_from_stream(psi)
         assert np.max(np.abs(tf.to_physical(u.ux) - np.sin(y))) <= 1e-12
         assert np.max(np.abs(tf.to_physical(u.uy))) <= 1e-13
 
     def test_zero(self, grid64):
-        u = tf.velocity_from_stream(zero_field(grid64))
+        u = velocity_from_stream(zero_field(grid64))
         assert not np.any(u.ux.coeffs) and not np.any(u.uy.coeffs)
 
     def test_divergence_exactly_zero_on_unit_modes(self, grid64):
@@ -39,12 +37,12 @@ class TestVelocityFromStream:
         for k1, k2 in ((3, 5), (-7, 2), (11, -11)):
             c[k1 % 64, k2 % 64] = 1.0
             c[(-k1) % 64, (-k2) % 64] = 1.0
-        u = tf.velocity_from_stream(tf.SpectralField(grid64, c))
+        u = velocity_from_stream(tf.SpectralField(grid64, c))
         assert np.max(np.abs(divergence(u).coeffs)) == 0.0
 
     def test_divergence_free_within_roundoff(self, grid64, rng):
         psi = random_psi(grid64, rng)
-        u = tf.velocity_from_stream(psi)
+        u = velocity_from_stream(psi)
         div = divergence(u)
         assert np.max(np.abs(div.coeffs)) <= 1e-13 * tf.norm_hn(psi, 1)
 
@@ -52,14 +50,14 @@ class TestVelocityFromStream:
 class TestDivergence:
     def test_sin_x_velocity(self, grid64):
         x, y = physical_coords(grid64)
-        u = tf.VelocityField(
+        u = VelocityField(
             field_from_physical(grid64, np.sin(x)), zero_field(grid64)
         )
         div = divergence(u)
         assert np.max(np.abs(tf.to_physical(div) - np.cos(x))) <= 1e-12
 
     def test_zero(self, grid64):
-        u = tf.VelocityField(zero_field(grid64), zero_field(grid64))
+        u = VelocityField(zero_field(grid64), zero_field(grid64))
         assert not np.any(divergence(u).coeffs)
 
 
@@ -150,21 +148,21 @@ class TestBlockWorkspace:
 class TestTrilinear:
     def test_skew_symmetry(self, grid64, rng):
         for _ in range(5):
-            u = tf.velocity_from_stream(random_psi(grid64, rng))
-            v = tf.velocity_from_stream(random_psi(grid64, rng))
-            w = tf.velocity_from_stream(random_psi(grid64, rng))
+            u = velocity_from_stream(random_psi(grid64, rng))
+            v = velocity_from_stream(random_psi(grid64, rng))
+            w = velocity_from_stream(random_psi(grid64, rng))
             scale = velocity_norm(u, 1) * velocity_norm(v, 1) * velocity_norm(w, 1)
             assert abs(trilinear_b(u, v, w) + trilinear_b(u, w, v)) <= 1e-10 * scale
 
     def test_second_slot_annihilation(self, grid64, rng):
-        u = tf.velocity_from_stream(random_psi(grid64, rng))
-        v = tf.velocity_from_stream(random_psi(grid64, rng))
+        u = velocity_from_stream(random_psi(grid64, rng))
+        v = velocity_from_stream(random_psi(grid64, rng))
         scale = velocity_norm(u, 1) * velocity_norm(v, 1) ** 2
         assert abs(trilinear_b(u, v, v)) <= 1e-10 * scale
 
     def test_enstrophy_identity(self, grid64, rng):
         psi = random_psi(grid64, rng)
-        u = tf.velocity_from_stream(psi)
+        u = velocity_from_stream(psi)
         au = velocity_laplacian(u)
         scale = velocity_norm(u, 1) * velocity_norm(au, 0) * velocity_norm(u, 0)
         assert abs(trilinear_b(u, u, au)) <= 1e-10 * scale

@@ -215,11 +215,15 @@ class TestOneStepPath:
         f = tf.make_band_forcing(forced_cfg.forcing, grid32, forced_cfg.nu)
         start = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng))
         seen = []
+        assert advance(start, forced_cfg, spec, f, f, 0, seen.append) is start
         final = advance(start, forced_cfg, spec, f, f, 6, seen.append, 2)
-        assert [s.step_index for s in seen] == [0, 2, 4, 6]
-        assert seen[-1] is final
+        # the observer sees stepped states only, never the input
+        assert [s.step_index for s in seen] == [2, 4, 6]
+        assert np.array_equal(seen[-1].psi1.coeffs, final.psi1.coeffs)
+        assert np.array_equal(seen[-1].psi2.coeffs, final.psi2.coeffs)
+        assert (seen[-1].t, seen[-1].step_index) == (final.t, final.step_index)
         stepped = advance(start, forced_cfg, spec, f, f, 1)
-        for state in seen[1:] + [stepped]:
+        for state in seen + [final, stepped]:
             assert_exact_state(state.psi1)
             assert_exact_state(state.psi2)
 
@@ -261,6 +265,21 @@ class TestBlowUpDetection:
         huge = random_psi(grid32, rng, scale=1e12)
         with pytest.raises(BlowUpError, match="absorbing radius"):
             tf.step_single(huge, forced_cfg, zero_force(grid32))
+
+    def test_spin_up_blow_up_names_newest_checkpoint(self, grid32, tmp_path):
+        # dt = 0.05 under a Grashof 10^6 force is past the explicit step's
+        # stability limit: the spin-up blows up after some checkpoints
+        cfg = tf.SimConfig(nu=0.01, dt=0.05, grid=grid32,
+                           forcing=tf.ForcingSpec(10, 12, 1e6, phase_seed=3))
+        with pytest.raises(BlowUpError) as info:
+            tf.spin_up(cfg, 5.0, checkpoint_dir=tmp_path, checkpoint_every=0.25)
+        newest = sorted(tmp_path.glob("spinup_*.ckpt"))[-1]
+        assert info.value.last_checkpoint == str(newest)
+        assert str(newest) in str(info.value)
+        state, dt = load_checkpoint(newest)  # length and CRC checked
+        blown = int(round(info.value.t / cfg.dt))
+        assert dt == cfg.dt
+        assert blown - 5 <= state.step_index < blown
 
 
 class TestSpinUpDecorrelate:
