@@ -22,7 +22,7 @@ from .config import (
     write_config,
 )
 from .experiment import SWEEP_AXES, run_experiment, sweep, sweep_label, threshold_report
-from .spectral import energy_spectrum, spectral_power
+from .spectral import energy_spectrum
 from .stepping import (
     BlowUpError,
     CheckpointError,
@@ -122,8 +122,7 @@ def _cmd_thresholds(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     state, _ = load_checkpoint(args.checkpoint)
-    # velocity-level energy: one power of |k| on the streamfunction
-    shells = energy_spectrum(spectral_power(state.psi1, 1.0))
+    shells = energy_spectrum(state.psi1)
     out = Path(args.out) if args.out else None
     lines = ["shell,energy"]
     lines += [f"{m},{e:.17g}" for m, e in enumerate(shells)]

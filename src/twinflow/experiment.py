@@ -30,7 +30,7 @@ from .spectral import (
     SpectralField,
     StreamFunction,
     half_plane,
-    half_plane_energy_weights,
+    half_plane_weights,
     low_mode_mask,
     project_low,
     weighted_power,
@@ -92,11 +92,11 @@ def error_record(state: PairState, cutoff: float) -> ErrorRecord:
     Streamfunction differences map to velocity norms with one extra
     power of |k|; the low/high split squares to err_h^2 exactly. The sums
     run over the half-plane with the column weights of
-    ``half_plane_energy_weights``, so the pair must be Hermitian, as every
+    ``half_plane_weights``, so the pair must be Hermitian, as every
     state the stepper hands out is.
     """
     grid = state.grid
-    weights = half_plane_energy_weights(grid)
+    weights = half_plane_weights(grid, 1)
     p1, p2 = half_plane(state.psi1.coeffs), half_plane(state.psi2.coeffs)
     diff = p1 - p2
     # |k|^2 |psi_k|^2 = velocity energy density, mirror modes included
@@ -345,9 +345,9 @@ def sweep(
 ) -> list[SweepRow]:
     """Run one experiment per axis value; failures do not stop the sweep.
 
-    The initial pair is prepared once from the base config and shared,
-    except for cutoff sweeps with projection-matched init, where the
-    observer's initial state depends on the cutoff itself. Each value
+    The initial pair is prepared once from the base config and shared; a
+    cutoff sweep with projection-matched init gives each run the low modes
+    of the shared reference at its own cutoff. Each value
     names its run directory (``sweep_label``), so a repeated value raises
     ``ConfigError`` before anything is made.
     """
@@ -358,15 +358,15 @@ def sweep(
     out = Path(output_dir) if output_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    # The prepared pair is axis-independent except when the cutoff itself
-    # shapes the projection-matched observer.
-    share_initial = not (axis == "cutoff" and cfg.init_kind == "projected_low")
-    base_pair = prepare_initial_pair(cfg) if share_initial and values else None
+    base_pair = prepare_initial_pair(cfg) if values else None
     for value, label in zip(values, labels):
         run_out = out / f"{axis}_{label}" if out is not None else None
         try:
             run_cfg = _with_axis_value(cfg, axis, float(value))
-            series, _ = run_experiment(run_cfg, base_pair, run_out)
+            initial = base_pair
+            if axis == "cutoff" and cfg.init_kind == "projected_low":
+                initial = replace(base_pair, psi2=project_low(base_pair.psi1, float(value)))
+            series, _ = run_experiment(run_cfg, initial, run_out)
             fit = fit_decay_rate(series)
             rows.append(
                 SweepRow(

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fieldops import stream_force_term
-from .spectral import SpectralField, SpectralGrid, norm_hn, to_physical
+from .spectral import SpectralField, SpectralGrid, block_of, from_block, norm_hn, to_physical
 
 __all__ = [
     "ForcingSpec",
@@ -90,26 +90,23 @@ def make_band_forcing(spec: ForcingSpec, grid: SpectralGrid, nu: float) -> Spect
     """
     if nu <= 0:
         raise ValueError(f"viscosity must be positive, got {nu}")
-    ksq_int = grid.kx.astype(np.int64) ** 2 + grid.ky.astype(np.int64) ** 2
-    band = (ksq_int >= spec.band_low) & (ksq_int <= spec.band_high)
-    band &= grid.dealias_mask
+    kmax = grid.dealias_kmax
+    kx, ky = block_of(grid.kx, kmax), block_of(grid.ky, kmax)
+    ksq = kx * kx + ky * ky
+    band = (ksq >= spec.band_low) & (ksq <= spec.band_high)
     band[0, 0] = False
     if not band.any():
         raise ValueError("forcing band contains no lattice modes")
 
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    kx, ky = grid.kx, grid.ky
+    # fill the dealiased block, reflect the rest: each mode pair takes the
+    # phase of its lexicographically smaller member, c_{-k} = conj(c_k)
+    block = np.zeros(band.shape, dtype=np.complex128)
     for i, j in zip(*np.nonzero(band)):
-        k1, k2 = int(kx[i, j]), int(ky[i, j])
-        if (k1, k2) > (-k1, -k2):
-            continue  # fill canonical half; mirror below
-        phase = _mode_phase(k1, k2, spec.phase_seed)
-        coeffs[i, j] = np.exp(1j * phase)
-    # Hermitian mirror: c_{-k} = conj(c_k)
-    n = grid.resolution
-    idx = (-np.arange(n)) % n
-    mirror = np.conj(coeffs[np.ix_(idx, idx)])
-    coeffs = np.where(coeffs != 0, coeffs, mirror)
+        k = (int(kx[i, j]), int(ky[i, j]))
+        smaller = min(k, (-k[0], -k[1]))
+        c = np.exp(1j * _mode_phase(*smaller, spec.phase_seed))
+        block[i, j] = c if k == smaller else np.conj(c)
+    coeffs = from_block(block, grid.resolution)
 
     field = SpectralField(grid, coeffs)
     target = spec.grashof_target * nu**2

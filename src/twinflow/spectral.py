@@ -22,9 +22,11 @@ flagged read-only, and every operation returns a new field.
 
 Fields at the API hold the full ``N x N`` lattice. A real field's
 coefficients satisfy ``c_{-k} = conj(c_k)``, so the ``rfft2`` half-plane
-(every ``kx``, ``ky = 0 .. N/2``) determines the rest; the error norms
-sum over it (``half_plane``). The time stepper keeps less: the dealiased
-block of the half-plane, the ``(2K+1) x (K+1)`` raw array of the modes
+(every ``kx``, ``ky = 0 .. N/2``) determines the rest. Norms, spectra,
+error records and the blow-up check sum over it with the column weights
+of ``half_plane_weights``, and ``to_physical`` transforms it: the columns
+``ky < 0`` are never read. The stepper keeps less: the dealiased block of
+the half-plane, the ``(2K+1) x (K+1)`` raw array of the modes
 ``|kx| <= K``, ``ky = 0 .. K`` with ``K = grid.dealias_kmax``, rows
 ``kx = 0 .. K`` then ``-K .. -1`` (``to_block`` / ``from_block``; at
 ``512^2`` that is ``341 x 171``, 44% of the half-plane). Inputs to the
@@ -142,8 +144,8 @@ def zero_field(grid: SpectralGrid) -> SpectralField:
 
 
 def to_physical(field: SpectralField) -> np.ndarray:
-    """Inverse transform; imaginary residue is dropped (fields are real)."""
-    return np.fft.ifft2(field.coeffs, norm="forward").real
+    """Inverse transform of the half-plane (fields are real)."""
+    return np.fft.irfft2(half_plane(field.coeffs), s=field.grid.shape, norm="forward")
 
 
 def half_plane(arr: np.ndarray) -> np.ndarray:
@@ -151,19 +153,32 @@ def half_plane(arr: np.ndarray) -> np.ndarray:
     return arr[:, : arr.shape[0] // 2 + 1]
 
 
-@lru_cache(maxsize=8)
-def half_plane_energy_weights(grid: SpectralGrid) -> np.ndarray:
-    """Weights of ``|u|^2 = sum |k|^2 |psi_k|^2`` on the half-plane (read-only).
+def half_plane_weights(grid: SpectralGrid, n: int) -> np.ndarray:
+    """Weights of ``sum |k|^(2n) |c_k|^2`` on the half-plane (read-only).
 
     Columns ``ky = 0`` and ``ky = N/2`` hold each mode once; every other
     half-plane column stands for itself and its mirror, so counts twice.
     Summing these weights times ``|c_k|^2`` over the half-plane of a
-    Hermitian array gives the full-lattice sum.
+    Hermitian array gives the full-lattice sum. The mean mode weighs 1 at
+    ``n = 0`` and 0 at any other order. Only the order-1 table (the
+    velocity energy ``|k|^2 |psi_k|^2``) is cached; other orders are
+    built per call.
     """
+    return _energy_weights(grid) if n == 1 else _weights(grid, n)
+
+
+@lru_cache(maxsize=8)
+def _energy_weights(grid: SpectralGrid) -> np.ndarray:
+    return _weights(grid, 1)
+
+
+def _weights(grid: SpectralGrid, n: int) -> np.ndarray:
     ksq = half_plane(grid.ksq)
-    weights = 2.0 * ksq
-    weights[:, 0] = ksq[:, 0]
-    weights[:, -1] = ksq[:, -1]
+    with np.errstate(divide="ignore"):
+        power = ksq**n
+    power[0, 0] = float(n == 0)
+    weights = 2.0 * power
+    weights[:, 0], weights[:, -1] = power[:, 0], power[:, -1]
     weights.setflags(write=False)
     return weights
 
@@ -236,42 +251,25 @@ def low_mode_mask(grid: SpectralGrid, cutoff: float) -> np.ndarray:
 
 
 def norm_hn(field: SpectralField, n: int = 0) -> float:
-    """Sobolev-scale norm: 2*pi * sqrt(sum |k|^(2n) |c_k|^2).
+    """Sobolev-scale norm: 2*pi * sqrt(sum |k|^(2n) |c_k|^2), on the half-plane.
 
     ``n=0`` is the L2 norm |u|, ``n=1`` the gradient norm ||u||. Negative
     ``n`` requires an exactly mean-free field.
     """
-    c = field.coeffs
-    if n == 0:
-        total = np.sum(np.abs(c) ** 2)
-        return PARSEVAL_FACTOR * float(np.sqrt(total))
-    if n < 0 and c[0, 0] != 0:
+    if n < 0 and field.coeffs[0, 0] != 0:
         raise ValueError("negative-order norm of a field with nonzero mean mode")
-    ksq = field.grid.ksq
-    with np.errstate(divide="ignore"):
-        weights = np.where(ksq > 0, ksq**n, 0.0)
-    total = np.sum(weights * np.abs(c) ** 2)
+    total = weighted_power(half_plane_weights(field.grid, n), half_plane(field.coeffs))
     return PARSEVAL_FACTOR * float(np.sqrt(total))
 
 
-def spectral_power(field: SpectralField, p: float) -> SpectralField:
-    """Multiply coefficients by |k|^p, zeroing the mean mode.
+def energy_spectrum(psi: StreamFunction) -> np.ndarray:
+    """Velocity energy shells of a streamfunction: S[m] = (2*pi)^2 times
+    the sum of |k|^2 |psi_k|^2 over m <= |k| < m+1, on the half-plane.
 
-    ``p=2`` is -laplacian, ``p=-2`` its inverse, ``p=1`` maps a
-    streamfunction to a field with the induced velocity's norms.
-    """
-    kmag = field.grid.kmag
-    with np.errstate(divide="ignore"):
-        weights = np.where(kmag > 0, kmag**p, 0.0)
-    return SpectralField(field.grid, field.coeffs * weights)
-
-
-def energy_spectrum(field: SpectralField) -> np.ndarray:
-    """Shell energies S[m] = sum of |u|^2 over m <= |k| < m+1.
-
-    Shells partition the lattice, so ``S.sum() == norm_hn(field, 0)**2``
+    Shells partition the lattice, so ``S.sum() == norm_hn(psi, 1)**2``
     up to roundoff.
     """
-    shells = np.floor(field.grid.kmag).astype(np.int64)
-    weights = PARSEVAL_FACTOR**2 * np.abs(field.coeffs) ** 2
-    return np.bincount(shells.ravel(), weights=weights.ravel())
+    shells = np.floor(half_plane(psi.grid.kmag)).astype(np.int64)
+    c = half_plane(psi.coeffs)
+    energy = PARSEVAL_FACTOR**2 * half_plane_weights(psi.grid, 1) * (c.real**2 + c.imag**2)
+    return np.bincount(shells.ravel(), weights=energy.ravel())

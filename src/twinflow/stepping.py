@@ -58,7 +58,7 @@ from .spectral import (
     block_of,
     from_block,
     half_plane,
-    half_plane_energy_weights,
+    half_plane_weights,
     shared_grid,
     to_block,
     weighted_power,
@@ -134,7 +134,7 @@ def _step_constants(grid: SpectralGrid, nu: float, dt: float):
     blow-up energy sum |k|^2 |psi_k|^2."""
     kmax = grid.dealias_kmax
     efac = np.exp(-nu * block_of(grid.ksq, kmax) * dt)
-    weights = block_of(half_plane_energy_weights(grid), kmax)
+    weights = block_of(half_plane_weights(grid, 1), kmax)
     for arr in (efac, weights):
         arr.setflags(write=False)
     return efac, weights
@@ -178,7 +178,7 @@ def _evolve(cfg: SimConfig, psis: list, forces: list, nsteps: int, t: float = 0.
     # the input's modes outside the block are dropped below, so check them
     # here, once
     for c in psis:
-        _check_finite(half_plane(c), half_plane_energy_weights(grid), limit, t)
+        _check_finite(half_plane(c), half_plane_weights(grid, 1), limit, t)
     ps = [to_block(c, kmax) for c in psis]
     rs = [np.empty_like(p) for p in ps]
     gs = [to_block(stream_force_term(f).coeffs, kmax) for f in forces]

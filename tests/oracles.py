@@ -3,10 +3,10 @@
 * ``convolution_nonlinear_term`` and ``scalar_reference_pair_step`` work
   coefficient by coefficient with explicit loops and no FFTs, so they
   share no code path with the package's pseudo-spectral evaluation.
-* ``five_transform_nonlinear_half`` and ``full_lattice_error_record``
-  keep earlier, more direct formulations of package functions (the
-  five-transform advection term, the full-lattice error norms) as
-  references for the faster ones.
+* ``five_transform_nonlinear_half``, ``full_lattice_error_record`` and
+  ``full_lattice_norm`` keep earlier, more direct formulations of package
+  functions (the five-transform advection term, the full-lattice error
+  and Sobolev norms) as references for the half-plane ones.
 * ``trilinear_b`` is a second, full-lattice advection path: the form
   ``<(u.grad)v, w>`` by complex ``ifft2`` derivatives and grid
   quadrature, for the Navier-Stokes identities on velocity triples.
@@ -166,6 +166,20 @@ def full_lattice_error_record(state, cutoff):
         two_pi**2 * float(np.sum(ksq * np.abs(state.psi1.coeffs) ** 2)),
         two_pi**2 * float(np.sum(ksq * np.abs(state.psi2.coeffs) ** 2)),
     )
+
+
+def full_lattice_norm(field, n):
+    """``2*pi * sqrt(sum |k|^(2n) |c_k|^2)`` summed over the whole ``N x N``
+    lattice, with the mean mode weighing 1 at ``n = 0`` and 0 otherwise."""
+    c = field.coeffs
+    if n == 0:
+        total = np.sum(np.abs(c) ** 2)
+    else:
+        ksq = field.grid.ksq
+        with np.errstate(divide="ignore"):
+            weights = np.where(ksq > 0, ksq**n, 0.0)
+        total = np.sum(weights * np.abs(c) ** 2)
+    return 2.0 * np.pi * float(np.sqrt(total))
 
 
 def checkpoint_bytes(state, dt):

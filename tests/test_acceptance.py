@@ -180,17 +180,28 @@ def test_criterion_6_theta_sweep(desk_base):
             time.perf_counter() - t0, 900)
 
 
-def _nudging_runs(desk_pair, variant):
-    return {
-        mu2: _desk_run(tf.IntertwinementSpec(variant, 20.0, mu1=50.0, mu2=mu2),
-                       12.0, 1, desk_pair)
-        for mu2 in (0.0, 25.0, 50.0)
-    }
+@pytest.fixture(scope="session")
+def nudging_runs(desk_pair):
+    """Desk-scale nudging series at mu1 = 50 for mu2 = 0, 25, 50, one run
+    per coupling form: mutual and symmetric nudging at mu1 = mu2 share
+    the form (-mu, mu, mu, -mu), so criteria 7 and 8 share that run."""
+    by_form = {}
+
+    def runs(variant):
+        series = {}
+        for mu2 in (0.0, 25.0, 50.0):
+            spec = tf.IntertwinementSpec(variant, 20.0, mu1=50.0, mu2=mu2)
+            if spec.form not in by_form:
+                by_form[spec.form] = _desk_run(spec, 12.0, 1, desk_pair)
+            series[mu2] = by_form[spec.form]
+        return series
+
+    return runs
 
 
-def test_criterion_7_mutual_nudging_rates(desk_pair):
+def test_criterion_7_mutual_nudging_rates(nudging_runs):
     t0 = time.perf_counter()
-    runs = _nudging_runs(desk_pair, "mutual_nudge")
+    runs = nudging_runs("mutual_nudge")
     early, late = {}, {}
     for mu2, series in runs.items():
         drop = series[0].err_h / min(r.err_h for r in series)
@@ -206,9 +217,9 @@ def test_criterion_7_mutual_nudging_rates(desk_pair):
             time.perf_counter() - t0, 900)
 
 
-def test_criterion_8_symmetric_nudging_rates(desk_pair):
+def test_criterion_8_symmetric_nudging_rates(nudging_runs):
     t0 = time.perf_counter()
-    runs = _nudging_runs(desk_pair, "symmetric_nudge")
+    runs = nudging_runs("symmetric_nudge")
     fits = {}
     for mu2, series in runs.items():
         drop = series[0].err_h / min(r.err_h for r in series)

@@ -23,10 +23,11 @@ from twinflow.experiment import (
     read_series_csv,
     run_experiment,
     sweep,
+    sweep_label,
     threshold_report,
     write_series_csv,
 )
-from twinflow.stepping import BlowUpError, save_checkpoint
+from twinflow.stepping import BlowUpError, save_checkpoint, spin_up
 
 from conftest import hermitian_part, random_psi
 from oracles import field_from_physical, full_lattice_error_record
@@ -259,6 +260,28 @@ class TestSweep:
         rows = tf.sweep(cfg, "mu2", [0.0])
         series, _ = run_experiment(cfg, initial=prepare_initial_pair(cfg))
         assert rows[0].final_err_h == series[-1].err_h
+
+    def test_cutoff_sweep_spins_up_once(self, tmp_path, monkeypatch):
+        # projection-matched init: every run's observer is the low part of
+        # one shared reference, which is spun up once
+        calls = []
+
+        def counted_spin_up(*args, **kwargs):
+            calls.append(args)
+            return spin_up(*args, **kwargs)
+
+        monkeypatch.setattr("twinflow.experiment.spin_up", counted_spin_up)
+        cfg = tiny_config(record_every=1)
+        values = [3.0, 4.0, 5.0, 20.0]  # 20 is beyond the resolved band
+        rows = tf.sweep(cfg, "cutoff", values, tmp_path)
+        assert len(calls) == 1
+        assert rows[-1].error
+        for value, row in zip(values[:-1], rows):
+            run_cfg = replace(cfg, coupling=replace(cfg.coupling, cutoff=value))
+            series, _ = run_experiment(run_cfg)
+            run_dir = tmp_path / f"cutoff_{sweep_label(value)}"
+            assert read_series_csv(run_dir / "series.csv") == series
+            assert row.final_err_h == series[-1].err_h
 
 
 class TestThresholdReport:

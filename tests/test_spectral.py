@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import twinflow as tf
-from twinflow.spectral import SpectralField, low_mode_mask, spectral_power, zero_field
+from twinflow.spectral import SpectralField, low_mode_mask, zero_field
 
-from conftest import random_psi
-from oracles import field_from_physical, hermitian_defect
+from conftest import hermitian_part, random_psi
+from oracles import field_from_physical, full_lattice_norm, hermitian_defect
 
 
 def single_mode(grid, k1, k2, amplitude=1.0):
@@ -113,6 +113,22 @@ class TestNorms:
         with pytest.raises(ValueError):
             tf.norm_hn(bad, -1)
 
+    @pytest.mark.parametrize("n", [16, 18, 20])
+    def test_half_plane_sum_matches_full_lattice(self, n):
+        # not dealiased: the row kx = N/2 and the column ky = N/2 are
+        # nonzero, so the column weights of the half-plane are exercised
+        grid = tf.SpectralGrid(n)
+        rng = np.random.default_rng(n)
+        c = hermitian_part(rng.standard_normal(grid.shape)
+                           + 1j * rng.standard_normal(grid.shape))
+        c[0, 0] = 0.0
+        assert np.all(c[n // 2, :] != 0) and np.all(c[:, n // 2] != 0)
+        f = SpectralField(grid, c)
+        for order in (-1, 0, 1, 2):
+            assert tf.norm_hn(f, order) == pytest.approx(
+                full_lattice_norm(f, order), rel=1e-13
+            )
+
     def test_bernstein(self, grid64, rng):
         for _ in range(10):
             x = random_psi(grid64, rng, decay=1.0)
@@ -150,7 +166,7 @@ class TestEnergySpectrum:
     def test_single_mode_shell(self, grid64):
         f = single_mode(grid64, 3, 4, 2.0)  # |k| = 5
         spec = tf.energy_spectrum(f)
-        assert spec[5] == pytest.approx(tf.norm_hn(f, 0) ** 2, rel=1e-13)
+        assert spec[5] == pytest.approx(tf.norm_hn(f, 1) ** 2, rel=1e-13)
         assert np.sum(spec) == pytest.approx(spec[5], rel=1e-13)
 
     def test_zero_field(self, grid64):
@@ -159,12 +175,5 @@ class TestEnergySpectrum:
     def test_shells_regroup_parseval(self, grid64, rng):
         f = random_psi(grid64, rng)
         assert np.sum(tf.energy_spectrum(f)) == pytest.approx(
-            tf.norm_hn(f, 0) ** 2, rel=1e-12
+            tf.norm_hn(f, 1) ** 2, rel=1e-12
         )
-
-
-def test_spectral_power_matches_norm_shift(grid64, rng):
-    f = random_psi(grid64, rng)
-    assert tf.norm_hn(spectral_power(f, 1.0), 0) == pytest.approx(
-        tf.norm_hn(f, 1), rel=1e-13
-    )
