@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .coupling import IntertwinementSpec
+from .coupling import IntertwinementSpec, observation_mask
 from .forcing import ForcingSpec
 from .spectral import SpectralGrid, shared_grid
 from .stepping import SimConfig
@@ -90,12 +90,16 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
-        grid = shared_grid(self.resolution)
-        if self.coupling.cutoff > grid.dealias_cutoff:
-            raise ConfigError(
-                f"observation cutoff exceeds resolved band: N={self.coupling.cutoff} > "
-                f"{grid.dealias_cutoff}"
-            )
+        shared_grid(self.resolution)  # raises on a resolution no grid has
+
+    def check_cutoff(self) -> None:
+        """Raise ``ConfigError`` when the observation cutoff lies beyond the
+        resolved band. Not checked at construction: a spin-up never reads
+        ``[intertwinement]``."""
+        try:
+            observation_mask(self.coupling, self.grid)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @property
     def grid(self) -> SpectralGrid:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -28,7 +29,9 @@ from .forcing import grashof, make_band_forcing
 from .spectral import (
     PARSEVAL_FACTOR,
     SpectralField,
+    SpectralGrid,
     StreamFunction,
+    block_of,
     half_plane,
     half_plane_weights,
     low_mode_mask,
@@ -36,6 +39,7 @@ from .spectral import (
     weighted_power,
 )
 from .stepping import (
+    BlockPair,
     PairState,
     advance,
     decorrelate,
@@ -86,33 +90,50 @@ class RateFit:
     stderr: float
 
 
-def error_record(state: PairState, cutoff: float) -> ErrorRecord:
+def error_record(state: PairState | BlockPair, cutoff: float) -> ErrorRecord:
     """Velocity-space error norms of a pair state.
 
     Streamfunction differences map to velocity norms with one extra
-    power of |k|; the low/high split squares to err_h^2 exactly. The sums
-    run over the half-plane with the column weights of
-    ``half_plane_weights``, so the pair must be Hermitian, as every
-    state the stepper hands out is.
+    power of |k|; the low/high split squares to err_h^2 exactly. A
+    ``PairState`` is summed over the half-plane with the column weights of
+    ``half_plane_weights``, so it must be Hermitian; a stepped ``BlockPair``
+    over its blocks with the same weights, exactly, as it is zero outside
+    them (also where the cutoff ball reaches past the block).
     """
     grid = state.grid
-    weights = half_plane_weights(grid, 1)
-    p1, p2 = half_plane(state.psi1.coeffs), half_plane(state.psi2.coeffs)
+    if isinstance(state, BlockPair):
+        p1, p2 = state.block1, state.block2
+        weights, ksq, in_low = _block_tables(grid, cutoff)
+    else:
+        p1, p2 = half_plane(state.psi1.coeffs), half_plane(state.psi2.coeffs)
+        weights, ksq = half_plane_weights(grid, 1), half_plane(grid.ksq)
+        in_low = half_plane(low_mode_mask(grid, cutoff))
     diff = p1 - p2
     # |k|^2 |psi_k|^2 = velocity energy density, mirror modes included
     wdiff = weights * (diff.real * diff.real + diff.imag * diff.imag)
     total = float(wdiff.sum())
-    low = float(wdiff[half_plane(low_mode_mask(grid, cutoff))].sum())
+    low = float(wdiff[in_low].sum())
     high = total - low
     return ErrorRecord(
         t=state.t,
         err_h=PARSEVAL_FACTOR * math.sqrt(total),
-        err_v=PARSEVAL_FACTOR * math.sqrt(float(np.vdot(half_plane(grid.ksq), wdiff))),
+        err_v=PARSEVAL_FACTOR * math.sqrt(float(np.vdot(ksq, wdiff))),
         err_low=PARSEVAL_FACTOR * math.sqrt(low),
         err_high=PARSEVAL_FACTOR * math.sqrt(max(high, 0.0)),
         energy1=PARSEVAL_FACTOR**2 * weighted_power(weights, p1),
         energy2=PARSEVAL_FACTOR**2 * weighted_power(weights, p2),
     )
+
+
+@lru_cache(maxsize=16)
+def _block_tables(grid: SpectralGrid, cutoff: float):
+    """``error_record``'s weights, |k|^2 and low-mode mask on the block."""
+    kmax = grid.dealias_kmax
+    tables = (block_of(half_plane_weights(grid, 1), kmax), block_of(grid.ksq, kmax),
+              block_of(low_mode_mask(grid, cutoff), kmax))
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
 
 
 def _forces(cfg: ExperimentConfig) -> tuple[SpectralField, SpectralField]:
@@ -157,8 +178,10 @@ def run_experiment(
 
     With an output directory, writes ``series.csv``, ``final.ckpt`` and
     ``manifest.ini``. On blow-up the partial series is written before the
-    error propagates, and no ``final.ckpt`` is.
+    error propagates, and no ``final.ckpt`` is. A cutoff beyond the
+    resolved band raises ``ConfigError`` before anything is made.
     """
+    cfg.check_cutoff()
     state = prepare_initial_pair(cfg) if initial is None else initial
     f1, f2 = _forces(cfg)
     nsteps = int(round(cfg.t_end / cfg.dt))
@@ -266,6 +289,7 @@ def threshold_report(cfg: ExperimentConfig) -> dict[str, float | str | bool]:
     Values are advisory scale estimates: the interpolation constants
     default to 1.0.
     """
+    cfg.check_cutoff()
     f1, f2 = _forces(cfg)
     g1, g2 = grashof(f1, cfg.nu), grashof(f2, cfg.nu)
     g = math.hypot(g1, g2)  # pair magnitude
@@ -349,8 +373,10 @@ def sweep(
     cutoff sweep with projection-matched init gives each run the low modes
     of the shared reference at its own cutoff. Each value
     names its run directory (``sweep_label``), so a repeated value raises
-    ``ConfigError`` before anything is made.
+    ``ConfigError`` before anything is made, as does a base cutoff beyond
+    the resolved band (an axis value beyond it fails its row).
     """
+    cfg.check_cutoff()
     labels = [sweep_label(value) for value in values]
     if len(set(labels)) < len(labels):
         raise ConfigError("sweep values: a value is repeated")

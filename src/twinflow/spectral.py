@@ -29,7 +29,9 @@ of ``half_plane_weights``, and ``to_physical`` transforms it: the columns
 the half-plane, the ``(2K+1) x (K+1)`` raw array of the modes
 ``|kx| <= K``, ``ky = 0 .. K`` with ``K = grid.dealias_kmax``, rows
 ``kx = 0 .. K`` then ``-K .. -1`` (``to_block`` / ``from_block``; at
-``512^2`` that is ``341 x 171``, 44% of the half-plane). Inputs to the
+``512^2`` that is ``341 x 171``, 44% of the half-plane); its blow-up
+check and the error records of the pairs ``advance`` observes sum over
+the block with the ``block_of`` of the same weights. Inputs to the
 stepper must be Hermitian: whatever lives only in the dropped columns
 is lost, and so is every mode outside the 2/3 mask.
 """

@@ -23,13 +23,14 @@ is evaluated on the observed modes ``P_N`` inside the block alone (when
 3 divides ``N`` the ball ``|k| <= N/3`` also holds modes outside it,
 which are never stepped), gathered from the blocks and written back into
 the right-hand side. One callback on the loop's cadence hands a pair's
-stepped state to ``advance``'s observer, or writes a spin-up's rolling
+stepped blocks to ``advance``'s observer as a ``BlockPair`` (the loop's
+own buffers, valid only during the call), or writes a spin-up's rolling
 checkpoint and then reports progress; the checkpoint it writes is the
 one a later ``BlowUpError`` names. Full-lattice ``SpectralField`` states
-are rebuilt by exact Hermitian reflection only where a caller sees them:
-the observer, rolling checkpoints, and the returned state. So every
-state handed out is exactly Hermitian, and stepping k times one call at
-a time equals one k-step call bitwise. Inputs must be Hermitian.
+are rebuilt by exact Hermitian reflection only for rolling checkpoints
+and the returned state. So every state handed out is exactly Hermitian,
+and stepping k times one call at a time equals one k-step call bitwise.
+Inputs must be Hermitian.
 Checkpoints serialize a full pair state losslessly (see
 ``save_checkpoint`` for the byte layout).
 """
@@ -68,6 +69,7 @@ from .spectral import (
 __all__ = [
     "SimConfig",
     "PairState",
+    "BlockPair",
     "BlowUpError",
     "CheckpointError",
     "step_single",
@@ -126,6 +128,19 @@ class PairState:
     @property
     def grid(self) -> SpectralGrid:
         return self.psi1.grid
+
+
+@dataclass(frozen=True)
+class BlockPair:
+    """A stepped pair as ``advance``'s loop holds it: the dealiased blocks of
+    both streamfunctions (see ``spectral.to_block``) plus the clock. Every
+    mode outside the blocks is zero."""
+
+    block1: np.ndarray
+    block2: np.ndarray
+    grid: SpectralGrid
+    t: float
+    step_index: int
 
 
 @lru_cache(maxsize=16)
@@ -240,25 +255,26 @@ def advance(
     f1: SpectralField,
     f2: SpectralField,
     nsteps: int,
-    observer: Optional[Callable[[PairState], None]] = None,
+    observer: Optional[Callable[[BlockPair], None]] = None,
     observe_every: int = 1,
 ) -> PairState:
     """Run ``nsteps`` steps of the pair coupled through ``spec`` under forces
     (f1, f2), and return the stepped state (the input itself when
     ``nsteps`` is 0).
 
-    ``observer`` sees the stepped state after every ``observe_every``
-    steps, never the input. Stepping projects the state onto the
-    dealiased block first: a state with modes outside the 2/3 mask steps
-    exactly as its copy with those modes zeroed
-    (``coeffs * grid.dealias_mask``) does.
+    ``observer`` sees the stepped pair after every ``observe_every``
+    steps, never the input, as a ``BlockPair`` of the loop's own buffers:
+    they are valid only during the call, so an observer that keeps them
+    copies them. Stepping projects the state onto the dealiased block
+    first: a state with modes outside the 2/3 mask steps exactly as its
+    copy with those modes zeroed (``coeffs * grid.dealias_mask``) does.
     """
     if nsteps == 0:
         return state
     grid = cfg.grid
 
     def observe(ps, t, step):
-        observer(PairState(_full(grid, ps[0]), _full(grid, ps[1]), t, step))
+        observer(BlockPair(ps[0], ps[1], grid, t, step))
 
     (p1, p2), t, step = _evolve(
         cfg, [state.psi1.coeffs, state.psi2.coeffs], [f1, f2], nsteps,

@@ -90,6 +90,31 @@ def test_spinup_writes_checkpoint(tmp_path, config_file):
     assert state.step_index == 2 and state.t == 2 * dt
 
 
+def test_coarse_spinup_ignores_cutoff(tmp_path):
+    # desk's cutoff 20 lies beyond the 32^2 band, but a spin-up never reads it
+    out = tmp_path / "spin"
+    coarse = ["--preset", "desk", "--set", "sim.resolution=32"]
+    code = cli_main(["spinup", *coarse, "--set", "experiment.spinup_time=0.02",
+                     "--out", str(out)])
+    assert code == 0
+    state, _ = load_checkpoint(out / "base.ckpt", tf.SpectralGrid(32))
+    assert state.step_index == 4
+
+
+@pytest.mark.parametrize(
+    "command", [["run"], ["sweep", "--axis", "theta1", "--values", "0.5"], ["thresholds"]],
+    ids=lambda c: c[0],
+)
+def test_cutoff_beyond_band_exits_2(capsys, tmp_path, command):
+    out = tmp_path / "out"
+    argv = [*command, "--preset", "desk", "--set", "sim.resolution=32"]
+    if command[0] != "thresholds":
+        argv += ["--out", str(out)]
+    assert cli_main(argv) == 2
+    assert "observation cutoff exceeds resolved band" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_spinup_negative_duration_exits_2(capsys, tmp_path, config_file):
     out = tmp_path / "spin"
     code = cli_main(["spinup", "--config", str(config_file),

@@ -27,7 +27,8 @@ from twinflow.experiment import (
     threshold_report,
     write_series_csv,
 )
-from twinflow.stepping import BlowUpError, save_checkpoint, spin_up
+from twinflow.spectral import from_block
+from twinflow.stepping import BlowUpError, advance, save_checkpoint, spin_up
 
 from conftest import hermitian_part, random_psi
 from oracles import field_from_physical, full_lattice_error_record
@@ -108,6 +109,46 @@ class TestErrorRecord:
         rec = error_record(tf.PairState(p, p), 10.0)
         assert rec.err_h == 0.0 and rec.err_low == 0.0 and rec.err_high == 0.0
 
+    @pytest.mark.parametrize("n", [16, 18, 48, 96])
+    def test_block_records_match_full_lattice_records(self, n):
+        # the observer's blocks against the PairState they reflect to; when
+        # 3 divides n the cutoff n/3 reaches modes outside the block
+        grid = tf.SpectralGrid(n)
+        rng = np.random.default_rng(n)
+        sim = tf.SimConfig(0.01, 0.01, grid, tf.ForcingSpec(2, 4, 500.0, 3))
+        force = tf.make_band_forcing(sim.forcing, grid, sim.nu)
+        cutoffs = [n / 4, n / 3 if n % 3 == 0 else float(grid.dealias_kmax)]
+        pairs = 0
+        for variant in tf.coupling.VARIANTS:
+            for cutoff in cutoffs:
+                spec = tf.IntertwinementSpec(variant, cutoff, theta1=0.25, mu1=5.0,
+                                             mu2=2.0, matrix=(0.7, 0.3, 0.6, 0.4))
+                start = tf.PairState(random_psi(grid, rng), random_psi(grid, rng))
+
+                def observer(pair):
+                    nonlocal pairs
+                    full = tf.PairState(
+                        tf.SpectralField(grid, from_block(pair.block1, n)),
+                        tf.SpectralField(grid, from_block(pair.block2, n)),
+                        pair.t, pair.step_index)
+                    got, expected = error_record(pair, cutoff), error_record(full, cutoff)
+                    assert got.t == expected.t
+                    scale = math.sqrt(expected.energy1)
+                    for name in ("err_h", "err_v", "err_low"):
+                        assert abs(getattr(got, name) - getattr(expected, name)) <= \
+                            1e-14 * scale, (variant, cutoff, name)
+                    # err_high is the root of err_h^2 - err_low^2, so its
+                    # roundoff is that of the difference of squares
+                    squares = [("err_high", got.err_high**2, expected.err_high**2),
+                               ("energy1", got.energy1, expected.energy1),
+                               ("energy2", got.energy2, expected.energy2)]
+                    for name, a, b in squares:
+                        assert abs(a - b) <= 1e-14 * scale**2, (variant, cutoff, name)
+                    pairs += 1
+
+                advance(start, sim, spec, force, force, 4, observer, 2)
+        assert pairs == 2 * len(cutoffs) * len(tf.coupling.VARIANTS)
+
 
 class TestRunExperiment:
     def test_identical_trajectories_stay_identical(self):
@@ -117,6 +158,30 @@ class TestRunExperiment:
         scale = math.sqrt(max(r.energy1 for r in series))
         assert all(r.err_h <= 1e-13 * scale for r in series)
         assert final.t == pytest.approx(cfg.t_end)
+
+    def test_records_pass_through_module_level_error_record(self, monkeypatch, rng):
+        # a wrapper put in place of error_record in every twinflow namespace
+        # (as a benchmark's record clock does) sees each record, step 0
+        # included, with its step index
+        grid = tf.SpectralGrid(16)
+        cfg = tiny_config(resolution=16, forcing=tf.ForcingSpec(2, 4, 500.0, 3),
+                          t_end=0.09, record_every=3)
+        initial = tf.PairState(random_psi(grid, rng), random_psi(grid, rng))
+        expected, _ = run_experiment(cfg, initial)
+        seen = []
+
+        def wrapper(state, *args, **kwargs):
+            seen.append(state.step_index)
+            return error_record(state, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "twinflow" or name.startswith("twinflow."):
+                for key, value in list(vars(module).items()):
+                    if value is error_record:
+                        monkeypatch.setattr(module, key, wrapper)
+        series, _ = run_experiment(cfg, initial)
+        assert seen == [0, 3, 6, 9]
+        assert series == expected
 
     def test_record_cadence_and_initial_sample(self):
         cfg = tiny_config()
@@ -413,9 +478,17 @@ class TestConfigIO:
         block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
         assert parse_config_text(block) == preset_config("desk")
 
-    def test_cutoff_validation(self):
-        with pytest.raises(ConfigError, match="resolved band"):
-            tiny_config(coupling=tf.IntertwinementSpec("mutual_sync", 11.0, theta1=0.5))
+    def test_cutoff_validation(self, tmp_path):
+        # a config is built without reading its cutoff (a spin-up never
+        # does); everything that reads it refuses before making anything
+        cfg = tiny_config(coupling=tf.IntertwinementSpec("mutual_sync", 11.0, theta1=0.5))
+        out = tmp_path / "out"
+        for call in (lambda: run_experiment(cfg, output_dir=out),
+                     lambda: sweep(cfg, "theta1", [0.5], out),
+                     lambda: threshold_report(cfg)):
+            with pytest.raises(ConfigError, match="resolved band"):
+                call()
+        assert not out.exists()
 
     def test_presets_exist(self):
         desk = preset_config("desk")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import twinflow as tf
-from twinflow.spectral import zero_field
+from twinflow.spectral import from_block, to_block, zero_field
 from twinflow.stepping import (
     BlowUpError,
     CheckpointError,
@@ -215,17 +215,25 @@ class TestOneStepPath:
         f = tf.make_band_forcing(forced_cfg.forcing, grid32, forced_cfg.nu)
         start = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng))
         seen = []
-        assert advance(start, forced_cfg, spec, f, f, 0, seen.append) is start
-        final = advance(start, forced_cfg, spec, f, f, 6, seen.append, 2)
-        # the observer sees stepped states only, never the input
-        assert [s.step_index for s in seen] == [2, 4, 6]
-        assert np.array_equal(seen[-1].psi1.coeffs, final.psi1.coeffs)
-        assert np.array_equal(seen[-1].psi2.coeffs, final.psi2.coeffs)
-        assert (seen[-1].t, seen[-1].step_index) == (final.t, final.step_index)
+
+        def observer(pair):
+            # the blocks are the loop's buffers, valid only during the call
+            seen.append((pair.t, pair.step_index, pair.block1.copy(), pair.block2.copy()))
+
+        assert advance(start, forced_cfg, spec, f, f, 0, observer) is start
+        final = advance(start, forced_cfg, spec, f, f, 6, observer, 2)
+        # the observer sees stepped pairs only, never the input
+        assert [step for _, step, _, _ in seen] == [2, 4, 6]
+        t, step, block1, block2 = seen[-1]
+        kmax = grid32.dealias_kmax
+        assert np.array_equal(block1, to_block(final.psi1.coeffs, kmax))
+        assert np.array_equal(block2, to_block(final.psi2.coeffs, kmax))
+        assert (t, step) == (final.t, final.step_index)
         stepped = advance(start, forced_cfg, spec, f, f, 1)
-        for state in seen + [final, stepped]:
-            assert_exact_state(state.psi1)
-            assert_exact_state(state.psi2)
+        observed = [tf.SpectralField(grid32, from_block(b, 32))
+                    for _, _, *blocks in seen for b in blocks]
+        for psi in observed + [final.psi1, final.psi2, stepped.psi1, stepped.psi2]:
+            assert_exact_state(psi)
 
     def test_single_states_and_checkpoints_are_exact(self, grid32, forced_cfg, rng,
                                                      tmp_path):
