@@ -21,13 +21,15 @@ Olson & Titi 2014). The named variants are rows of one table:
 with ``theta2 = 1 - theta1`` and ``(m00, m01, m10, m11)`` the configured
 ``matrix``. ``coupling_arrays`` returns the right-hand-side additions
 for both systems on the observed modes (``observation_mask``). The
-threshold functions evaluate, in closed form, how large the cutoff N (and
-for nudging, the relaxation window for mu1 + mu2) must be for the coupled
-pair to synchronize, from Grashof numbers; the symmetric-nudging ``n_b``
-takes the paper's affine force split at g_tilde = 0 (the general split is
-not exposed). The interpolation constants they depend on (``c_lad``,
-``c_agmon``, ``c_sob``) have no certified numeric values; defaults of 1.0
-make the outputs advisory scale estimates, not rigorous bounds.
+threshold functions give, in closed form from Grashof numbers, the cutoffs
+above which the pair synchronizes; the nudging ones return
+``(n_assisted, n_unassisted)`` and ``(n_a, n_b)``, and
+``experiment.threshold_report`` applies their windows for mu1 + mu2. The
+symmetric-nudging ``n_b`` takes the paper's affine force split at
+g_tilde = 0 (the general split is not exposed). The interpolation
+constants they depend on (``c_lad``, ``c_agmon``, ``c_sob``) have no
+certified numeric values; defaults of 1.0 make the outputs advisory scale
+estimates, not rigorous bounds.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ __all__ = [
     "threshold_degenerate_sync",
     "threshold_mutual_nudge",
     "threshold_symmetric_nudge",
-    "MutualNudgeThresholds",
-    "SymmetricNudgeThresholds",
 ]
 
 # variant -> (acts on the nonlinear term, its (a, b, c, d) from the spec)
@@ -195,30 +195,16 @@ def threshold_degenerate_sync(g: float, c_lad: float = 1.0, c_sob: float = 1.0) 
     raise RuntimeError("degenerate-synchronization cutoff iteration did not converge")
 
 
-@dataclass(frozen=True)
-class MutualNudgeThresholds:
-    """Cutoffs for mutual nudging plus the admissible relaxation window."""
-
-    n_assisted: float
-    n_unassisted: float
-    nu: float
-
-    def mu_band(self, n: float) -> tuple[float, float]:
-        """[4/3*N_*^2*nu, 4/3*N^2*nu], the mu1+mu2 window at cutoff N."""
-        lo = (4.0 / 3.0) * self.n_unassisted**2 * self.nu
-        hi = (4.0 / 3.0) * n**2 * self.nu
-        return lo, hi
-
-
 def threshold_mutual_nudge(
-    mu1: float, mu2: float, g: float, nu: float, c_lad: float = 1.0
-) -> MutualNudgeThresholds:
-    """Mutual-nudging cutoffs; both scale with sqrt(max(mu)/min(mu)).
+    mu1: float, mu2: float, g: float, *, c_lad: float = 1.0
+) -> tuple[float, float]:
+    """Mutual-nudging cutoffs ``(n_assisted, n_unassisted)``.
 
-    ``n_assisted = 4*sqrt(2)*c_lad*sqrt(ratio)*g^2`` suffices given
-    low-mode agreement; ``n_unassisted = (3*sqrt(2)/2)*sqrt(c_lad*ratio)*g``
-    paired with mu1+mu2 inside ``mu_band(N)`` gives unassisted
-    synchronization.
+    With ``ratio = max(mu1, mu2)/min(mu1, mu2)``, ``n_assisted =
+    4*sqrt(2)*c_lad*sqrt(ratio)*g^2`` suffices given low-mode agreement;
+    ``n_unassisted = (3*sqrt(2)/2)*sqrt(c_lad*ratio)*g`` with
+    ``4/3*n_unassisted^2*nu <= mu1+mu2 <= 4/3*N^2*nu`` (the window
+    ``threshold_report`` applies) gives unassisted synchronization at cutoff N.
     """
     if g < 0:
         raise ValueError("grashof magnitude must be nonnegative")
@@ -231,40 +217,19 @@ def threshold_mutual_nudge(
     ratio = max(mu1, mu2) / min(mu1, mu2)
     n_assisted = 4.0 * math.sqrt(2.0) * c_lad * math.sqrt(ratio) * g**2
     n_unassisted = 1.5 * math.sqrt(2.0) * math.sqrt(c_lad) * math.sqrt(ratio) * g
-    return MutualNudgeThresholds(n_assisted, n_unassisted, nu)
-
-
-@dataclass(frozen=True)
-class SymmetricNudgeThresholds:
-    """Cutoffs and admissibility predicates for symmetric nudging; the
-    gap-assisted cutoff ``n_b`` is None unless mu1 > mu2."""
-
-    n_a: float
-    mu1: float
-    mu2: float
-    nu: float
-    n_b: Optional[float] = None
-
-    def mu_constraint_a(self, n: float) -> bool:
-        """1/4*N_A^2*nu <= mu1+mu2 <= 1/4*N^2*nu (closed interval)."""
-        total = self.mu1 + self.mu2
-        return 0.25 * self.n_a**2 * self.nu <= total <= 0.25 * n**2 * self.nu
-
-    def mu_constraint_b(self, n: float) -> bool:
-        """Same window anchored at the gap-assisted cutoff."""
-        total = self.mu1 + self.mu2
-        return 0.25 * self.n_b**2 * self.nu <= total <= 0.25 * n**2 * self.nu
+    return n_assisted, n_unassisted
 
 
 def threshold_symmetric_nudge(
     mu1: float, mu2: float, g: float, nu: float, c_lad: float = 1.0
-) -> SymmetricNudgeThresholds:
-    """Symmetric-nudging cutoffs from the pair magnitude g (g^2 = g1^2 + g2^2).
+) -> tuple[float, Optional[float]]:
+    """Symmetric-nudging cutoffs ``(n_a, n_b)`` from the pair magnitude g.
 
-    ``n_a = 4*c_lad*g`` always applies; when mu1 > mu2 the gap-assisted
-    alternative is ``n_b = 4*c_lad*sqrt(nu/(mu1-mu2)*g^2)``, the paper's
+    ``n_a = 4*c_lad*g``; ``n_b`` is None unless mu1 > mu2, where it is
+    ``4*c_lad*sqrt(nu/(mu1-mu2)*g^2)``, the paper's
     ``4*c_lad*sqrt(nu/(mu1-mu2)*G_res^2 + g_tilde^2)`` with the affine split
-    ``g = G_res + (mu1-mu2)*g_tilde`` at g_tilde = 0 (not exposed).
+    ``g = G_res + (mu1-mu2)*g_tilde`` at g_tilde = 0 (not exposed). For either
+    cutoff n, ``threshold_report`` applies ``1/4*n^2*nu <= mu1+mu2 <= 1/4*N^2*nu``.
     """
     if g < 0:
         raise ValueError("grashof magnitude must be nonnegative")
@@ -274,4 +239,4 @@ def threshold_symmetric_nudge(
     n_b = None
     if mu1 > mu2:
         n_b = 4.0 * c_lad * math.sqrt(nu / (mu1 - mu2) * g**2)
-    return SymmetricNudgeThresholds(n_a, mu1, mu2, nu, n_b)
+    return n_a, n_b

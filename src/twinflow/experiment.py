@@ -94,7 +94,7 @@ def error_record(state: PairState | BlockPair, cutoff: float) -> ErrorRecord:
     """Velocity-space error norms of a pair state.
 
     Streamfunction differences map to velocity norms with one extra
-    power of |k|; the low/high split squares to err_h^2 exactly. A
+    power of |k|; err_low^2 + err_high^2 = err_h^2 by construction. A
     ``PairState`` is summed over the half-plane with the column weights of
     ``half_plane_weights``, so it must be Hermitian; a stepped ``BlockPair``
     over its blocks with the same weights, exactly, as it is zero outside
@@ -103,23 +103,22 @@ def error_record(state: PairState | BlockPair, cutoff: float) -> ErrorRecord:
     grid = state.grid
     if isinstance(state, BlockPair):
         p1, p2 = state.block1, state.block2
-        weights, ksq, in_low = _block_tables(grid, cutoff)
+        weights, ksq, in_low, out_low = _block_tables(grid, cutoff)
     else:
         p1, p2 = half_plane(state.psi1.coeffs), half_plane(state.psi2.coeffs)
         weights, ksq = half_plane_weights(grid, 1), half_plane(grid.ksq)
         in_low = half_plane(low_mode_mask(grid, cutoff))
+        out_low = ~in_low
     diff = p1 - p2
     # |k|^2 |psi_k|^2 = velocity energy density, mirror modes included
     wdiff = weights * (diff.real * diff.real + diff.imag * diff.imag)
-    total = float(wdiff.sum())
-    low = float(wdiff[in_low].sum())
-    high = total - low
+    low, high = float(wdiff[in_low].sum()), float(wdiff[out_low].sum())
     return ErrorRecord(
         t=state.t,
-        err_h=PARSEVAL_FACTOR * math.sqrt(total),
+        err_h=PARSEVAL_FACTOR * math.sqrt(low + high),
         err_v=PARSEVAL_FACTOR * math.sqrt(float(np.vdot(ksq, wdiff))),
         err_low=PARSEVAL_FACTOR * math.sqrt(low),
-        err_high=PARSEVAL_FACTOR * math.sqrt(max(high, 0.0)),
+        err_high=PARSEVAL_FACTOR * math.sqrt(high),
         energy1=PARSEVAL_FACTOR**2 * weighted_power(weights, p1),
         energy2=PARSEVAL_FACTOR**2 * weighted_power(weights, p2),
     )
@@ -127,10 +126,11 @@ def error_record(state: PairState | BlockPair, cutoff: float) -> ErrorRecord:
 
 @lru_cache(maxsize=16)
 def _block_tables(grid: SpectralGrid, cutoff: float):
-    """``error_record``'s weights, |k|^2 and low-mode mask on the block."""
+    """``error_record``'s weights, |k|^2, low-mode mask and its complement."""
     kmax = grid.dealias_kmax
+    in_low = block_of(low_mode_mask(grid, cutoff), kmax)
     tables = (block_of(half_plane_weights(grid, 1), kmax), block_of(grid.ksq, kmax),
-              block_of(low_mode_mask(grid, cutoff), kmax))
+              in_low, ~in_low)
     for arr in tables:
         arr.setflags(write=False)
     return tables
@@ -311,33 +311,33 @@ def threshold_report(cfg: ExperimentConfig) -> dict[str, float | str | bool]:
         report.update({"n_star": n_star, "cutoff_ok": spec.cutoff >= n_star})
     elif spec.variant == "mutual_nudge":
         if min(spec.mu1, spec.mu2) > 0:
-            th = threshold_mutual_nudge(spec.mu1, spec.mu2, g, cfg.nu, cfg.c_lad)
-            lo, hi = th.mu_band(spec.cutoff)
+            n_assisted, n_unassisted = threshold_mutual_nudge(
+                spec.mu1, spec.mu2, g, c_lad=cfg.c_lad
+            )
+            lo = (4.0 / 3.0) * n_unassisted**2 * cfg.nu  # the mu1 + mu2 window
+            hi = (4.0 / 3.0) * spec.cutoff**2 * cfg.nu
             report.update(
                 {
-                    "n_assisted": th.n_assisted,
-                    "n_unassisted": th.n_unassisted,
+                    "n_assisted": n_assisted,
+                    "n_unassisted": n_unassisted,
                     "mu_band_low": lo,
                     "mu_band_high": hi,
                     "mu_sum": spec.mu1 + spec.mu2,
                     "mu_sum_ok": lo <= spec.mu1 + spec.mu2 <= hi,
-                    "cutoff_ok": spec.cutoff >= th.n_unassisted,
+                    "cutoff_ok": spec.cutoff >= n_unassisted,
                 }
             )
         else:
             report["note"] = "degenerate ratio (a zero strength); ratio bounds undefined"
     elif spec.variant == "symmetric_nudge":
-        th = threshold_symmetric_nudge(spec.mu1, spec.mu2, g, cfg.nu, cfg.c_lad)
-        report.update(
-            {
-                "n_a": th.n_a,
-                "mu_constraint_a": th.mu_constraint_a(spec.cutoff),
-                "cutoff_ok": spec.cutoff >= th.n_a,
-            }
-        )
-        if th.n_b is not None:
-            report["n_b"] = th.n_b
-            report["mu_constraint_b"] = th.mu_constraint_b(spec.cutoff)
+        n_a, n_b = threshold_symmetric_nudge(spec.mu1, spec.mu2, g, cfg.nu, cfg.c_lad)
+        total, hi = spec.mu1 + spec.mu2, 0.25 * spec.cutoff**2 * cfg.nu  # closed window
+        report["n_a"] = n_a
+        report["mu_constraint_a"] = 0.25 * n_a**2 * cfg.nu <= total <= hi
+        report["cutoff_ok"] = spec.cutoff >= n_a
+        if n_b is not None:
+            report["n_b"] = n_b
+            report["mu_constraint_b"] = 0.25 * n_b**2 * cfg.nu <= total <= hi
     return report
 
 

@@ -22,7 +22,7 @@ from twinflow.coupling import (
     threshold_mutual_sync,
     threshold_symmetric_nudge,
 )
-from twinflow.experiment import fit_decay_rate, run_experiment
+from twinflow.experiment import fit_decay_rate, run_experiment, threshold_report
 from twinflow.stepping import load_checkpoint, save_checkpoint
 
 from conftest import nonlinear_full, random_psi, velocity_norm
@@ -241,10 +241,10 @@ def test_criterion_9_threshold_arithmetic():
     t0 = time.perf_counter()
     nu = 0.005
     # spot values
-    assert threshold_symmetric_nudge(50.0, 25.0, 10.0, nu).n_a == pytest.approx(
+    assert threshold_symmetric_nudge(50.0, 25.0, 10.0, nu)[0] == pytest.approx(
         40.0, rel=1e-12
     )
-    assert threshold_mutual_nudge(50.0, 50.0, 10.0, nu).n_unassisted == pytest.approx(
+    assert threshold_mutual_nudge(50.0, 50.0, 10.0)[1] == pytest.approx(
         1.5 * math.sqrt(2.0) * 10.0, rel=1e-12
     )
     assert threshold_mutual_sync(10.0, 0.5) == pytest.approx(
@@ -264,14 +264,22 @@ def test_criterion_9_threshold_arithmetic():
             implied = 32 * math.sqrt(2) * math.sqrt(
                 24 * (1 + math.log(n)) * g**2 + 1) * g
             assert n >= implied * (1 - 1e-9)
-        th = threshold_mutual_nudge(50.0, 25.0, g, nu)
-        assert th.n_assisted >= 4 * math.sqrt(2) * math.sqrt(2.0) * g**2 * (1 - 1e-12)
-        lo, hi = th.mu_band(th.n_unassisted + 1.0)
-        assert lo == pytest.approx(4.0 / 3.0 * th.n_unassisted**2 * nu, rel=1e-12)
-        assert hi >= lo
-        ths = threshold_symmetric_nudge(50.0, 25.0, g, nu)
-        assert ths.n_a >= 0 and ths.n_b >= 0
-        assert ths.mu_constraint_a(1e9)  # window opens for huge cutoffs
+        n_assisted, n_unassisted = threshold_mutual_nudge(50.0, 25.0, g)
+        assert n_assisted >= 4 * math.sqrt(2) * math.sqrt(2.0) * g**2 * (1 - 1e-12)
+        n_a, n_b = threshold_symmetric_nudge(50.0, 25.0, g, nu)
+        assert n_a >= 0 and n_b >= 0
+    # the mu1 + mu2 windows, applied by threshold_report; a small c_lad puts
+    # the cutoffs below the desk preset's N = 20
+    def report(variant, mu1, mu2):
+        coupling = tf.IntertwinementSpec(variant, 20.0, mu1=mu1, mu2=mu2)
+        return threshold_report(replace(DESK, coupling=coupling, c_lad=1e-8))
+
+    mutual = report("mutual_nudge", 50.0, 25.0)
+    lo, hi = mutual["mu_band_low"], mutual["mu_band_high"]
+    assert lo == pytest.approx(4.0 / 3.0 * mutual["n_unassisted"]**2 * DESK.nu, rel=1e-12)
+    assert hi >= lo
+    symmetric = report("symmetric_nudge", 0.3, 0.1)
+    assert symmetric["mu_constraint_a"] and symmetric["mu_constraint_b"]
     _report(9, "threshold arithmetic: spot values and residuals",
             time.perf_counter() - t0, 1)
 

@@ -27,8 +27,8 @@ from twinflow.experiment import (
     threshold_report,
     write_series_csv,
 )
-from twinflow.spectral import from_block
-from twinflow.stepping import BlowUpError, advance, save_checkpoint, spin_up
+from twinflow.spectral import from_block, to_block
+from twinflow.stepping import BlockPair, BlowUpError, advance, save_checkpoint, spin_up
 
 from conftest import hermitian_part, random_psi
 from oracles import field_from_physical, full_lattice_error_record
@@ -104,6 +104,25 @@ class TestErrorRecord:
         for a, b in zip(got, expected):
             assert a == pytest.approx(b, rel=1e-13)
 
+    def test_high_modes_keep_their_digits_under_the_low_modes(self, grid32):
+        # err_high is 1e-8 of err_low: as sqrt(err_h^2 - err_low^2) it would
+        # cancel to roundoff, summed over |k| > N it keeps every digit
+        coeffs = np.zeros(grid32.shape, dtype=complex)
+        for (kx, ky), c in (((1, 2), 0.8 + 0.4j), ((9, 5), 1e-10)):
+            coeffs[kx, ky], coeffs[-kx, -ky] = c, np.conj(c)
+        psi1 = tf.SpectralField(grid32, coeffs)
+        psi2 = tf.SpectralField(grid32, np.zeros_like(coeffs))
+        kmax = grid32.dealias_kmax
+        blocks = BlockPair(to_block(psi1.coeffs, kmax), to_block(psi2.coeffs, kmax),
+                           grid32, 0.0, 0)
+        expected = 2 * math.pi * math.sqrt(2 * 106) * 1e-10
+        for state in (tf.PairState(psi1, psi2), blocks):
+            rec = error_record(state, 5.0)
+            assert rec.err_high == pytest.approx(expected, rel=1e-12, abs=0)
+            assert rec.err_h**2 == pytest.approx(
+                rec.err_low**2 + rec.err_high**2, rel=1e-15
+            )
+
     def test_identical_pair_is_zero(self, grid64, rng):
         p = random_psi(grid64, rng)
         rec = error_record(tf.PairState(p, p), 10.0)
@@ -134,13 +153,10 @@ class TestErrorRecord:
                     got, expected = error_record(pair, cutoff), error_record(full, cutoff)
                     assert got.t == expected.t
                     scale = math.sqrt(expected.energy1)
-                    for name in ("err_h", "err_v", "err_low"):
+                    for name in ("err_h", "err_v", "err_low", "err_high"):
                         assert abs(getattr(got, name) - getattr(expected, name)) <= \
                             1e-14 * scale, (variant, cutoff, name)
-                    # err_high is the root of err_h^2 - err_low^2, so its
-                    # roundoff is that of the difference of squares
-                    squares = [("err_high", got.err_high**2, expected.err_high**2),
-                               ("energy1", got.energy1, expected.energy1),
+                    squares = [("energy1", got.energy1, expected.energy1),
                                ("energy2", got.energy2, expected.energy2)]
                     for name, a, b in squares:
                         assert abs(a - b) <= 1e-14 * scale**2, (variant, cutoff, name)
@@ -383,9 +399,61 @@ class TestThresholdReport:
             tf.IntertwinementSpec("mutual_nudge", 5.0, mu1=2.0, mu2=1.0)
         )
         report = threshold_report(cfg)
-        th = tf.threshold_mutual_nudge(2.0, 1.0, 500.0, cfg.nu)
-        assert report["n_assisted"] == pytest.approx(th.n_assisted, rel=1e-12)
-        assert report["n_unassisted"] == pytest.approx(th.n_unassisted, rel=1e-12)
+        n_assisted, n_unassisted = tf.threshold_mutual_nudge(2.0, 1.0, 500.0)
+        assert report["n_assisted"] == pytest.approx(n_assisted, rel=1e-12)
+        assert report["n_unassisted"] == pytest.approx(n_unassisted, rel=1e-12)
+
+    @staticmethod
+    def window_report(variant, mu1, mu2, cutoff=10.0):
+        # c_lad = 1e-5 puts n_unassisted, n_a and n_b below the 32^2 band
+        coupling = tf.IntertwinementSpec(variant, cutoff, mu1=mu1, mu2=mu2)
+        return threshold_report(tiny_config(coupling=coupling, c_lad=1e-5))
+
+    def test_mutual_nudge_window_closed_endpoints(self):
+        # equal strengths keep the ratio, so n_unassisted, at 1
+        probe = self.window_report("mutual_nudge", 1.0, 1.0)
+        n_unassisted, nu = probe["n_unassisted"], 0.01
+        lo, hi = probe["mu_band_low"], probe["mu_band_high"]
+        assert lo == pytest.approx(4.0 / 3.0 * n_unassisted**2 * nu, rel=1e-13)
+        assert hi == pytest.approx(4.0 / 3.0 * 10.0**2 * nu, rel=1e-13)
+        for total, inside in ((lo, True), (hi, True), (lo * (1 - 1e-12), False),
+                              (hi * (1 + 1e-12), False)):
+            report = self.window_report("mutual_nudge", total / 2, total / 2)
+            assert report["mu_sum"] == total
+            assert report["mu_sum_ok"] is inside, total
+        # the window closes to a point at N = n_unassisted, and at
+        # N = 2 n_unassisted its top is four times its bottom
+        point = self.window_report("mutual_nudge", 1.0, 1.0, n_unassisted)
+        assert point["mu_band_low"] == pytest.approx(point["mu_band_high"], rel=1e-13)
+        double = self.window_report("mutual_nudge", 1.0, 1.0, 2 * n_unassisted)
+        assert double["mu_band_high"] == pytest.approx(
+            4 * double["mu_band_low"], rel=1e-13
+        )
+
+    def test_symmetric_nudge_windows_closed_endpoints(self):
+        nu = 0.01
+        hi = 0.25 * 10.0**2 * nu
+        n_a = self.window_report("symmetric_nudge", 1.0, 1.0)["n_a"]
+        lo_a = 0.25 * n_a**2 * nu
+        for total, inside in ((lo_a, True), (hi, True), (lo_a * (1 - 1e-12), False),
+                              (hi * (1 + 1e-12), False)):
+            report = self.window_report("symmetric_nudge", total / 2, total / 2)
+            assert "n_b" not in report
+            assert report["mu_constraint_a"] is inside, total
+        # n_b reads only mu1 - mu2: hold that gap at a power of two and split
+        # each endpoint around it, so both the sum and the gap are exact
+        gap = 2.0**-16
+        n_b = self.window_report("symmetric_nudge", gap, 0.0)["n_b"]
+        lo_b = 0.25 * n_b**2 * nu
+        assert gap < lo_b < hi
+        for total, inside in ((lo_b, True), (hi, True), (lo_b * (1 - 1e-12), False),
+                              (hi * (1 + 1e-12), False)):
+            mu1, mu2 = (total + gap) / 2, (total - gap) / 2
+            report = self.window_report("symmetric_nudge", mu1, mu2)
+            if inside:
+                assert mu1 + mu2 == total and mu1 - mu2 == gap
+                assert report["n_b"] == n_b
+            assert report["mu_constraint_b"] is inside, total
 
     @pytest.mark.parametrize("theta1, single", [(0.0, "grashof_1"), (1.0, "grashof_2")])
     def test_grashof_lambda_endpoints(self, theta1, single):

@@ -62,51 +62,50 @@ class TestDegenerateSync:
 
 class TestMutualNudge:
     def test_assisted_spot_value(self):
-        th = threshold_mutual_nudge(50.0, 50.0, 10.0, NU)
-        assert th.n_assisted == pytest.approx(4 * math.sqrt(2) * 100, rel=1e-12)
+        n_assisted, _ = threshold_mutual_nudge(50.0, 50.0, 10.0)
+        assert n_assisted == pytest.approx(4 * math.sqrt(2) * 100, rel=1e-12)
 
     def test_unassisted_spot_value(self):
-        th = threshold_mutual_nudge(50.0, 50.0, 10.0, NU)
-        assert th.n_unassisted == pytest.approx(1.5 * math.sqrt(2) * 10, rel=1e-12)
-
-    def test_band_degenerates_at_unassisted_cutoff(self):
-        th = threshold_mutual_nudge(50.0, 25.0, 3.0, NU)
-        lo, hi = th.mu_band(th.n_unassisted)
-        assert lo == pytest.approx(hi, rel=1e-13)
-        lo2, hi2 = th.mu_band(2 * th.n_unassisted)
-        assert hi2 == pytest.approx(4 * lo2, rel=1e-13)
+        _, n_unassisted = threshold_mutual_nudge(50.0, 50.0, 10.0)
+        assert n_unassisted == pytest.approx(1.5 * math.sqrt(2) * 10, rel=1e-12)
 
     def test_ratio_enters_as_square_root(self):
-        base = threshold_mutual_nudge(50.0, 50.0, 10.0, NU)
-        skew = threshold_mutual_nudge(100.0, 25.0, 10.0, NU)
-        assert skew.n_assisted == pytest.approx(2 * base.n_assisted, rel=1e-12)
+        base, _ = threshold_mutual_nudge(50.0, 50.0, 10.0)
+        skew, _ = threshold_mutual_nudge(100.0, 25.0, 10.0)
+        assert skew == pytest.approx(2 * base, rel=1e-12)
 
     def test_degenerate_ratio_rejected(self):
         with pytest.raises(ValueError, match="degenerate ratio"):
-            threshold_mutual_nudge(50.0, 0.0, 10.0, NU)
+            threshold_mutual_nudge(50.0, 0.0, 10.0)
+
+    def test_c_lad_is_keyword_only(self):
+        # a call in the old (mu1, mu2, g, nu, c_lad) order must not read nu as c_lad
+        with pytest.raises(TypeError):
+            threshold_mutual_nudge(50.0, 25.0, 10.0, NU)
+        assert threshold_mutual_nudge(50.0, 25.0, 10.0, c_lad=2.0)[0] == pytest.approx(
+            2 * threshold_mutual_nudge(50.0, 25.0, 10.0)[0], rel=1e-12
+        )
 
     def test_nondecreasing_in_grashof(self):
-        values = [
-            threshold_mutual_nudge(50.0, 25.0, g, NU).n_assisted for g in (0.0, 1.0, 5.0)
-        ]
+        values = [threshold_mutual_nudge(50.0, 25.0, g)[0] for g in (0.0, 1.0, 5.0)]
         assert values == sorted(values)
 
 
 class TestSymmetricNudge:
     def test_n_a_spot_value(self):
-        th = threshold_symmetric_nudge(50.0, 25.0, 10.0, NU)
-        assert th.n_a == pytest.approx(40.0, rel=1e-12)
+        n_a, _ = threshold_symmetric_nudge(50.0, 25.0, 10.0, NU)
+        assert n_a == pytest.approx(40.0, rel=1e-12)
 
     def test_n_b_unavailable_at_equal_strengths(self):
-        th = threshold_symmetric_nudge(50.0, 50.0, 10.0, NU)
-        assert th.n_a == pytest.approx(40.0, rel=1e-12)
-        assert th.n_b is None
+        n_a, n_b = threshold_symmetric_nudge(50.0, 50.0, 10.0, NU)
+        assert n_a == pytest.approx(40.0, rel=1e-12)
+        assert n_b is None
 
     def test_n_b_formula_with_zero_tilde_split(self):
         g = 10.0
-        th = threshold_symmetric_nudge(50.0, 25.0, g, NU)
+        _, n_b = threshold_symmetric_nudge(50.0, 25.0, g, NU)
         expected = 4.0 * math.sqrt(NU / 25.0 * g**2)
-        assert th.n_b == pytest.approx(expected, rel=1e-12)
+        assert n_b == pytest.approx(expected, rel=1e-12)
 
     def test_canonical_order_enforced(self):
         with pytest.raises(ValueError):
@@ -116,17 +115,9 @@ class TestSymmetricNudge:
         with pytest.raises(ValueError, match="nonnegative"):
             threshold_symmetric_nudge(50.0, 25.0, -1.0, NU)
 
-    def test_constraint_a_accepts_closed_endpoints(self):
-        n_a = 40.0
-        total = 0.25 * n_a**2 * NU
-        th = threshold_symmetric_nudge(total / 2, total / 2, 10.0, NU)
-        assert th.mu_constraint_a(n_a)
-        assert th.mu_constraint_a(n_a + 1.0)
-        assert not th.mu_constraint_a(n_a - 1.0)
-
     def test_nondecreasing_in_grashof(self):
         values = [
-            threshold_symmetric_nudge(50.0, 25.0, g, NU).n_a for g in (1.0, 5.0, 10.0)
+            threshold_symmetric_nudge(50.0, 25.0, g, NU)[0] for g in (1.0, 5.0, 10.0)
         ]
         assert values == sorted(values)
 
@@ -134,7 +125,7 @@ class TestSymmetricNudge:
 def test_all_thresholds_nonnegative():
     assert threshold_mutual_sync(0.0, 0.5) >= 0
     assert threshold_degenerate_sync(0.0) >= 0
-    th = threshold_mutual_nudge(1.0, 1.0, 0.0, NU)
-    assert th.n_assisted >= 0 and th.n_unassisted >= 0
-    ths = threshold_symmetric_nudge(1.0, 0.0, 1.0, NU)
-    assert ths.n_a >= 0 and ths.n_b >= 0
+    n_assisted, n_unassisted = threshold_mutual_nudge(1.0, 1.0, 0.0)
+    assert n_assisted >= 0 and n_unassisted >= 0
+    n_a, n_b = threshold_symmetric_nudge(1.0, 0.0, 1.0, NU)
+    assert n_a >= 0 and n_b >= 0
