@@ -23,7 +23,6 @@ from .forcing import ForcingSpec, absorbing_radii, grashof, make_band_forcing, s
 from .spectral import (
     SpectralField,
     SpectralGrid,
-    StreamFunction,
     energy_spectrum,
     norm_hn,
     project_low,
@@ -31,7 +30,6 @@ from .spectral import (
 )
 from .stepping import (
     PairState,
-    SimConfig,
     decorrelate,
     load_checkpoint,
     save_checkpoint,
@@ -43,7 +41,6 @@ __all__ = [
     "__version__",
     "SpectralGrid",
     "SpectralField",
-    "StreamFunction",
     "to_physical",
     "project_low",
     "norm_hn",
@@ -58,7 +55,6 @@ __all__ = [
     "threshold_degenerate_sync",
     "threshold_mutual_nudge",
     "threshold_symmetric_nudge",
-    "SimConfig",
     "PairState",
     "step_single",
     "spin_up",

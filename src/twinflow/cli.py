@@ -68,7 +68,7 @@ def _cmd_spinup(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_config(cfg, out / "manifest.ini", provenance_info())
     psi = spin_up(
-        cfg.sim, cfg.spinup_time, checkpoint_dir=out,
+        cfg, cfg.spinup_time, checkpoint_dir=out,
         checkpoint_every=cfg.checkpoint_every,
     )
     path = out / "base.ckpt"

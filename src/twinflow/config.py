@@ -10,6 +10,10 @@ A config file has five sections::
                      checkpoint1/2, base_checkpoint, checkpoint_every,
                      c_lad, c_agmon, c_sob
 
+``ExperimentConfig`` is the one config object of a run, and the one the
+stepper takes. It raises ``ConfigError`` on values no run can use, such
+as a ``nu`` whose square underflows or a force band outside the grid.
+
 Any other section or key is an error. Manifests written next to run
 outputs are config files with an extra ``[provenance]`` section (versions,
 seed, command line); the parser ignores that section, so a manifest re-runs
@@ -29,9 +33,8 @@ import numpy as np
 
 from . import __version__
 from .coupling import IntertwinementSpec, observation_mask
-from .forcing import ForcingSpec
+from .forcing import ForcingSpec, band_mask
 from .spectral import SpectralGrid, shared_grid
-from .stepping import SimConfig
 
 __all__ = [
     "ExperimentConfig",
@@ -82,6 +85,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"nu and dt must be positive and finite, got nu={self.nu}, dt={self.dt}"
             )
+        if not 0 < self.nu * self.nu < math.inf:  # the Grashof scale |f| / nu^2
+            raise ConfigError(f"nu={self.nu} is out of range: nu^2 underflows or overflows")
         for name in ("t_end", "spinup_time", "decorrelate_time"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:
@@ -90,7 +95,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
-        shared_grid(self.resolution)  # raises on a resolution no grid has
+        grid = shared_grid(self.resolution)  # raises on a resolution no grid has
+        for name, spec in (("forcing", self.forcing), ("forcing2", self.forcing2)):
+            if spec is not None and not band_mask(spec, grid).any():
+                raise ConfigError(f"[{name}] band holds no mode of the dealiased block")
 
     def check_cutoff(self) -> None:
         """Raise ``ConfigError`` when the observation cutoff lies beyond the
@@ -106,8 +114,10 @@ class ExperimentConfig:
         return shared_grid(self.resolution)
 
     @property
-    def sim(self) -> SimConfig:
-        return SimConfig(self.nu, self.dt, self.grid, self.forcing)
+    def sim(self) -> ExperimentConfig:
+        # Only perfbench/workloads.py calls this alias, as spin_up(cfg.sim, ...);
+        # ROADMAP item 1 deletes it.
+        return self
 
 
 def _path(value: str) -> Optional[str]:

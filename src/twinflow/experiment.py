@@ -30,7 +30,6 @@ from .spectral import (
     PARSEVAL_FACTOR,
     SpectralField,
     SpectralGrid,
-    StreamFunction,
     block_of,
     half_plane,
     half_plane_weights,
@@ -65,6 +64,10 @@ __all__ = [
 ]
 
 CSV_COLUMNS = ("t", "err_h", "err_v", "err_low", "err_high", "energy1", "energy2")
+
+# err_h over |u| = sqrt(energy1) of a pair equal to double precision: 2e-17
+# to 3e-17 on the desk preset, so the floor is over three decades above it.
+ROUNDOFF_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -142,12 +145,12 @@ def _forces(cfg: ExperimentConfig) -> tuple[SpectralField, SpectralField]:
     return f1, f2
 
 
-def _base_state(cfg: ExperimentConfig) -> StreamFunction:
+def _base_state(cfg: ExperimentConfig) -> SpectralField:
     """Spun-up reference state: from the configured checkpoint, or fresh."""
     if cfg.base_checkpoint:
         state, _ = load_checkpoint(cfg.base_checkpoint, cfg.grid)
         return state.psi1
-    return spin_up(cfg.sim, cfg.spinup_time)
+    return spin_up(cfg, cfg.spinup_time)
 
 
 def prepare_initial_pair(cfg: ExperimentConfig) -> PairState:
@@ -164,7 +167,7 @@ def prepare_initial_pair(cfg: ExperimentConfig) -> PairState:
     if cfg.init_kind == "projected_low":
         psi2 = project_low(psi1, cfg.coupling.cutoff)
     else:  # decorrelated
-        psi2 = decorrelate(psi1, cfg.sim, cfg.decorrelate_time)
+        psi2 = decorrelate(psi1, cfg, cfg.decorrelate_time)
     return PairState(psi1, psi2, 0.0, 0)
 
 
@@ -194,7 +197,7 @@ def run_experiment(
     series = [error_record(state, cutoff)]
     try:
         state = advance(
-            state, cfg.sim, cfg.coupling, f1, f2, nsteps,
+            state, cfg, f1, f2, nsteps,
             lambda s: series.append(error_record(s, cutoff)), cfg.record_every,
         )
     finally:
@@ -233,11 +236,17 @@ def fit_decay_rate(
 ) -> RateFit:
     """Slope of ln(error) vs t by least squares; negative = synchronizing.
 
-    The default window is the last half of the series (skips the
-    transient). All samples in the window must be strictly positive.
+    The default window is the last half (skipping the transient) of the
+    decaying segment: the records up to the last one whose error exceeds
+    ``ROUNDOFF_FLOOR * sqrt(energy1)``. Past it the error sits at
+    roundoff, whose slope is not a rate. A series that never falls to the
+    floor fits its last half. All samples in the window must be strictly
+    positive.
     """
     if window is None:
-        t0, t1 = series[0].t, series[-1].t
+        above = [r.t for r in series
+                 if getattr(r, field) > ROUNDOFF_FLOOR * math.sqrt(r.energy1)]
+        t0, t1 = series[0].t, above[-1] if above else series[-1].t
         window = (0.5 * (t0 + t1), t1)
     lo, hi = window
     samples = [(r.t, getattr(r, field)) for r in series if lo <= r.t <= hi]

@@ -26,6 +26,7 @@ from .spectral import SpectralField, SpectralGrid, block_of, from_block, norm_hn
 
 __all__ = [
     "ForcingSpec",
+    "band_mask",
     "make_band_forcing",
     "grashof",
     "force_sup_norm",
@@ -81,6 +82,12 @@ class ForcingSpec:
             raise ValueError(f"norm_kind must be 'h' or 'linf', got {self.norm_kind!r}")
 
 
+def band_mask(spec: ForcingSpec, grid: SpectralGrid) -> np.ndarray:
+    """The force's support on the block: k != 0, band_low <= |k|^2 <= band_high."""
+    ksq = block_of(grid.ksq, grid.dealias_kmax)
+    return (ksq >= max(spec.band_low, 1)) & (ksq <= spec.band_high)
+
+
 @lru_cache(maxsize=8)
 def make_band_forcing(spec: ForcingSpec, grid: SpectralGrid, nu: float) -> SpectralField:
     """Build the band force profile; |f| = grashof_target * nu^2 exactly.
@@ -92,9 +99,7 @@ def make_band_forcing(spec: ForcingSpec, grid: SpectralGrid, nu: float) -> Spect
         raise ValueError(f"viscosity must be positive, got {nu}")
     kmax = grid.dealias_kmax
     kx, ky = block_of(grid.kx, kmax), block_of(grid.ky, kmax)
-    ksq = kx * kx + ky * ky
-    band = (ksq >= spec.band_low) & (ksq <= spec.band_high)
-    band[0, 0] = False
+    band = band_mask(spec, grid)
     if not band.any():
         raise ValueError("forcing band contains no lattice modes")
 

@@ -129,11 +129,6 @@ class SpectralField:
     __rmul__ = __mul__
 
 
-# The solver state is a streamfunction stored as a plain spectral field;
-# the alias records intent at call sites.
-StreamFunction = SpectralField
-
-
 def _check_same_grid(a: SpectralField, b: SpectralField):
     if a.grid.resolution != b.grid.resolution:
         raise ValueError(
@@ -264,7 +259,7 @@ def norm_hn(field: SpectralField, n: int = 0) -> float:
     return PARSEVAL_FACTOR * float(np.sqrt(total))
 
 
-def energy_spectrum(psi: StreamFunction) -> np.ndarray:
+def energy_spectrum(psi: SpectralField) -> np.ndarray:
     """Velocity energy shells of a streamfunction: S[m] = (2*pi)^2 times
     the sum of |k|^2 |psi_k|^2 over m <= |k| < m+1, on the half-plane.
 

@@ -7,14 +7,18 @@ Per mode k != 0, one step applies
 so diffusion is exact and everything else is explicit Euler.
 
 Every stepping entry point (``advance``, ``spin_up``, ``decorrelate``,
-``step_single``) checks its input once for blow-up over the ``rfft2``
-half-plane, then keeps only the dealiased block of it: the raw
-``(2K+1) x (K+1)`` array of the modes the 2/3 mask keeps (``|kx|, ky <=
-K``, ``K = grid.dealias_kmax``; see ``spectral.to_block``). Whatever the
-input holds outside the block is dropped, so the state is dealiased by
-construction. One loop runs on the blocks, for a single flow or a
-coupled pair: the nonlinear term (written straight into the right-hand
-side), the right-hand side, the update in place, and the blow-up check.
+``step_single``) takes the run's one config, a ``config.ExperimentConfig``,
+and reads its ``grid``, ``nu``, ``dt`` and ``forcing`` (whose absorbing
+radius sets the blow-up limit); ``advance`` also reads its ``coupling``,
+and takes the forces explicitly. Each call checks its input once for
+blow-up over the ``rfft2`` half-plane, then keeps only the dealiased
+block of it: the raw ``(2K+1) x (K+1)`` array of the modes the 2/3 mask
+keeps (``|kx|, ky <= K``, ``K = grid.dealias_kmax``; see
+``spectral.to_block``). Whatever the input holds outside the block is
+dropped, so the state is dealiased by construction. One loop runs on
+the blocks, for a single flow or a coupled pair: the nonlinear term
+(written straight into the right-hand side), the right-hand side, the
+update in place, and the blow-up check.
 The loop allocates its scratch once per call: one transform workspace
 (``fieldops.nonlinear_workspace``) shared by both systems of a pair, and
 one right-hand-side block per system, which swaps roles with the state
@@ -37,25 +41,23 @@ Checkpoints serialize a full pair state losslessly (see
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .coupling import IntertwinementSpec, coupling_arrays, observation_mask
+from .coupling import coupling_arrays, observation_mask
 from .fieldops import nonlinear_block, nonlinear_workspace, stream_force_term
 from .forcing import ForcingSpec, absorbing_radii, make_band_forcing
 from .spectral import (
     PARSEVAL_FACTOR,
     SpectralField,
     SpectralGrid,
-    StreamFunction,
     block_of,
     from_block,
     half_plane,
@@ -66,8 +68,10 @@ from .spectral import (
     zero_field,
 )
 
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
+
 __all__ = [
-    "SimConfig",
     "PairState",
     "BlockPair",
     "BlowUpError",
@@ -99,25 +103,11 @@ class BlowUpError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """Viscosity, timestep, grid and force for one run."""
-
-    nu: float
-    dt: float
-    grid: SpectralGrid
-    forcing: Optional[ForcingSpec] = None
-
-    def __post_init__(self):
-        if not (0 < self.nu < math.inf and 0 < self.dt < math.inf):
-            raise ValueError("nu and dt must be positive and finite")
-
-
-@dataclass(frozen=True)
 class PairState:
     """Two streamfunctions plus the simulation clock."""
 
-    psi1: StreamFunction
-    psi2: StreamFunction
+    psi1: SpectralField
+    psi2: SpectralField
     t: float = 0.0
     step_index: int = 0
 
@@ -144,15 +134,16 @@ class BlockPair:
 
 
 @lru_cache(maxsize=16)
-def _step_constants(grid: SpectralGrid, nu: float, dt: float):
-    """Integrating factor on the block and the block's weights of the
-    blow-up energy sum |k|^2 |psi_k|^2."""
+def _step_constants(grid: SpectralGrid, nu: float, dt: float, forcing: ForcingSpec):
+    """Integrating factor on the block, the block's weights of the
+    blow-up energy sum |k|^2 |psi_k|^2, and the blow-up limit on |u|."""
     kmax = grid.dealias_kmax
     efac = np.exp(-nu * block_of(grid.ksq, kmax) * dt)
     weights = block_of(half_plane_weights(grid, 1), kmax)
     for arr in (efac, weights):
         arr.setflags(write=False)
-    return efac, weights
+    rho0, _ = absorbing_radii(make_band_forcing(forcing, grid, nu), nu)
+    return efac, weights, BLOWUP_FACTOR * rho0
 
 
 def _check_finite(psi: np.ndarray, weights: np.ndarray, limit: float, t: float,
@@ -167,16 +158,15 @@ def _check_finite(psi: np.ndarray, weights: np.ndarray, limit: float, t: float,
         )
 
 
-def _full(grid: SpectralGrid, block: np.ndarray) -> StreamFunction:
-    return StreamFunction(grid, from_block(block, grid.resolution))
+def _full(grid: SpectralGrid, block: np.ndarray) -> SpectralField:
+    return SpectralField(grid, from_block(block, grid.resolution))
 
 
-def _evolve(cfg: SimConfig, psis: list, forces: list, nsteps: int, t: float = 0.0,
-            step: int = 0, spec: Optional[IntertwinementSpec] = None,
-            cadence: Optional[Callable] = None,
+def _evolve(cfg: ExperimentConfig, psis: list, forces: list, nsteps: int,
+            t: float = 0.0, step: int = 0, cadence: Optional[Callable] = None,
             every: int = 1) -> tuple[list, float, int]:
     """``nsteps`` steps of the full-lattice arrays ``psis`` under ``forces``:
-    one flow, or two coupled through ``spec``.
+    one flow, or two coupled through ``cfg.coupling``.
 
     Returns the stepped blocks (see ``spectral.to_block``), the clock and
     the step index. Every ``every`` steps calls ``cadence(ps, t, step)``
@@ -185,11 +175,7 @@ def _evolve(cfg: SimConfig, psis: list, forces: list, nsteps: int, t: float = 0.
     """
     grid, dt = cfg.grid, cfg.dt
     kmax = grid.dealias_kmax
-    efac, weights = _step_constants(grid, cfg.nu, dt)
-    limit = np.inf
-    if cfg.forcing is not None:
-        rho0, _ = absorbing_radii(make_band_forcing(cfg.forcing, grid, cfg.nu), cfg.nu)
-        limit = BLOWUP_FACTOR * rho0
+    efac, weights, limit = _step_constants(grid, cfg.nu, dt, cfg.forcing)
     # the input's modes outside the block are dropped below, so check them
     # here, once
     for c in psis:
@@ -199,6 +185,7 @@ def _evolve(cfg: SimConfig, psis: list, forces: list, nsteps: int, t: float = 0.
     gs = [to_block(stream_force_term(f).coeffs, kmax) for f in forces]
     work = nonlinear_workspace(grid)
     checkpoint = None
+    spec = cfg.coupling if len(ps) == 2 else None  # a single flow is uncoupled
     if spec is not None:
         # P_N on the block: when 3 | N, the ball |k| <= N/3 also holds
         # modes outside the block, which are never stepped
@@ -234,8 +221,8 @@ def _evolve(cfg: SimConfig, psis: list, forces: list, nsteps: int, t: float = 0.
     return ps, t, step
 
 
-def _evolve_single(psi: StreamFunction, cfg: SimConfig, f: SpectralField, nsteps: int,
-                   cadence: Optional[Callable] = None, every: int = 1) -> StreamFunction:
+def _evolve_single(psi: SpectralField, cfg: ExperimentConfig, f: SpectralField, nsteps: int,
+                   cadence: Optional[Callable] = None, every: int = 1) -> SpectralField:
     """``nsteps`` single-flow steps, clock from zero."""
     if nsteps == 0:
         return psi
@@ -243,24 +230,23 @@ def _evolve_single(psi: StreamFunction, cfg: SimConfig, f: SpectralField, nsteps
     return _full(cfg.grid, p)
 
 
-def step_single(psi: StreamFunction, cfg: SimConfig, f: SpectralField) -> StreamFunction:
+def step_single(psi: SpectralField, cfg: ExperimentConfig, f: SpectralField) -> SpectralField:
     """One integrating-factor Euler step of a single flow."""
     return _evolve_single(psi, cfg, f, 1)
 
 
 def advance(
     state: PairState,
-    cfg: SimConfig,
-    spec: IntertwinementSpec,
+    cfg: ExperimentConfig,
     f1: SpectralField,
     f2: SpectralField,
     nsteps: int,
     observer: Optional[Callable[[BlockPair], None]] = None,
     observe_every: int = 1,
 ) -> PairState:
-    """Run ``nsteps`` steps of the pair coupled through ``spec`` under forces
-    (f1, f2), and return the stepped state (the input itself when
-    ``nsteps`` is 0).
+    """Run ``nsteps`` steps of the pair coupled through ``cfg.coupling``
+    under forces (f1, f2), and return the stepped state (the input itself
+    when ``nsteps`` is 0).
 
     ``observer`` sees the stepped pair after every ``observe_every``
     steps, never the input, as a ``BlockPair`` of the loop's own buffers:
@@ -278,19 +264,19 @@ def advance(
 
     (p1, p2), t, step = _evolve(
         cfg, [state.psi1.coeffs, state.psi2.coeffs], [f1, f2], nsteps,
-        state.t, state.step_index, spec, observe if observer is not None else None,
+        state.t, state.step_index, observe if observer is not None else None,
         observe_every,
     )
     return PairState(_full(grid, p1), _full(grid, p2), t, step)
 
 
 def spin_up(
-    cfg: SimConfig,
+    cfg: ExperimentConfig,
     duration: float,
     checkpoint_dir: Optional[Path] = None,
     checkpoint_every: float = 100.0,
     progress: Optional[Callable[[float], None]] = None,
-) -> StreamFunction:
+) -> SpectralField:
     """Evolve from zero initial data under the configured force.
 
     Writes rolling checkpoints (pair format with both components equal)
@@ -300,8 +286,6 @@ def spin_up(
     """
     if duration < 0:
         raise ValueError("spin-up duration must be nonnegative")
-    if cfg.forcing is None:
-        raise ValueError("spin-up requires a forcing spec")
     psi = zero_field(cfg.grid)
     force = make_band_forcing(cfg.forcing, cfg.grid, cfg.nu)
     nsteps = int(round(duration / cfg.dt))
@@ -321,14 +305,10 @@ def spin_up(
     return _evolve_single(psi, cfg, force, nsteps, cadence, every)
 
 
-def decorrelate(
-    psi: StreamFunction, cfg: SimConfig, duration: float = 100.0
-) -> StreamFunction:
+def decorrelate(psi: SpectralField, cfg: ExperimentConfig, duration: float) -> SpectralField:
     """Evolve a snapshot further in time to produce a decorrelated partner."""
     if duration < 0:
         raise ValueError("decorrelation duration must be nonnegative")
-    if cfg.forcing is None:
-        raise ValueError("decorrelation requires a forcing spec")
     force = make_band_forcing(cfg.forcing, cfg.grid, cfg.nu)
     return _evolve_single(psi, cfg, force, int(round(duration / cfg.dt)))
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import twinflow as tf
+from twinflow.config import ExperimentConfig
 from twinflow.fieldops import nonlinear_block, nonlinear_workspace
 from twinflow.spectral import from_block, to_block
 
@@ -21,6 +22,25 @@ def hermitian_part(c):
     commutes, so entry ``-k`` is the conjugate of entry ``k`` bitwise."""
     mirror = (-np.arange(c.shape[0])) % c.shape[0]
     return 0.5 * (c + np.conj(c[np.ix_(mirror, mirror)]))
+
+
+def tiny_config(**overrides):
+    """A 32^2 mutual-sync config that runs in well under a second; every
+    field can be overridden."""
+    base = dict(
+        resolution=32,
+        nu=0.01,
+        dt=0.01,
+        t_end=0.5,
+        forcing=tf.ForcingSpec(10, 12, 500.0, 3),
+        coupling=tf.IntertwinementSpec("mutual_sync", 5.0, theta1=0.5),
+        init_kind="projected_low",
+        spinup_time=0.5,
+        decorrelate_time=0.2,
+        record_every=5,
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
 
 
 def nonlinear_full(psi):

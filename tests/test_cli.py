@@ -7,8 +7,8 @@ from twinflow.config import write_config
 from twinflow.experiment import read_series_csv
 from twinflow.stepping import load_checkpoint, save_checkpoint
 
-from conftest import random_psi
-from test_experiment import blowup_config, tiny_config
+from conftest import random_psi, tiny_config
+from test_experiment import blowup_config
 
 
 @pytest.fixture
@@ -136,6 +136,22 @@ def test_bad_config_exits_2(capsys, tmp_path, config_file, override, named):
     assert code == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, named",
+    [(["sim.nu=1e-200"], "nu^2"), (["sim.nu=1e308"], "nu^2"),
+     (["forcing.band_low=300", "forcing.band_high=400"], "[forcing] band holds no mode")],
+    ids=["nu_underflows", "nu_overflows", "band_outside_block"],
+)
+def test_out_of_range_input_exits_2(capsys, overrides, named):
+    argv = ["thresholds", "--preset", "desk", "--set", "sim.resolution=32",
+            "--set", "intertwinement.cutoff=8"]
+    for item in overrides:
+        argv += ["--set", item]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
 
 
 def test_sweep_cli(tmp_path, config_file):

@@ -10,7 +10,6 @@ import pytest
 import twinflow as tf
 from twinflow.config import (
     ConfigError,
-    ExperimentConfig,
     apply_overrides,
     parse_config,
     parse_config_text,
@@ -30,7 +29,7 @@ from twinflow.experiment import (
 from twinflow.spectral import from_block, to_block
 from twinflow.stepping import BlockPair, BlowUpError, advance, save_checkpoint, spin_up
 
-from conftest import hermitian_part, random_psi
+from conftest import hermitian_part, random_psi, tiny_config
 from oracles import field_from_physical, full_lattice_error_record
 
 DATA = Path(__file__).parent / "data"
@@ -39,24 +38,6 @@ sys.path.insert(0, str(DATA))
 from make_threshold_report import report_configs  # noqa: E402
 
 PINNED_REPORTS = json.loads((DATA / "threshold_report.json").read_text())
-
-
-def tiny_config(**overrides):
-    nu = 0.01
-    base = dict(
-        resolution=32,
-        nu=nu,
-        dt=0.01,
-        t_end=0.5,
-        forcing=tf.ForcingSpec(10, 12, 500.0, 3),
-        coupling=tf.IntertwinementSpec("mutual_sync", 5.0, theta1=0.5),
-        init_kind="projected_low",
-        spinup_time=0.5,
-        decorrelate_time=0.2,
-        record_every=5,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
 
 
 def blowup_config():
@@ -134,8 +115,8 @@ class TestErrorRecord:
         # 3 divides n the cutoff n/3 reaches modes outside the block
         grid = tf.SpectralGrid(n)
         rng = np.random.default_rng(n)
-        sim = tf.SimConfig(0.01, 0.01, grid, tf.ForcingSpec(2, 4, 500.0, 3))
-        force = tf.make_band_forcing(sim.forcing, grid, sim.nu)
+        cfg = tiny_config(resolution=n, forcing=tf.ForcingSpec(2, 4, 500.0, 3))
+        force = tf.make_band_forcing(cfg.forcing, grid, cfg.nu)
         cutoffs = [n / 4, n / 3 if n % 3 == 0 else float(grid.dealias_kmax)]
         pairs = 0
         for variant in tf.coupling.VARIANTS:
@@ -162,14 +143,14 @@ class TestErrorRecord:
                         assert abs(a - b) <= 1e-14 * scale**2, (variant, cutoff, name)
                     pairs += 1
 
-                advance(start, sim, spec, force, force, 4, observer, 2)
+                advance(start, replace(cfg, coupling=spec), force, force, 4, observer, 2)
         assert pairs == 2 * len(cutoffs) * len(tf.coupling.VARIANTS)
 
 
 class TestRunExperiment:
     def test_identical_trajectories_stay_identical(self):
         cfg = tiny_config(coupling=tf.IntertwinementSpec("trivial", 5.0))
-        base = tf.spin_up(cfg.sim, cfg.spinup_time)
+        base = tf.spin_up(cfg, cfg.spinup_time)
         series, final = run_experiment(cfg, initial=tf.PairState(base, base))
         scale = math.sqrt(max(r.energy1 for r in series))
         assert all(r.err_h <= 1e-13 * scale for r in series)
@@ -294,6 +275,19 @@ class TestFitDecayRate:
     def test_window_selection_defaults_to_last_half(self):
         fit = tf.fit_decay_rate(self.synthetic(-1.0, t1=8.0))
         assert fit.window == (4.0, 8.0)
+
+    def test_default_window_ends_at_the_roundoff_floor(self):
+        # decays at rate -3 until it meets the roundoff floor (1e-13 of
+        # |u| = 1, at t ~ 10), then sits at about 1e-17 to t = 40: the
+        # plateau's slope is not the rate
+        recs = []
+        for t in np.linspace(0.0, 40.0, 401):
+            v = max(math.exp(-3.0 * t), 1e-17 * (1.5 + math.sin(7.0 * t)))
+            recs.append(tf.ErrorRecord(t, v, v, v, v, 1.0, 1.0))
+        fit = tf.fit_decay_rate(recs)
+        assert fit.window[1] < 10.0
+        assert fit.rate == pytest.approx(-3.0, rel=1e-9)
+        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_nonpositive_samples_rejected(self):
         recs = self.synthetic(-2.0)

@@ -28,10 +28,8 @@ def test_public_surface_is_pinned():
         "IntertwinementSpec",
         "PairState",
         "RateFit",
-        "SimConfig",
         "SpectralField",
         "SpectralGrid",
-        "StreamFunction",
         "__version__",
         "absorbing_radii",
         "decorrelate",

@@ -15,14 +15,14 @@ import twinflow as tf
 from twinflow.experiment import error_record
 from twinflow.stepping import advance
 
-from conftest import random_psi
+from conftest import random_psi, tiny_config
 
 
-def _readings(psi1, psi2, sim, spec):
-    nu = sim.nu
-    force = tf.make_band_forcing(sim.forcing, sim.grid, nu)
+def _readings(psi1, psi2, cfg):
+    nu = cfg.nu
+    force = tf.make_band_forcing(cfg.forcing, cfg.grid, nu)
     state = tf.PairState(psi1, psi2)
-    stepped = advance(state, sim, spec, force, force, 3)
+    stepped = advance(state, cfg, force, force, 3)
     return {
         **{f"norm_hn({n})": tf.norm_hn(psi1, n) for n in (-1, 0, 1, 2)},
         "energy_spectrum": tf.energy_spectrum(psi1),
@@ -30,9 +30,9 @@ def _readings(psi1, psi2, sim, spec):
         "grashof": tf.grashof(psi1, nu),
         "shape_factor": [tf.shape_factor(psi1, n) for n in (-1, 1, 2)],
         "absorbing_radii": tf.absorbing_radii(psi1, nu),
-        "error_record": astuple(error_record(state, spec.cutoff)),
+        "error_record": astuple(error_record(state, cfg.coupling.cutoff)),
         "advance": [stepped.psi1.coeffs, stepped.psi2.coeffs, stepped.t],
-        "decorrelate": tf.decorrelate(psi2, sim, 3 * sim.dt).coeffs,
+        "decorrelate": tf.decorrelate(psi2, cfg, 3 * cfg.dt).coeffs,
     }
 
 
@@ -52,9 +52,9 @@ def test_columns_ky_below_zero_are_never_read(n):
         c = psi.coeffs.copy()
         c[:, n // 2 + 1:] = np.nan
         dirty.append(tf.SpectralField(grid, c))
-    sim = tf.SimConfig(0.01, 0.01, grid, tf.ForcingSpec(4, 10, 500.0, 3))
-    spec = tf.IntertwinementSpec("mutual_nudge", 5.0, mu1=2.0, mu2=3.0)
-    expected = _readings(*clean, sim, spec)
-    got = _readings(*dirty, sim, spec)
+    cfg = tiny_config(resolution=n, forcing=tf.ForcingSpec(4, 10, 500.0, 3),
+                      coupling=tf.IntertwinementSpec("mutual_nudge", 5.0, mu1=2.0, mu2=3.0))
+    expected = _readings(*clean, cfg)
+    got = _readings(*dirty, cfg)
     for name, value in expected.items():
         assert _bits(got[name]) == _bits(value), f"{name} reads the columns ky < 0"

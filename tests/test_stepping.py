@@ -1,5 +1,6 @@
 import struct
 import zlib
+from dataclasses import replace
 
 import twinflow.stepping
 
@@ -16,7 +17,7 @@ from twinflow.stepping import (
     save_checkpoint,
 )
 
-from conftest import hermitian_part, random_psi
+from conftest import hermitian_part, random_psi, tiny_config
 from oracles import (
     checkpoint_bytes,
     field_from_physical,
@@ -33,14 +34,10 @@ def shear_mode(grid, amplitude=1.0):
 
 
 @pytest.fixture
-def small_cfg(grid32):
-    return tf.SimConfig(nu=0.01, dt=0.01, grid=grid32)
-
-
-@pytest.fixture
-def forced_cfg(grid32):
-    spec = tf.ForcingSpec(10, 12, 500.0, phase_seed=3)
-    return tf.SimConfig(nu=0.01, dt=0.01, grid=grid32, forcing=spec)
+def cfg32():
+    # nu = dt = 0.01 at 32^2; its force sets the blow-up limit, and the
+    # tests pass the forces they step explicitly
+    return tiny_config()
 
 
 def zero_force(grid):
@@ -48,37 +45,31 @@ def zero_force(grid):
 
 
 class TestIntegratingFactor:
-    def test_pure_diffusion_exact(self, grid32, small_cfg):
+    def test_pure_diffusion_exact(self, grid32, cfg32):
         psi = shear_mode(grid32)
         f0 = zero_force(grid32)
         amp0 = tf.norm_hn(psi, 1)
         n = 200
         for _ in range(n):
-            psi = tf.step_single(psi, small_cfg, f0)
-        expected = amp0 * np.exp(-small_cfg.nu * n * small_cfg.dt)
+            psi = tf.step_single(psi, cfg32, f0)
+        expected = amp0 * np.exp(-cfg32.nu * n * cfg32.dt)
         assert tf.norm_hn(psi, 1) == pytest.approx(expected, rel=1e-12)
 
-    def test_nonlinear_term_exactly_zero_for_shear(self, grid32, small_cfg):
+    def test_nonlinear_term_exactly_zero_for_shear(self, grid32, cfg32):
         psi0 = shear_mode(grid32)
-        psi1 = tf.step_single(psi0, small_cfg, zero_force(grid32))
-        efac = np.exp(-small_cfg.nu * 1.0 * small_cfg.dt)
+        psi1 = tf.step_single(psi0, cfg32, zero_force(grid32))
+        efac = np.exp(-cfg32.nu * 1.0 * cfg32.dt)
         nz = np.abs(psi0.coeffs) > 0
         assert np.array_equal(psi1.coeffs[nz], efac * psi0.coeffs[nz])
 
 
 class TestPairStep:
-    def test_single_equals_trivial_pair(self, grid32, forced_cfg, rng):
+    def test_single_equals_trivial_pair(self, grid32, cfg32, rng):
         psi = random_psi(grid32, rng)
-        f = tf.make_band_forcing(forced_cfg.forcing, grid32, forced_cfg.nu)
-        single = tf.step_single(psi, forced_cfg, f)
-        pair = advance(
-            tf.PairState(psi, psi),
-            forced_cfg,
-            tf.IntertwinementSpec("trivial", 5.0),
-            f,
-            f,
-            1,
-        )
+        f = tf.make_band_forcing(cfg32.forcing, grid32, cfg32.nu)
+        single = tf.step_single(psi, cfg32, f)
+        trivial = replace(cfg32, coupling=tf.IntertwinementSpec("trivial", 5.0))
+        pair = advance(tf.PairState(psi, psi), trivial, f, f, 1)
         assert np.array_equal(single.coeffs, pair.psi1.coeffs)
         assert np.array_equal(pair.psi1.coeffs, pair.psi2.coeffs)
 
@@ -98,12 +89,13 @@ class TestPairStep:
         # independent per-mode reference: convolution nonlinearity plus
         # plain python integrating-factor arithmetic
         grid = tf.SpectralGrid(8)
-        cfg = tf.SimConfig(nu=0.05, dt=0.02, grid=grid)
         spec = tf.IntertwinementSpec(variant, 2.0, **kwargs)
+        cfg = tiny_config(resolution=8, nu=0.05, dt=0.02,
+                          forcing=tf.ForcingSpec(1, 8, 500.0, 3), coupling=spec)
         psi1, psi2 = random_psi(grid, rng, decay=1.0), random_psi(grid, rng, decay=1.0)
         f1, f2 = random_psi(grid, rng, decay=1.0), random_psi(grid, rng, decay=1.0)
         state = tf.PairState(psi1, psi2)
-        stepped = advance(state, cfg, spec, f1, f2, 1)
+        stepped = advance(state, cfg, f1, f2, 1)
         from twinflow.fieldops import stream_force_term
 
         ref1, ref2 = scalar_reference_pair_step(
@@ -114,17 +106,17 @@ class TestPairStep:
         assert np.max(np.abs(stepped.psi1.coeffs - ref1)) <= 1e-12 * scale
         assert np.max(np.abs(stepped.psi2.coeffs - ref2)) <= 1e-12 * scale
 
-    def test_mutual_sync_low_mode_per_step_contraction(self, grid32, forced_cfg, rng):
+    def test_mutual_sync_low_mode_per_step_contraction(self, grid32, cfg32, rng):
         # with shared force and theta1 + theta2 = 1 the projected
         # difference contracts by exactly the viscous factor per mode
         cutoff = 5.0
-        spec = tf.IntertwinementSpec("mutual_sync", cutoff, theta1=0.5)
-        f = tf.make_band_forcing(forced_cfg.forcing, grid32, forced_cfg.nu)
+        cfg = replace(cfg32, coupling=tf.IntertwinementSpec("mutual_sync", cutoff, theta1=0.5))
+        f = tf.make_band_forcing(cfg.forcing, grid32, cfg.nu)
         state = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng))
-        efac = np.exp(-forced_cfg.nu * grid32.ksq * forced_cfg.dt)
+        efac = np.exp(-cfg.nu * grid32.ksq * cfg.dt)
         for _ in range(5):
             before = tf.project_low(state.psi1 - state.psi2, cutoff)
-            state = advance(state, forced_cfg, spec, f, f, 1)
+            state = advance(state, cfg, f, f, 1)
             after = tf.project_low(state.psi1 - state.psi2, cutoff)
             expected = efac * before.coeffs
             mask = grid32.kmag <= cutoff
@@ -132,20 +124,20 @@ class TestPairStep:
             den = np.max(np.abs(before.coeffs)) or 1.0
             assert num <= 1e-13 * den
 
-    def test_degenerate_sync_low_modes_stay_matched(self, grid32, forced_cfg, rng):
+    def test_degenerate_sync_low_modes_stay_matched(self, grid32, cfg32, rng):
         cutoff = 5.0
-        spec = tf.IntertwinementSpec("degenerate_sync", cutoff)
-        f = tf.make_band_forcing(forced_cfg.forcing, grid32, forced_cfg.nu)
+        cfg = replace(cfg32, coupling=tf.IntertwinementSpec("degenerate_sync", cutoff))
+        f = tf.make_band_forcing(cfg.forcing, grid32, cfg.nu)
         psi1 = random_psi(grid32, rng)
         state = tf.PairState(psi1, tf.project_low(psi1, cutoff))
-        state = advance(state, forced_cfg, spec, f, f, 100)
+        state = advance(state, cfg, f, f, 100)
         drift = tf.norm_hn(
             tf.project_low(state.psi1 - state.psi2, cutoff), 1
         )
         assert drift <= 1e-12 * tf.norm_hn(psi1, 1)
 
     def test_energy_decreases_without_force(self, grid64, rng):
-        cfg = tf.SimConfig(nu=0.01, dt=0.005, grid=grid64)
+        cfg = tiny_config(resolution=64, dt=0.005)
         psi = random_psi(grid64, rng)
         f0 = zero_force(grid64)
         prev = tf.norm_hn(psi, 1)
@@ -173,30 +165,32 @@ VARIANT_SPECS = [
 
 class TestOneStepPath:
     @pytest.mark.parametrize("spec", VARIANT_SPECS, ids=lambda s: s.variant)
-    def test_step_pair_k_times_equals_advance(self, grid32, forced_cfg, rng, spec):
-        f = tf.make_band_forcing(forced_cfg.forcing, grid32, forced_cfg.nu)
+    def test_step_pair_k_times_equals_advance(self, grid32, cfg32, rng, spec):
+        cfg = replace(cfg32, coupling=spec)
+        f = tf.make_band_forcing(cfg.forcing, grid32, cfg.nu)
         start = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng), 0.25, 3)
         state = start
         for _ in range(7):
-            state = advance(state, forced_cfg, spec, f, f, 1)
-        batched = advance(start, forced_cfg, spec, f, f, 7)
+            state = advance(state, cfg, f, f, 1)
+        batched = advance(start, cfg, f, f, 7)
         assert np.array_equal(state.psi1.coeffs, batched.psi1.coeffs)
         assert np.array_equal(state.psi2.coeffs, batched.psi2.coeffs)
         assert (state.t, state.step_index) == (batched.t, batched.step_index)
 
-    def test_step_single_k_times_equals_decorrelate(self, grid32, forced_cfg, rng):
+    def test_step_single_k_times_equals_decorrelate(self, grid32, cfg32, rng):
         psi0 = random_psi(grid32, rng)
-        f = tf.make_band_forcing(forced_cfg.forcing, grid32, forced_cfg.nu)
+        f = tf.make_band_forcing(cfg32.forcing, grid32, cfg32.nu)
         psi = psi0
         for _ in range(7):
-            psi = tf.step_single(psi, forced_cfg, f)
-        batched = tf.decorrelate(psi0, forced_cfg, 7 * forced_cfg.dt)
+            psi = tf.step_single(psi, cfg32, f)
+        batched = tf.decorrelate(psi0, cfg32, 7 * cfg32.dt)
         assert np.array_equal(psi.coeffs, batched.coeffs)
 
     @pytest.mark.parametrize("spec", VARIANT_SPECS, ids=lambda s: s.variant)
-    def test_modes_outside_block_are_projected_away(self, grid32, forced_cfg, rng, spec):
+    def test_modes_outside_block_are_projected_away(self, grid32, cfg32, rng, spec):
         # energy outside the 2/3 mask, Hermitian: stepping drops it first
-        f = tf.make_band_forcing(forced_cfg.forcing, grid32, forced_cfg.nu)
+        cfg = replace(cfg32, coupling=spec)
+        f = tf.make_band_forcing(cfg.forcing, grid32, cfg.nu)
         rough = [tf.SpectralField(grid32, hermitian_part(field_from_physical(
             grid32, 0.01 * rng.standard_normal(grid32.shape)).coeffs)) for _ in range(2)]
         assert all(np.any(p.coeffs[~grid32.dealias_mask]) for p in rough)
@@ -205,14 +199,15 @@ class TestOneStepPath:
         mask = grid32.dealias_mask
         clean = tf.PairState(tf.SpectralField(grid32, start.psi1.coeffs * mask),
                              tf.SpectralField(grid32, start.psi2.coeffs * mask), 0.5, 2)
-        a = advance(start, forced_cfg, spec, f, f, 3)
-        b = advance(clean, forced_cfg, spec, f, f, 3)
+        a = advance(start, cfg, f, f, 3)
+        b = advance(clean, cfg, f, f, 3)
         assert np.array_equal(a.psi1.coeffs, b.psi1.coeffs)
         assert np.array_equal(a.psi2.coeffs, b.psi2.coeffs)
 
     @pytest.mark.parametrize("spec", VARIANT_SPECS, ids=lambda s: s.variant)
-    def test_pair_states_handed_out_are_exact(self, grid32, forced_cfg, rng, spec):
-        f = tf.make_band_forcing(forced_cfg.forcing, grid32, forced_cfg.nu)
+    def test_pair_states_handed_out_are_exact(self, grid32, cfg32, rng, spec):
+        cfg = replace(cfg32, coupling=spec)
+        f = tf.make_band_forcing(cfg.forcing, grid32, cfg.nu)
         start = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng))
         seen = []
 
@@ -220,8 +215,8 @@ class TestOneStepPath:
             # the blocks are the loop's buffers, valid only during the call
             seen.append((pair.t, pair.step_index, pair.block1.copy(), pair.block2.copy()))
 
-        assert advance(start, forced_cfg, spec, f, f, 0, observer) is start
-        final = advance(start, forced_cfg, spec, f, f, 6, observer, 2)
+        assert advance(start, cfg, f, f, 0, observer) is start
+        final = advance(start, cfg, f, f, 6, observer, 2)
         # the observer sees stepped pairs only, never the input
         assert [step for _, step, _, _ in seen] == [2, 4, 6]
         t, step, block1, block2 = seen[-1]
@@ -229,20 +224,20 @@ class TestOneStepPath:
         assert np.array_equal(block1, to_block(final.psi1.coeffs, kmax))
         assert np.array_equal(block2, to_block(final.psi2.coeffs, kmax))
         assert (t, step) == (final.t, final.step_index)
-        stepped = advance(start, forced_cfg, spec, f, f, 1)
+        stepped = advance(start, cfg, f, f, 1)
         observed = [tf.SpectralField(grid32, from_block(b, 32))
                     for _, _, *blocks in seen for b in blocks]
         for psi in observed + [final.psi1, final.psi2, stepped.psi1, stepped.psi2]:
             assert_exact_state(psi)
 
-    def test_single_states_and_checkpoints_are_exact(self, grid32, forced_cfg, rng,
+    def test_single_states_and_checkpoints_are_exact(self, grid32, cfg32, rng,
                                                      tmp_path):
-        f = tf.make_band_forcing(forced_cfg.forcing, grid32, forced_cfg.nu)
-        spun = tf.spin_up(forced_cfg, 0.3, checkpoint_dir=tmp_path, checkpoint_every=0.1)
+        f = tf.make_band_forcing(cfg32.forcing, grid32, cfg32.nu)
+        spun = tf.spin_up(cfg32, 0.3, checkpoint_dir=tmp_path, checkpoint_every=0.1)
         ckpts = sorted(tmp_path.glob("spinup_*.ckpt"))
         assert len(ckpts) == 3
-        states = [spun, tf.decorrelate(spun, forced_cfg, 0.05),
-                  tf.step_single(random_psi(grid32, rng), forced_cfg, f)]
+        states = [spun, tf.decorrelate(spun, cfg32, 0.05),
+                  tf.step_single(random_psi(grid32, rng), cfg32, f)]
         for path in ckpts:
             state, _ = load_checkpoint(path)
             states += [state.psi1, state.psi2]
@@ -251,34 +246,34 @@ class TestOneStepPath:
 
 
 class TestBlowUpDetection:
-    def test_nonfinite_detected(self, grid32, small_cfg):
+    def test_nonfinite_detected(self, grid32, cfg32):
         c = np.zeros(grid32.shape, dtype=np.complex128)
         c[1, 0] = c[-1, 0] = np.nan
         bad = tf.SpectralField(grid32, c)
         with pytest.raises(BlowUpError, match="non-finite"):
-            tf.step_single(bad, small_cfg, zero_force(grid32))
+            tf.step_single(bad, cfg32, zero_force(grid32))
 
     @pytest.mark.parametrize("mode", [(1, 0), (3, 16), (2, 5)])
-    def test_nonfinite_detected_in_pair(self, grid32, small_cfg, rng, mode):
+    def test_nonfinite_detected_in_pair(self, grid32, cfg32, rng, mode):
         # column 0, column N/2 and an interior column of the half-plane
         c = np.array(random_psi(grid32, rng).coeffs)
         k1, k2 = mode
         c[k1, k2] = c[-k1, -k2] = np.nan
         state = tf.PairState(random_psi(grid32, rng), tf.SpectralField(grid32, c))
-        spec = tf.IntertwinementSpec("mutual_nudge", 5.0, mu1=1.0, mu2=1.0)
+        cfg = replace(cfg32, coupling=tf.IntertwinementSpec("mutual_nudge", 5.0, mu1=1.0,
+                                                            mu2=1.0))
         with pytest.raises(BlowUpError, match="non-finite"):
-            advance(state, small_cfg, spec, zero_force(grid32), zero_force(grid32), 1)
+            advance(state, cfg, zero_force(grid32), zero_force(grid32), 1)
 
-    def test_runaway_magnitude_detected(self, grid32, forced_cfg, rng):
+    def test_runaway_magnitude_detected(self, grid32, cfg32, rng):
         huge = random_psi(grid32, rng, scale=1e12)
         with pytest.raises(BlowUpError, match="absorbing radius"):
-            tf.step_single(huge, forced_cfg, zero_force(grid32))
+            tf.step_single(huge, cfg32, zero_force(grid32))
 
-    def test_spin_up_blow_up_names_newest_checkpoint(self, grid32, tmp_path):
+    def test_spin_up_blow_up_names_newest_checkpoint(self, tmp_path):
         # dt = 0.05 under a Grashof 10^6 force is past the explicit step's
         # stability limit: the spin-up blows up after some checkpoints
-        cfg = tf.SimConfig(nu=0.01, dt=0.05, grid=grid32,
-                           forcing=tf.ForcingSpec(10, 12, 1e6, phase_seed=3))
+        cfg = tiny_config(dt=0.05, forcing=tf.ForcingSpec(10, 12, 1e6, phase_seed=3))
         with pytest.raises(BlowUpError) as info:
             tf.spin_up(cfg, 5.0, checkpoint_dir=tmp_path, checkpoint_every=0.25)
         newest = sorted(tmp_path.glob("spinup_*.ckpt"))[-1]
@@ -291,46 +286,46 @@ class TestBlowUpDetection:
 
 
 class TestSpinUpDecorrelate:
-    def test_zero_duration_spin_up(self, forced_cfg):
-        psi = tf.spin_up(forced_cfg, 0.0)
+    def test_zero_duration_spin_up(self, cfg32):
+        psi = tf.spin_up(cfg32, 0.0)
         assert not np.any(psi.coeffs)
 
-    def test_spin_up_injects_energy(self, forced_cfg):
-        psi = tf.spin_up(forced_cfg, 2.0)
+    def test_spin_up_injects_energy(self, cfg32):
+        psi = tf.spin_up(cfg32, 2.0)
         assert tf.norm_hn(psi, 1) > 0
 
-    def test_restart_bit_exact(self, forced_cfg, tmp_path):
-        full = tf.spin_up(forced_cfg, 1.0)
-        tf.spin_up(forced_cfg, 0.5, checkpoint_dir=tmp_path, checkpoint_every=0.5)
+    def test_restart_bit_exact(self, cfg32, tmp_path):
+        full = tf.spin_up(cfg32, 1.0)
+        tf.spin_up(cfg32, 0.5, checkpoint_dir=tmp_path, checkpoint_every=0.5)
         ckpts = sorted(tmp_path.glob("spinup_*.ckpt"))
         assert ckpts
-        state, dt = load_checkpoint(ckpts[-1], forced_cfg.grid)
+        state, dt = load_checkpoint(ckpts[-1], cfg32.grid)
         psi = state.psi1
-        f = tf.make_band_forcing(forced_cfg.forcing, forced_cfg.grid, forced_cfg.nu)
+        f = tf.make_band_forcing(cfg32.forcing, cfg32.grid, cfg32.nu)
         for _ in range(50):
-            psi = tf.step_single(psi, forced_cfg, f)
+            psi = tf.step_single(psi, cfg32, f)
         assert np.array_equal(psi.coeffs, full.coeffs)
 
-    def test_decorrelate_zero_duration_is_identity(self, forced_cfg, rng):
-        psi = random_psi(forced_cfg.grid, rng)
-        out = tf.decorrelate(psi, forced_cfg, 0.0)
+    def test_decorrelate_zero_duration_is_identity(self, cfg32, rng):
+        psi = random_psi(cfg32.grid, rng)
+        out = tf.decorrelate(psi, cfg32, 0.0)
         assert np.array_equal(out.coeffs, psi.coeffs)
 
-    def test_determinism_across_runs(self, forced_cfg):
-        a = tf.spin_up(forced_cfg, 0.5)
-        b = tf.spin_up(forced_cfg, 0.5)
+    def test_determinism_across_runs(self, cfg32):
+        a = tf.spin_up(cfg32, 0.5)
+        b = tf.spin_up(cfg32, 0.5)
         assert np.array_equal(a.coeffs, b.coeffs)
 
-    def test_progress_follows_each_checkpoint(self, forced_cfg, tmp_path):
+    def test_progress_follows_each_checkpoint(self, cfg32, tmp_path):
         calls = []
 
         def progress(t):
             # the interval's rolling checkpoint is on disk, and is the newest
             written = sorted(tmp_path.glob("spinup_*.ckpt"))
             state, _ = load_checkpoint(written[-1])
-            calls.append((int(round(t / forced_cfg.dt)), state.step_index, len(written)))
+            calls.append((int(round(t / cfg32.dt)), state.step_index, len(written)))
 
-        tf.spin_up(forced_cfg, 0.3, checkpoint_dir=tmp_path, checkpoint_every=0.1,
+        tf.spin_up(cfg32, 0.3, checkpoint_dir=tmp_path, checkpoint_every=0.1,
                    progress=progress)
         assert calls == [(10, 10, 1), (20, 20, 2), (30, 30, 3)]
 
