@@ -22,7 +22,7 @@ from .config import (
     write_config,
 )
 from .experiment import SWEEP_AXES, run_experiment, sweep, sweep_label, threshold_report
-from .spectral import energy_spectrum
+from .spectral import block_of, energy_spectrum
 from .stepping import (
     BlowUpError,
     CheckpointError,
@@ -67,15 +67,15 @@ def _cmd_spinup(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_config(cfg, out / "manifest.ini", provenance_info())
-    psi = spin_up(
-        cfg, cfg.spinup_time, checkpoint_dir=out,
-        checkpoint_every=cfg.checkpoint_every,
-    )
+    psi = spin_up(cfg, cfg.spinup_time, checkpoint_dir=out)
     path = out / "base.ckpt"
     nsteps = int(round(cfg.spinup_time / cfg.dt))
     # the clock of the state stepped, not the requested duration
     t = nsteps * cfg.dt
-    save_checkpoint(PairState(psi, psi, t, nsteps), cfg.dt, path)
+    # the stepped block as it is, as the rolling checkpoints are written:
+    # entering psi again can flip the sign of a zero imaginary part
+    block = block_of(psi.coeffs, cfg.grid.dealias_kmax)
+    save_checkpoint(PairState.of_blocks(block, block, cfg.grid, t, nsteps), cfg.dt, path)
     print(f"spun up {t:g} time units -> {path}")
     return 0
 

@@ -12,7 +12,8 @@ A config file has five sections::
 
 ``ExperimentConfig`` is the one config object of a run, and the one the
 stepper takes. It raises ``ConfigError`` on values no run can use, such
-as a ``nu`` whose square underflows or a force band outside the grid.
+as a ``nu`` whose square underflows, a force band outside the grid, or a
+force whose L2 norm underflows to zero.
 
 Any other section or key is an error. Manifests written next to run
 outputs are config files with an extra ``[provenance]`` section (versions,
@@ -33,8 +34,8 @@ import numpy as np
 
 from . import __version__
 from .coupling import IntertwinementSpec, observation_mask
-from .forcing import ForcingSpec, band_mask
-from .spectral import SpectralGrid, shared_grid
+from .forcing import ForcingSpec, band_mask, make_band_forcing
+from .spectral import SpectralGrid, norm_hn, shared_grid
 
 __all__ = [
     "ExperimentConfig",
@@ -99,6 +100,10 @@ class ExperimentConfig:
         for name, spec in (("forcing", self.forcing), ("forcing2", self.forcing2)):
             if spec is not None and not band_mask(spec, grid).any():
                 raise ConfigError(f"[{name}] band holds no mode of the dealiased block")
+            # |f| = grashof * nu^2 can be too small for its squares
+            if spec is not None and norm_hn(make_band_forcing(spec, grid, self.nu), 0) == 0:
+                raise ConfigError(f"[{name}] force underflows to zero: grashof * nu^2 "
+                                  f"= {spec.grashof_target * self.nu**2:g}")
 
     def check_cutoff(self) -> None:
         """Raise ``ConfigError`` when the observation cutoff lies beyond the

@@ -158,9 +158,11 @@ def threshold_mutual_sync(
         raise ValueError("grashof magnitude must be nonnegative")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
+    # products, not powers, here and below: they overflow to inf, not raise
+    c2, g2 = c_lad * c_lad, glambda * glambda
     if lam in (0.0, 1.0):
-        return max(48.0 * math.sqrt(3.0) * c_lad**2 * glambda**2, c_agmon / c_lad**2)
-    return 15.0 * math.sqrt(27.0) * c_lad**2 * glambda**2
+        return max(48.0 * math.sqrt(3.0) * c2 * g2, c_agmon / c_lad / c_lad)
+    return 15.0 * math.sqrt(27.0) * c2 * g2
 
 
 def threshold_degenerate_sync(g: float, c_lad: float = 1.0, c_sob: float = 1.0) -> float:
@@ -182,15 +184,17 @@ def threshold_degenerate_sync(g: float, c_lad: float = 1.0, c_sob: float = 1.0) 
             32.0
             * math.sqrt(2.0)
             * c_lad
-            * math.sqrt(24.0 * (c_lad**2 + c_sob**2 * math.log(n)) * g**2 + 1.0)
+            * math.sqrt(24.0 * (c_lad * c_lad + c_sob * c_sob * math.log(n)) * (g * g)
+                        + 1.0)
             * g
         )
 
     n = max(explicit, 1.0)
     for _ in range(200):
         n_next = max(explicit, implicit(n), 1.0)
-        if abs(n_next - n) <= 1e-12 * max(n_next, 1.0):
-            return max(n_next, 1.0)
+        # an overflowed iterate stays inf, and inf - inf is nan
+        if math.isinf(n_next) or abs(n_next - n) <= 1e-12 * n_next:
+            return n_next
         n = n_next
     raise RuntimeError("degenerate-synchronization cutoff iteration did not converge")
 
@@ -215,7 +219,7 @@ def threshold_mutual_nudge(
             "symmetric variant with mu2 = 0)"
         )
     ratio = max(mu1, mu2) / min(mu1, mu2)
-    n_assisted = 4.0 * math.sqrt(2.0) * c_lad * math.sqrt(ratio) * g**2
+    n_assisted = 4.0 * math.sqrt(2.0) * c_lad * math.sqrt(ratio) * (g * g)
     n_unassisted = 1.5 * math.sqrt(2.0) * math.sqrt(c_lad) * math.sqrt(ratio) * g
     return n_assisted, n_unassisted
 
@@ -238,5 +242,5 @@ def threshold_symmetric_nudge(
     n_a = 4.0 * c_lad * g
     n_b = None
     if mu1 > mu2:
-        n_b = 4.0 * c_lad * math.sqrt(nu / (mu1 - mu2) * g**2)
+        n_b = 4.0 * c_lad * math.sqrt(nu / (mu1 - mu2) * (g * g))
     return n_a, n_b

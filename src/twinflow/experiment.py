@@ -31,14 +31,12 @@ from .spectral import (
     SpectralField,
     SpectralGrid,
     block_of,
-    half_plane,
     half_plane_weights,
     low_mode_mask,
     project_low,
     weighted_power,
 )
 from .stepping import (
-    BlockPair,
     PairState,
     advance,
     decorrelate,
@@ -93,25 +91,18 @@ class RateFit:
     stderr: float
 
 
-def error_record(state: PairState | BlockPair, cutoff: float) -> ErrorRecord:
+def error_record(state: PairState, cutoff: float) -> ErrorRecord:
     """Velocity-space error norms of a pair state.
 
     Streamfunction differences map to velocity norms with one extra
-    power of |k|; err_low^2 + err_high^2 = err_h^2 by construction. A
-    ``PairState`` is summed over the half-plane with the column weights of
-    ``half_plane_weights``, so it must be Hermitian; a stepped ``BlockPair``
-    over its blocks with the same weights, exactly, as it is zero outside
-    them (also where the cutoff ball reaches past the block).
+    power of |k|; err_low^2 + err_high^2 = err_h^2 by construction. The
+    sums run over the state's blocks with the block of the column weights
+    of ``half_plane_weights``: a state is zero outside its blocks (also
+    where the cutoff ball reaches past them), so they are exact and no
+    lattice is rebuilt.
     """
-    grid = state.grid
-    if isinstance(state, BlockPair):
-        p1, p2 = state.block1, state.block2
-        weights, ksq, in_low, out_low = _block_tables(grid, cutoff)
-    else:
-        p1, p2 = half_plane(state.psi1.coeffs), half_plane(state.psi2.coeffs)
-        weights, ksq = half_plane_weights(grid, 1), half_plane(grid.ksq)
-        in_low = half_plane(low_mode_mask(grid, cutoff))
-        out_low = ~in_low
+    p1, p2 = state.block1, state.block2
+    weights, ksq, in_low, out_low = _block_tables(state.grid, cutoff)
     diff = p1 - p2
     # |k|^2 |psi_k|^2 = velocity energy density, mirror modes included
     wdiff = weights * (diff.real * diff.real + diff.imag * diff.imag)
@@ -145,16 +136,9 @@ def _forces(cfg: ExperimentConfig) -> tuple[SpectralField, SpectralField]:
     return f1, f2
 
 
-def _base_state(cfg: ExperimentConfig) -> SpectralField:
-    """Spun-up reference state: from the configured checkpoint, or fresh."""
-    if cfg.base_checkpoint:
-        state, _ = load_checkpoint(cfg.base_checkpoint, cfg.grid)
-        return state.psi1
-    return spin_up(cfg, cfg.spinup_time)
-
-
 def prepare_initial_pair(cfg: ExperimentConfig) -> PairState:
-    """Build the initial pair per the configured protocol."""
+    """Build the initial pair per the configured protocol (a reference
+    state spun up or read from ``base_checkpoint``, or two checkpoints)."""
     if cfg.init_kind == "checkpoints":
         if not cfg.checkpoint1 or not cfg.checkpoint2:
             raise FileNotFoundError(
@@ -162,13 +146,16 @@ def prepare_initial_pair(cfg: ExperimentConfig) -> PairState:
             )
         s1, _ = load_checkpoint(cfg.checkpoint1, cfg.grid)
         s2, _ = load_checkpoint(cfg.checkpoint2, cfg.grid)
-        return PairState(s1.psi1, s2.psi1, 0.0, 0)
-    psi1 = _base_state(cfg)
+        return PairState.of_blocks(s1.block1, s2.block1, cfg.grid, 0.0, 0)
+    if cfg.base_checkpoint:
+        psi1 = load_checkpoint(cfg.base_checkpoint, cfg.grid)[0].psi1
+    else:
+        psi1 = spin_up(cfg, cfg.spinup_time)
     if cfg.init_kind == "projected_low":
         psi2 = project_low(psi1, cfg.coupling.cutoff)
     else:  # decorrelated
         psi2 = decorrelate(psi1, cfg, cfg.decorrelate_time)
-    return PairState(psi1, psi2, 0.0, 0)
+    return PairState(psi1, psi2)
 
 
 def run_experiment(
@@ -323,8 +310,9 @@ def threshold_report(cfg: ExperimentConfig) -> dict[str, float | str | bool]:
             n_assisted, n_unassisted = threshold_mutual_nudge(
                 spec.mu1, spec.mu2, g, c_lad=cfg.c_lad
             )
-            lo = (4.0 / 3.0) * n_unassisted**2 * cfg.nu  # the mu1 + mu2 window
-            hi = (4.0 / 3.0) * spec.cutoff**2 * cfg.nu
+            # the mu1 + mu2 window
+            lo = (4.0 / 3.0) * (n_unassisted * n_unassisted) * cfg.nu
+            hi = (4.0 / 3.0) * (spec.cutoff * spec.cutoff) * cfg.nu
             report.update(
                 {
                     "n_assisted": n_assisted,
@@ -340,13 +328,14 @@ def threshold_report(cfg: ExperimentConfig) -> dict[str, float | str | bool]:
             report["note"] = "degenerate ratio (a zero strength); ratio bounds undefined"
     elif spec.variant == "symmetric_nudge":
         n_a, n_b = threshold_symmetric_nudge(spec.mu1, spec.mu2, g, cfg.nu, cfg.c_lad)
-        total, hi = spec.mu1 + spec.mu2, 0.25 * spec.cutoff**2 * cfg.nu  # closed window
+        # closed windows
+        total, hi = spec.mu1 + spec.mu2, 0.25 * (spec.cutoff * spec.cutoff) * cfg.nu
         report["n_a"] = n_a
-        report["mu_constraint_a"] = 0.25 * n_a**2 * cfg.nu <= total <= hi
+        report["mu_constraint_a"] = 0.25 * (n_a * n_a) * cfg.nu <= total <= hi
         report["cutoff_ok"] = spec.cutoff >= n_a
         if n_b is not None:
             report["n_b"] = n_b
-            report["mu_constraint_b"] = 0.25 * n_b**2 * cfg.nu <= total <= hi
+            report["mu_constraint_b"] = 0.25 * (n_b * n_b) * cfg.nu <= total <= hi
     return report
 
 
@@ -400,7 +389,8 @@ def sweep(
             run_cfg = _with_axis_value(cfg, axis, float(value))
             initial = base_pair
             if axis == "cutoff" and cfg.init_kind == "projected_low":
-                initial = replace(base_pair, psi2=project_low(base_pair.psi1, float(value)))
+                psi1 = base_pair.psi1
+                initial = PairState(psi1, project_low(psi1, float(value)))
             series, _ = run_experiment(run_cfg, initial, run_out)
             fit = fit_decay_rate(series)
             rows.append(

@@ -22,18 +22,18 @@ flagged read-only, and every operation returns a new field.
 
 Fields at the API hold the full ``N x N`` lattice. A real field's
 coefficients satisfy ``c_{-k} = conj(c_k)``, so the ``rfft2`` half-plane
-(every ``kx``, ``ky = 0 .. N/2``) determines the rest. Norms, spectra,
-error records and the blow-up check sum over it with the column weights
-of ``half_plane_weights``, and ``to_physical`` transforms it: the columns
+(every ``kx``, ``ky = 0 .. N/2``) determines the rest. Norms, spectra and
+the stepper's entry check sum over it with the column weights of
+``half_plane_weights``, and ``to_physical`` transforms it: the columns
 ``ky < 0`` are never read. The stepper keeps less: the dealiased block of
 the half-plane, the ``(2K+1) x (K+1)`` raw array of the modes
 ``|kx| <= K``, ``ky = 0 .. K`` with ``K = grid.dealias_kmax``, rows
 ``kx = 0 .. K`` then ``-K .. -1`` (``to_block`` / ``from_block``; at
 ``512^2`` that is ``341 x 171``, 44% of the half-plane); its blow-up
-check and the error records of the pairs ``advance`` observes sum over
-the block with the ``block_of`` of the same weights. Inputs to the
-stepper must be Hermitian: whatever lives only in the dropped columns
-is lost, and so is every mode outside the 2/3 mask.
+check and every error record sum over the block with the ``block_of``
+of the same weights. Inputs to the stepper must be Hermitian: whatever
+lives only in the dropped columns is lost, and so is every mode outside
+the 2/3 mask.
 """
 
 from __future__ import annotations
@@ -194,8 +194,8 @@ def to_block(coeffs: np.ndarray, kmax: int) -> np.ndarray:
     ``(2 kmax + 1) x (kmax + 1)``. Column ``ky = 0`` is its own mirror
     image; its ``kx < 0`` rows are reset to the conjugates of the ``kx > 0``
     rows and its ``k = 0`` entry to its real part, so the result is exactly
-    Hermitian. For an exactly Hermitian input that changes nothing.
-    """
+    Hermitian. For an exactly Hermitian input that changes no value (a
+    zero imaginary part may change sign)."""
     block = np.asarray(block_of(coeffs, kmax), dtype=np.complex128)
     col = block[:, 0]
     mirror_column(col)

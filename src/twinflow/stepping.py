@@ -10,33 +10,24 @@ Every stepping entry point (``advance``, ``spin_up``, ``decorrelate``,
 ``step_single``) takes the run's one config, a ``config.ExperimentConfig``,
 and reads its ``grid``, ``nu``, ``dt`` and ``forcing`` (whose absorbing
 radius sets the blow-up limit); ``advance`` also reads its ``coupling``,
-and takes the forces explicitly. Each call checks its input once for
-blow-up over the ``rfft2`` half-plane, then keeps only the dealiased
-block of it: the raw ``(2K+1) x (K+1)`` array of the modes the 2/3 mask
-keeps (``|kx|, ky <= K``, ``K = grid.dealias_kmax``; see
-``spectral.to_block``). Whatever the input holds outside the block is
-dropped, so the state is dealiased by construction. One loop runs on
-the blocks, for a single flow or a coupled pair: the nonlinear term
-(written straight into the right-hand side), the right-hand side, the
-update in place, and the blow-up check.
-The loop allocates its scratch once per call: one transform workspace
-(``fieldops.nonlinear_workspace``) shared by both systems of a pair, and
-one right-hand-side block per system, which swaps roles with the state
-each step. A single flow is the uncoupled case. In a pair the coupling
-is evaluated on the observed modes ``P_N`` inside the block alone (when
-3 divides ``N`` the ball ``|k| <= N/3`` also holds modes outside it,
-which are never stepped), gathered from the blocks and written back into
-the right-hand side. One callback on the loop's cadence hands a pair's
-stepped blocks to ``advance``'s observer as a ``BlockPair`` (the loop's
-own buffers, valid only during the call), or writes a spin-up's rolling
-checkpoint and then reports progress; the checkpoint it writes is the
-one a later ``BlowUpError`` names. Full-lattice ``SpectralField`` states
-are rebuilt by exact Hermitian reflection only for rolling checkpoints
-and the returned state. So every state handed out is exactly Hermitian,
-and stepping k times one call at a time equals one k-step call bitwise.
-Inputs must be Hermitian.
-Checkpoints serialize a full pair state losslessly (see
-``save_checkpoint`` for the byte layout).
+and takes the forces explicitly.
+
+The state is the dealiased block (``spectral.to_block``): the modes the
+2/3 mask keeps. A ``PairState`` holds a pair's two blocks, the grid and
+the clock. A field enters once, when a ``PairState`` is built or a single
+flow starts: its ``rfft2`` half-plane is checked for non-finite
+coefficients, then only its block is kept, so the state is dealiased by
+construction. One loop steps the blocks of a single flow (the uncoupled
+case) or of a coupled pair; a callback on its cadence hands
+``advance``'s observer a ``PairState`` over the loop's own buffers, or
+writes a spin-up's rolling checkpoint. Stepped blocks are wrapped, never
+entered again: ``to_block`` re-mirrors column ``ky = 0``, which keeps
+every value but can flip the sign of a zero imaginary part, and so the
+bytes of a checkpoint. Full-lattice fields are rebuilt by exact
+Hermitian reflection only for ``psi1``/``psi2``, the single flows
+returned and checkpoint files, so every state handed out is exactly
+Hermitian, and stepping k times one call at a time equals one k-step
+call bitwise. Inputs must be Hermitian.
 """
 
 from __future__ import annotations
@@ -73,7 +64,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "PairState",
-    "BlockPair",
     "BlowUpError",
     "CheckpointError",
     "step_single",
@@ -102,35 +92,54 @@ class BlowUpError(RuntimeError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PairState:
-    """Two streamfunctions plus the simulation clock."""
+    """Two streamfunctions as their dealiased blocks, the grid and the clock.
 
-    psi1: SpectralField
-    psi2: SpectralField
-    t: float = 0.0
-    step_index: int = 0
-
-    def __post_init__(self):
-        if self.psi1.grid.resolution != self.psi2.grid.resolution:
-            raise ValueError("pair components live on different grids")
-
-    @property
-    def grid(self) -> SpectralGrid:
-        return self.psi1.grid
-
-
-@dataclass(frozen=True)
-class BlockPair:
-    """A stepped pair as ``advance``'s loop holds it: the dealiased blocks of
-    both streamfunctions (see ``spectral.to_block``) plus the clock. Every
-    mode outside the blocks is zero."""
+    The constructor checks each field's half-plane for a non-finite
+    coefficient (``BlowUpError``), then keeps its block, read-only.
+    ``of_blocks`` wraps blocks without copying; ``psi1`` and ``psi2``
+    rebuild the fields by exact Hermitian reflection.
+    """
 
     block1: np.ndarray
     block2: np.ndarray
     grid: SpectralGrid
     t: float
     step_index: int
+
+    def __init__(self, psi1: SpectralField, psi2: SpectralField, t: float = 0.0,
+                 step_index: int = 0):
+        if psi1.grid.resolution != psi2.grid.resolution:
+            raise ValueError("pair components live on different grids")
+        self.__dict__.update(block1=_enter(psi1, t), block2=_enter(psi2, t),
+                             grid=psi1.grid, t=t, step_index=step_index)
+
+    @classmethod
+    def of_blocks(cls, block1: np.ndarray, block2: np.ndarray, grid: SpectralGrid,
+                  t: float, step_index: int) -> PairState:
+        state = cls.__new__(cls)
+        state.__dict__.update(block1=block1, block2=block2, grid=grid, t=t,
+                              step_index=step_index)
+        return state
+
+    @property
+    def psi1(self) -> SpectralField:
+        return SpectralField(self.grid, from_block(self.block1, self.grid.resolution))
+
+    @property
+    def psi2(self) -> SpectralField:
+        return SpectralField(self.grid, from_block(self.block2, self.grid.resolution))
+
+
+def _enter(psi: SpectralField, t: float) -> np.ndarray:
+    """The read-only block of a field entering the stepper. The modes
+    outside it are dropped here, so the whole half-plane is checked first."""
+    grid = psi.grid
+    _check_finite(half_plane(psi.coeffs), half_plane_weights(grid, 1), np.inf, t)
+    block = to_block(psi.coeffs, grid.dealias_kmax)
+    block.setflags(write=False)
+    return block
 
 
 @lru_cache(maxsize=16)
@@ -148,7 +157,7 @@ def _step_constants(grid: SpectralGrid, nu: float, dt: float, forcing: ForcingSp
 
 def _check_finite(psi: np.ndarray, weights: np.ndarray, limit: float, t: float,
                   last_checkpoint: Optional[str] = None):
-    # |u|^2 in one reduction over the half-plane: NaN/Inf propagate.
+    # |u|^2 in one reduction over a block or half-plane: NaN/Inf propagate.
     energy = weighted_power(weights, psi)
     if not np.isfinite(energy):
         raise BlowUpError(t, "non-finite coefficient detected", last_checkpoint)
@@ -158,29 +167,22 @@ def _check_finite(psi: np.ndarray, weights: np.ndarray, limit: float, t: float,
         )
 
 
-def _full(grid: SpectralGrid, block: np.ndarray) -> SpectralField:
-    return SpectralField(grid, from_block(block, grid.resolution))
-
-
-def _evolve(cfg: ExperimentConfig, psis: list, forces: list, nsteps: int,
+def _evolve(cfg: ExperimentConfig, blocks: list, forces: list, nsteps: int,
             t: float = 0.0, step: int = 0, cadence: Optional[Callable] = None,
             every: int = 1) -> tuple[list, float, int]:
-    """``nsteps`` steps of the full-lattice arrays ``psis`` under ``forces``:
-    one flow, or two coupled through ``cfg.coupling``.
+    """``nsteps`` steps of the dealiased ``blocks`` (left as they are) under
+    ``forces``: one flow, or two coupled through ``cfg.coupling``.
 
-    Returns the stepped blocks (see ``spectral.to_block``), the clock and
-    the step index. Every ``every`` steps calls ``cadence(ps, t, step)``
-    with the blocks; a checkpoint path it returns is the one a later
-    ``BlowUpError`` names.
+    Returns the stepped blocks, the clock and the step index. Every
+    ``every`` steps calls ``cadence(ps, t, step)`` with the blocks; a
+    checkpoint path it returns is the one a later ``BlowUpError`` names.
     """
     grid, dt = cfg.grid, cfg.dt
     kmax = grid.dealias_kmax
     efac, weights, limit = _step_constants(grid, cfg.nu, dt, cfg.forcing)
-    # the input's modes outside the block are dropped below, so check them
-    # here, once
-    for c in psis:
-        _check_finite(half_plane(c), half_plane_weights(grid, 1), limit, t)
-    ps = [to_block(c, kmax) for c in psis]
+    for b in blocks:
+        _check_finite(b, weights, limit, t)
+    ps = [b.copy() for b in blocks]
     rs = [np.empty_like(p) for p in ps]
     gs = [to_block(stream_force_term(f).coeffs, kmax) for f in forces]
     work = nonlinear_workspace(grid)
@@ -226,8 +228,8 @@ def _evolve_single(psi: SpectralField, cfg: ExperimentConfig, f: SpectralField, 
     """``nsteps`` single-flow steps, clock from zero."""
     if nsteps == 0:
         return psi
-    (p,), _, _ = _evolve(cfg, [psi.coeffs], [f], nsteps, cadence=cadence, every=every)
-    return _full(cfg.grid, p)
+    (p,), _, _ = _evolve(cfg, [_enter(psi, 0.0)], [f], nsteps, cadence=cadence, every=every)
+    return SpectralField(cfg.grid, from_block(p, cfg.grid.resolution))
 
 
 def step_single(psi: SpectralField, cfg: ExperimentConfig, f: SpectralField) -> SpectralField:
@@ -241,7 +243,7 @@ def advance(
     f1: SpectralField,
     f2: SpectralField,
     nsteps: int,
-    observer: Optional[Callable[[BlockPair], None]] = None,
+    observer: Optional[Callable[[PairState], None]] = None,
     observe_every: int = 1,
 ) -> PairState:
     """Run ``nsteps`` steps of the pair coupled through ``cfg.coupling``
@@ -249,43 +251,44 @@ def advance(
     when ``nsteps`` is 0).
 
     ``observer`` sees the stepped pair after every ``observe_every``
-    steps, never the input, as a ``BlockPair`` of the loop's own buffers:
-    they are valid only during the call, so an observer that keeps them
-    copies them. Stepping projects the state onto the dealiased block
-    first: a state with modes outside the 2/3 mask steps exactly as its
-    copy with those modes zeroed (``coeffs * grid.dealias_mask``) does.
+    steps, never the input, as a ``PairState`` over the loop's own
+    buffers, valid only during the call: an observer that keeps them
+    copies them. The returned state wraps the stepped blocks, read-only.
     """
     if nsteps == 0:
         return state
     grid = cfg.grid
 
     def observe(ps, t, step):
-        observer(BlockPair(ps[0], ps[1], grid, t, step))
+        observer(PairState.of_blocks(ps[0], ps[1], grid, t, step))
 
-    (p1, p2), t, step = _evolve(
-        cfg, [state.psi1.coeffs, state.psi2.coeffs], [f1, f2], nsteps,
-        state.t, state.step_index, observe if observer is not None else None,
-        observe_every,
+    ps, t, step = _evolve(
+        cfg, [state.block1, state.block2], [f1, f2], nsteps, state.t, state.step_index,
+        observe if observer is not None else None, observe_every,
     )
-    return PairState(_full(grid, p1), _full(grid, p2), t, step)
+    for p in ps:
+        p.setflags(write=False)
+    return PairState.of_blocks(*ps, grid, t, step)
 
 
 def spin_up(
     cfg: ExperimentConfig,
     duration: float,
     checkpoint_dir: Optional[Path] = None,
-    checkpoint_every: float = 100.0,
+    checkpoint_every: Optional[float] = None,
     progress: Optional[Callable[[float], None]] = None,
 ) -> SpectralField:
     """Evolve from zero initial data under the configured force.
 
     Writes rolling checkpoints (pair format with both components equal)
-    into ``checkpoint_dir`` every ``checkpoint_every`` time units when a
-    directory is given. Like every stepping call it steps the dealiased
-    block (see ``advance``); from zero data the state never leaves it.
+    of the stepped block into ``checkpoint_dir`` every ``checkpoint_every``
+    time units (default ``cfg.checkpoint_every``) when a directory is
+    given. From zero data the state never leaves the dealiased block.
     """
     if duration < 0:
         raise ValueError("spin-up duration must be nonnegative")
+    if checkpoint_every is None:
+        checkpoint_every = cfg.checkpoint_every
     psi = zero_field(cfg.grid)
     force = make_band_forcing(cfg.forcing, cfg.grid, cfg.nu)
     nsteps = int(round(duration / cfg.dt))
@@ -296,8 +299,8 @@ def spin_up(
         path = None
         if checkpoint_dir is not None:
             path = str(Path(checkpoint_dir) / f"spinup_{step:09d}.ckpt")
-            out = _full(cfg.grid, ps[0])
-            save_checkpoint(PairState(out, out, t, step), cfg.dt, path)
+            save_checkpoint(PairState.of_blocks(ps[0], ps[0], cfg.grid, t, step), cfg.dt,
+                            path)
         if progress is not None:
             progress(t)
         return path
@@ -358,7 +361,8 @@ def load_checkpoint(path, grid: Optional[SpectralGrid] = None) -> tuple[PairStat
     """Read a checkpoint back; returns (state, timestep).
 
     Validates magic, version, length, and CRC before constructing any
-    state; if ``grid`` is given its resolution must match the file's.
+    state; if ``grid`` is given its resolution must match the file's. The
+    stored fields enter a ``PairState``: see there.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size + 4:
@@ -386,11 +390,7 @@ def load_checkpoint(path, grid: Optional[SpectralGrid] = None) -> tuple[PairStat
             grid = shared_grid(n)
         except ValueError as exc:
             raise CheckpointError(f"bad checkpoint header in {path}: {exc}") from None
-    size = n * n * 16
-    offset = _HEADER.size
-    fields = []
-    for _ in range(2):
-        arr = np.frombuffer(raw, dtype="<c16", count=n * n, offset=offset)
-        fields.append(SpectralField(grid, arr.reshape(n, n).astype(np.complex128)))
-        offset += size
-    return PairState(fields[0], fields[1], t, step), dt
+    fields = [SpectralField(grid, np.frombuffer(raw, dtype="<c16", count=n * n,
+                                                offset=_HEADER.size + i * n * n * 16)
+                            .reshape(n, n)) for i in range(2)]
+    return PairState(*fields, t, step), dt

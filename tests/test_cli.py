@@ -90,6 +90,20 @@ def test_spinup_writes_checkpoint(tmp_path, config_file):
     assert state.step_index == 2 and state.t == 2 * dt
 
 
+def test_spinup_base_checkpoint_holds_the_last_rolling_one(tmp_path, config_file):
+    # 50 steps with a rolling checkpoint every 25: base.ckpt holds the same
+    # coefficients, byte for byte, as spinup_000000050.ckpt (the clocks in
+    # the 40-byte headers may differ in the last bit; the CRC follows them)
+    out = tmp_path / "spin"
+    code = cli_main(["spinup", "--config", str(config_file),
+                     "--set", "experiment.checkpoint_every=0.25", "--out", str(out)])
+    assert code == 0
+    last = sorted(out.glob("spinup_*.ckpt"))[-1]
+    assert last.name == "spinup_000000050.ckpt"
+    base, rolling = ((out / name).read_bytes()[40:-4] for name in ("base.ckpt", last.name))
+    assert base == rolling
+
+
 def test_coarse_spinup_ignores_cutoff(tmp_path):
     # desk's cutoff 20 lies beyond the 32^2 band, but a spin-up never reads it
     out = tmp_path / "spin"
@@ -138,20 +152,41 @@ def test_bad_config_exits_2(capsys, tmp_path, config_file, override, named):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "overrides, named",
-    [(["sim.nu=1e-200"], "nu^2"), (["sim.nu=1e308"], "nu^2"),
-     (["forcing.band_low=300", "forcing.band_high=400"], "[forcing] band holds no mode")],
-    ids=["nu_underflows", "nu_overflows", "band_outside_block"],
-)
-def test_out_of_range_input_exits_2(capsys, overrides, named):
+def thresholds_at_32(overrides):
     argv = ["thresholds", "--preset", "desk", "--set", "sim.resolution=32",
             "--set", "intertwinement.cutoff=8"]
     for item in overrides:
         argv += ["--set", item]
-    assert cli_main(argv) == 2
+    return argv
+
+
+@pytest.mark.parametrize(
+    "overrides, named",
+    [(["sim.nu=1e-200"], "nu^2"), (["sim.nu=1e308"], "nu^2"),
+     (["sim.nu=1e-150"], "[forcing] force underflows to zero"),
+     (["forcing.band_low=300", "forcing.band_high=400"], "[forcing] band holds no mode")],
+    ids=["nu_underflows", "nu_overflows", "force_underflows", "band_outside_block"],
+)
+def test_out_of_range_input_exits_2(capsys, overrides, named):
+    assert cli_main(thresholds_at_32(overrides)) == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [["experiment.c_lad=1e308"],
+     ["experiment.c_sob=1e308", "intertwinement.variant=degenerate_sync"],
+     ["experiment.c_lad=1e-200", "intertwinement.theta1=1"]],
+    ids=["c_lad_mutual_sync", "c_sob_degenerate_sync", "c_agmon_over_tiny_c_lad"],
+)
+def test_threshold_overflow_reads_inf(capsys, overrides):
+    # as an overflowing grashof does: the cutoff is inf, and no cutoff meets it
+    assert cli_main(thresholds_at_32(overrides)) == 0
+    out, err = capsys.readouterr()
+    report = dict(line.split() for line in out.splitlines())
+    assert report["n_star"] == "inf" and report["cutoff_ok"] == "no"
+    assert "Traceback" not in err
 
 
 def test_sweep_cli(tmp_path, config_file):

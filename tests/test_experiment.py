@@ -3,6 +3,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,8 +27,7 @@ from twinflow.experiment import (
     threshold_report,
     write_series_csv,
 )
-from twinflow.spectral import from_block, to_block
-from twinflow.stepping import BlockPair, BlowUpError, advance, save_checkpoint, spin_up
+from twinflow.stepping import BlowUpError, advance, save_checkpoint, spin_up
 
 from conftest import hermitian_part, random_psi, tiny_config
 from oracles import field_from_physical, full_lattice_error_record
@@ -71,16 +71,20 @@ class TestErrorRecord:
         assert rec.energy1 == pytest.approx(tf.norm_hn(p1, 1) ** 2, rel=1e-12)
 
     def test_matches_full_lattice_sums(self, grid32, rng):
-        # not dealiased, so the self-mirrored columns ky = 0 and ky = N/2
-        # carry energy and their single weight counts
+        # not dealiased: the pair keeps the blocks, so its record is the
+        # full-lattice record of the dealiased copy, where the self-mirrored
+        # column ky = 0 carries energy and its single weight counts
         def field():
             c = field_from_physical(grid32, rng.standard_normal(grid32.shape)).coeffs
             return tf.SpectralField(grid32, hermitian_part(c))
 
-        state = tf.PairState(field(), field(), 0.5)
-        assert np.any(state.psi1.coeffs[:, 16]) and np.any(state.psi1.coeffs[1:, 0])
-        rec = error_record(state, 7.0)
-        expected = full_lattice_error_record(state, 7.0)
+        psi1, psi2 = field(), field()
+        assert np.any(psi1.coeffs[:, 16]) and np.any(psi1.coeffs[1:, 0])
+        rec = error_record(tf.PairState(psi1, psi2, 0.5), 7.0)
+        clean = SimpleNamespace(grid=grid32, **{
+            name: tf.SpectralField(grid32, psi.coeffs * grid32.dealias_mask)
+            for name, psi in (("psi1", psi1), ("psi2", psi2))})
+        expected = full_lattice_error_record(clean, 7.0)
         got = (rec.err_h, rec.err_v, rec.err_low, rec.err_high, rec.energy1, rec.energy2)
         for a, b in zip(got, expected):
             assert a == pytest.approx(b, rel=1e-13)
@@ -93,16 +97,10 @@ class TestErrorRecord:
             coeffs[kx, ky], coeffs[-kx, -ky] = c, np.conj(c)
         psi1 = tf.SpectralField(grid32, coeffs)
         psi2 = tf.SpectralField(grid32, np.zeros_like(coeffs))
-        kmax = grid32.dealias_kmax
-        blocks = BlockPair(to_block(psi1.coeffs, kmax), to_block(psi2.coeffs, kmax),
-                           grid32, 0.0, 0)
         expected = 2 * math.pi * math.sqrt(2 * 106) * 1e-10
-        for state in (tf.PairState(psi1, psi2), blocks):
-            rec = error_record(state, 5.0)
-            assert rec.err_high == pytest.approx(expected, rel=1e-12, abs=0)
-            assert rec.err_h**2 == pytest.approx(
-                rec.err_low**2 + rec.err_high**2, rel=1e-15
-            )
+        rec = error_record(tf.PairState(psi1, psi2), 5.0)
+        assert rec.err_high == pytest.approx(expected, rel=1e-12, abs=0)
+        assert rec.err_h**2 == pytest.approx(rec.err_low**2 + rec.err_high**2, rel=1e-15)
 
     def test_identical_pair_is_zero(self, grid64, rng):
         p = random_psi(grid64, rng)
@@ -111,8 +109,8 @@ class TestErrorRecord:
 
     @pytest.mark.parametrize("n", [16, 18, 48, 96])
     def test_block_records_match_full_lattice_records(self, n):
-        # the observer's blocks against the PairState they reflect to; when
-        # 3 divides n the cutoff n/3 reaches modes outside the block
+        # the observer's blocks against the whole lattice they reflect to;
+        # when 3 divides n the cutoff n/3 reaches modes outside the block
         grid = tf.SpectralGrid(n)
         rng = np.random.default_rng(n)
         cfg = tiny_config(resolution=n, forcing=tf.ForcingSpec(2, 4, 500.0, 3))
@@ -127,20 +125,18 @@ class TestErrorRecord:
 
                 def observer(pair):
                     nonlocal pairs
-                    full = tf.PairState(
-                        tf.SpectralField(grid, from_block(pair.block1, n)),
-                        tf.SpectralField(grid, from_block(pair.block2, n)),
-                        pair.t, pair.step_index)
-                    got, expected = error_record(pair, cutoff), error_record(full, cutoff)
-                    assert got.t == expected.t
-                    scale = math.sqrt(expected.energy1)
+                    got = error_record(pair, cutoff)
+                    expected = dict(zip(
+                        ("err_h", "err_v", "err_low", "err_high", "energy1", "energy2"),
+                        full_lattice_error_record(pair, cutoff)))
+                    assert got.t == pair.t
+                    scale = math.sqrt(expected["energy1"])
                     for name in ("err_h", "err_v", "err_low", "err_high"):
-                        assert abs(getattr(got, name) - getattr(expected, name)) <= \
+                        assert abs(getattr(got, name) - expected[name]) <= \
                             1e-14 * scale, (variant, cutoff, name)
-                    squares = [("energy1", got.energy1, expected.energy1),
-                               ("energy2", got.energy2, expected.energy2)]
-                    for name, a, b in squares:
-                        assert abs(a - b) <= 1e-14 * scale**2, (variant, cutoff, name)
+                    for name in ("energy1", "energy2"):
+                        assert abs(getattr(got, name) - expected[name]) <= \
+                            1e-14 * scale**2, (variant, cutoff, name)
                     pairs += 1
 
                 advance(start, replace(cfg, coupling=spec), force, force, 4, observer, 2)
@@ -223,7 +219,9 @@ class TestRunExperiment:
     def test_init_from_checkpoints(self, tmp_path, rng):
         cfg = tiny_config(init_kind="checkpoints")
         g = cfg.grid
-        a, b = random_psi(g, rng), random_psi(g, rng)
+        # exactly Hermitian, so the blocks reflect back to the same fields
+        a, b = (tf.SpectralField(g, hermitian_part(random_psi(g, rng).coeffs))
+                for _ in range(2))
         p1 = tmp_path / "a.ckpt"
         p2 = tmp_path / "b.ckpt"
         save_checkpoint(tf.PairState(a, a), cfg.dt, p1)
@@ -242,7 +240,7 @@ class TestRunExperiment:
 
     def test_base_checkpoint_reused(self, tmp_path, rng):
         g = tf.SpectralGrid(32)
-        base = random_psi(g, rng)
+        base = tf.SpectralField(g, hermitian_part(random_psi(g, rng).coeffs))
         path = tmp_path / "base.ckpt"
         save_checkpoint(tf.PairState(base, base), 0.01, path)
         cfg = tiny_config(base_checkpoint=str(path))

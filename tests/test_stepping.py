@@ -259,10 +259,11 @@ class TestBlowUpDetection:
         c = np.array(random_psi(grid32, rng).coeffs)
         k1, k2 = mode
         c[k1, k2] = c[-k1, -k2] = np.nan
-        state = tf.PairState(random_psi(grid32, rng), tf.SpectralField(grid32, c))
         cfg = replace(cfg32, coupling=tf.IntertwinementSpec("mutual_nudge", 5.0, mu1=1.0,
                                                             mu2=1.0))
+        # building the pair drops the modes outside the block, so it checks
         with pytest.raises(BlowUpError, match="non-finite"):
+            state = tf.PairState(random_psi(grid32, rng), tf.SpectralField(grid32, c))
             advance(state, cfg, zero_force(grid32), zero_force(grid32), 1)
 
     def test_runaway_magnitude_detected(self, grid32, cfg32, rng):
@@ -315,6 +316,11 @@ class TestSpinUpDecorrelate:
         a = tf.spin_up(cfg32, 0.5)
         b = tf.spin_up(cfg32, 0.5)
         assert np.array_equal(a.coeffs, b.coeffs)
+
+    def test_checkpoint_cadence_defaults_to_the_config(self, cfg32, tmp_path):
+        tf.spin_up(replace(cfg32, checkpoint_every=0.1), 0.3, checkpoint_dir=tmp_path)
+        assert [p.name for p in sorted(tmp_path.glob("spinup_*.ckpt"))] == [
+            f"spinup_{step:09d}.ckpt" for step in (10, 20, 30)]
 
     def test_progress_follows_each_checkpoint(self, cfg32, tmp_path):
         calls = []
