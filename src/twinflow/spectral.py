@@ -53,7 +53,10 @@ class SpectralGrid:
     """Wavenumber bookkeeping for an ``N x N`` periodic grid.
 
     Only ``resolution`` participates in equality/hashing; the derived
-    arrays are attached once in ``__post_init__`` and never mutated.
+    arrays are attached once in ``__post_init__``, read-only. ``kx`` and
+    ``ky`` are broadcast views of one wavenumber column and row (stride
+    zero along the other axis), so they hold ``N`` integers each;
+    ``ksq``, ``kmag`` and ``dealias_mask`` are full ``N x N`` arrays.
     """
 
     resolution: int
@@ -63,7 +66,9 @@ class SpectralGrid:
         if n < 4 or n % 2 != 0:
             raise ValueError(f"grid resolution must be an even integer >= 4, got {n}")
         k1d = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
-        kx, ky = np.meshgrid(k1d, k1d, indexing="ij")
+        # read-only views of one column and one row: every use reads them
+        kx = np.broadcast_to(k1d[:, np.newaxis], (n, n))
+        ky = np.broadcast_to(k1d, (n, n))
         ksq = (kx * kx + ky * ky).astype(np.float64)
         kmag = np.sqrt(ksq)
         kmax = self.dealias_kmax
@@ -211,10 +216,11 @@ def block_of(arr: np.ndarray, kmax: int) -> np.ndarray:
 
 
 def mirror_column(col: np.ndarray) -> None:
-    """Set the ``kx < 0`` rows of a block's self-mirrored column to the
-    conjugates of its ``kx > 0`` rows, in place."""
-    kmax = col.shape[0] // 2
-    col[kmax + 1:] = np.conj(col[kmax:0:-1])
+    """Set the ``kx < 0`` rows of a block's self-mirrored column (or of a
+    stack of them along leading axes) to the conjugates of its ``kx > 0``
+    rows, in place."""
+    kmax = col.shape[-1] // 2
+    col[..., kmax + 1:] = np.conj(col[..., kmax:0:-1])
 
 
 def from_block(block: np.ndarray, n: int) -> np.ndarray:

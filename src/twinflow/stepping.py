@@ -18,7 +18,8 @@ the clock. A field enters once, when a ``PairState`` is built or a single
 flow starts: its ``rfft2`` half-plane is checked for non-finite
 coefficients, then only its block is kept, so the state is dealiased by
 construction. One loop steps the blocks of a single flow (the uncoupled
-case) or of a coupled pair; a callback on its cadence hands
+case) or of a coupled pair, as one stack over which every stage of a
+step runs once; a callback on its cadence hands
 ``advance``'s observer a ``PairState`` over the loop's own buffers, or
 writes a spin-up's rolling checkpoint. Stepped blocks are wrapped, never
 entered again: ``to_block`` re-mirrors column ``ky = 0``, which keeps
@@ -169,51 +170,51 @@ def _check_finite(psi: np.ndarray, weights: np.ndarray, limit: float, t: float,
 
 def _evolve(cfg: ExperimentConfig, blocks: list, forces: list, nsteps: int,
             t: float = 0.0, step: int = 0, cadence: Optional[Callable] = None,
-            every: int = 1) -> tuple[list, float, int]:
+            every: int = 1) -> tuple[np.ndarray, float, int]:
     """``nsteps`` steps of the dealiased ``blocks`` (left as they are) under
     ``forces``: one flow, or two coupled through ``cfg.coupling``.
 
-    Returns the stepped blocks, the clock and the step index. Every
-    ``every`` steps calls ``cadence(ps, t, step)`` with the blocks; a
-    checkpoint path it returns is the one a later ``BlowUpError`` names.
+    The state is one stack of shape ``(s, 2K+1, K+1)``, ``s`` the number
+    of blocks, and every step runs once over it: the nonlinear term (one
+    ``nonlinear_block`` call), the gather and scatter of the observed
+    modes, and the integrating-factor update. Returns the stepped stack,
+    the clock and the step index. Every ``every`` steps calls
+    ``cadence(ps, t, step)`` with the stack; a checkpoint path it returns
+    is the one a later ``BlowUpError`` names.
     """
     grid, dt = cfg.grid, cfg.dt
     kmax = grid.dealias_kmax
     efac, weights, limit = _step_constants(grid, cfg.nu, dt, cfg.forcing)
     for b in blocks:
         _check_finite(b, weights, limit, t)
-    ps = [b.copy() for b in blocks]
-    rs = [np.empty_like(p) for p in ps]
-    gs = [to_block(stream_force_term(f).coeffs, kmax) for f in forces]
-    work = nonlinear_workspace(grid)
+    ps = np.stack(blocks)
+    rs = np.empty_like(ps)
+    gs = np.stack([to_block(stream_force_term(f).coeffs, kmax) for f in forces])
+    work = nonlinear_workspace(grid, len(ps))
     checkpoint = None
     spec = cfg.coupling if len(ps) == 2 else None  # a single flow is uncoupled
     if spec is not None:
         # P_N on the block: when 3 | N, the ball |k| <= N/3 also holds
         # modes outside the block, which are never stepped
         low = np.flatnonzero(block_of(observation_mask(spec, grid), kmax))
-        g_low = [g.take(low) for g in gs]
+        g_low = _flat(gs).take(low, axis=1)
         acts_on_nonlinear, _ = spec.form
     for i in range(nsteps):
-        n_low = []
-        for p, r, g in zip(ps, rs, gs):
-            nonlinear_block(p, grid, work, r)
-            if spec is not None:
-                n_low.append(r.take(low))
-            np.subtract(g, r, out=r)
+        nonlinear_block(ps, grid, work, rs)
+        if spec is not None:
+            n_low = _flat(rs).take(low, axis=1)
+        np.subtract(gs, rs, out=rs)
         if spec is not None:
             # On the observed modes the right-hand side is (c - n) + g:
             # subtracting first lets coupled low modes cancel exactly when
             # the coupling reproduces the nonlinear term coefficientwise.
-            x1, x2 = n_low if acts_on_nonlinear else [p.take(low) for p in ps]
+            x1, x2 = n_low if acts_on_nonlinear else _flat(ps).take(low, axis=1)
             cs = coupling_arrays(spec, x1, x2)
-            for r, gl, nl, c in zip(rs, g_low, n_low, cs):
-                r.put(low, (c - nl) + gl)
-        for r, p in zip(rs, ps):
-            # efac * (p + dt * r), bitwise, without temporaries
-            r *= dt
-            r += p
-            r *= efac
+            _flat(rs)[:, low] = np.subtract(cs, n_low) + g_low
+        # efac * (p + dt * r), bitwise, without temporaries
+        rs *= dt
+        rs += ps
+        rs *= efac
         ps, rs = rs, ps
         t, step = t + dt, step + 1
         for p in ps:
@@ -221,6 +222,11 @@ def _evolve(cfg: ExperimentConfig, blocks: list, forces: list, nsteps: int,
         if cadence is not None and (i + 1) % every == 0:
             checkpoint = cadence(ps, t, step) or checkpoint
     return ps, t, step
+
+
+def _flat(stack: np.ndarray) -> np.ndarray:
+    """View of a stack of blocks with each block as one row."""
+    return stack.reshape(len(stack), -1)
 
 
 def _evolve_single(psi: SpectralField, cfg: ExperimentConfig, f: SpectralField, nsteps: int,
@@ -266,8 +272,7 @@ def advance(
         cfg, [state.block1, state.block2], [f1, f2], nsteps, state.t, state.step_index,
         observe if observer is not None else None, observe_every,
     )
-    for p in ps:
-        p.setflags(write=False)
+    ps.setflags(write=False)
     return PairState.of_blocks(*ps, grid, t, step)
 
 
@@ -360,9 +365,11 @@ def save_checkpoint(state: PairState, dt: float, path) -> None:
 def load_checkpoint(path, grid: Optional[SpectralGrid] = None) -> tuple[PairState, float]:
     """Read a checkpoint back; returns (state, timestep).
 
-    Validates magic, version, length, and CRC before constructing any
-    state; if ``grid`` is given its resolution must match the file's. The
-    stored fields enter a ``PairState``: see there.
+    Validates magic, version, length, CRC, and that every stored
+    coefficient is finite before constructing any state
+    (``CheckpointError``, naming the file); if ``grid`` is given its
+    resolution must match the file's. The stored fields enter a
+    ``PairState``: see there.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size + 4:
@@ -390,7 +397,8 @@ def load_checkpoint(path, grid: Optional[SpectralGrid] = None) -> tuple[PairStat
             grid = shared_grid(n)
         except ValueError as exc:
             raise CheckpointError(f"bad checkpoint header in {path}: {exc}") from None
-    fields = [SpectralField(grid, np.frombuffer(raw, dtype="<c16", count=n * n,
-                                                offset=_HEADER.size + i * n * n * 16)
-                            .reshape(n, n)) for i in range(2)]
-    return PairState(*fields, t, step), dt
+    stored = np.frombuffer(raw, dtype="<c16", count=2 * n * n,
+                           offset=_HEADER.size).reshape(2, n, n)
+    if not np.isfinite(stored).all():
+        raise CheckpointError(f"non-finite coefficient stored in checkpoint {path}")
+    return PairState(*(SpectralField(grid, c) for c in stored), t, step), dt

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -248,6 +251,27 @@ def test_spectrum_subcommand(tmp_path, rng):
     assert lines[0] == "shell,energy"
     total = sum(float(line.split(",")[1]) for line in lines[1:])
     assert total == pytest.approx(tf.norm_hn(psi, 1) ** 2, rel=1e-12)
+
+
+def test_spectrum_of_checkpoint_holding_nan_exits_2(capsys, tmp_path, rng):
+    # a corrupt input, not a blow-up: the CRC is intact, no step runs
+    n = 32
+    psi = random_psi(tf.SpectralGrid(n), rng)
+    ckpt = tmp_path / "bad.ckpt"
+    save_checkpoint(tf.PairState(psi, psi), 0.01, ckpt)
+    raw = bytearray(ckpt.read_bytes())
+    payload = len(raw) - 2 * n * n * 16 - 4
+    at = payload + (3 * n + 16) * 16
+    raw[at:at + 16] = np.array([complex(np.nan, 0.0)], dtype="<c16").tobytes()
+    raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[:-4])) & 0xFFFFFFFF)
+    ckpt.write_bytes(bytes(raw))
+    out = tmp_path / "spec.csv"
+    code = cli_main(["spectrum", "--checkpoint", str(ckpt), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "non-finite" in err and str(ckpt) in err
+    assert "Traceback" not in err and "blow-up" not in err
+    assert not out.exists()
 
 
 def test_preset_and_config_conflict(capsys, config_file):

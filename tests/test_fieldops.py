@@ -145,6 +145,52 @@ class TestBlockWorkspace:
         assert np.array_equal(fresh, first)
 
 
+class TestStackedBlocks:
+    """A stack of blocks goes through ``nonlinear_block`` in one call."""
+
+    @staticmethod
+    def blocks(grid, rng, count):
+        return [to_block(random_psi(grid, rng, decay=d).coeffs, grid.dealias_kmax)
+                for d in rng.uniform(1.0, 3.0, count)]
+
+    @pytest.mark.parametrize("n", [64, 96])  # 3 | 96: the block ends below N/3
+    def test_pair_equals_two_single_calls(self, rng, n):
+        # the systems do not interact through the batch: bitwise
+        grid = tf.SpectralGrid(n)
+        single, pair = nonlinear_workspace(grid), nonlinear_workspace(grid, 2)
+        for _ in range(30):
+            stack = np.stack(self.blocks(grid, rng, 2))
+            stacked = nonlinear_block(stack, grid, pair, np.empty_like(stack))
+            for got, block in zip(stacked, stack):
+                alone = nonlinear_block(block, grid, single, np.empty_like(block))
+                assert np.array_equal(got, alone)
+
+    def test_reused_pair_workspace_holds_no_state(self, grid64, rng):
+        first, second = (np.stack(self.blocks(grid64, rng, 2)) for _ in range(2))
+        work = nonlinear_workspace(grid64, 2)
+        for arr in work:
+            arr.fill(np.nan)
+        reused = nonlinear_block(first, grid64, work, np.full_like(first, np.nan))
+        nonlinear_block(second, grid64, work, np.empty_like(second))
+        again = nonlinear_block(first, grid64, work, np.empty_like(first))
+        fresh = nonlinear_block(first, grid64, nonlinear_workspace(grid64, 2),
+                                np.empty_like(first))
+        assert np.all(np.isfinite(reused))
+        assert reused.tobytes() == again.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_parallel_shear_vanishes_in_either_slot(self, grid64, rng, slot):
+        _, y = physical_coords(grid64)
+        shear = to_block(field_from_physical(grid64, np.cos(y)).coeffs,
+                         grid64.dealias_kmax)
+        stack = np.stack(self.blocks(grid64, rng, 2))
+        stack[slot] = shear
+        out = nonlinear_block(stack, grid64, nonlinear_workspace(grid64, 2),
+                              np.empty_like(stack))
+        assert np.max(np.abs(out[slot])) == 0.0
+        assert np.max(np.abs(out[1 - slot])) > 0.0
+
+
 class TestTrilinear:
     def test_skew_symmetry(self, grid64, rng):
         for _ in range(5):

@@ -30,6 +30,21 @@ class TestGrid:
         assert len(pairs) == 64 * 64
         assert max(abs(k) for k, _ in pairs) == 32
 
+    @pytest.mark.parametrize("n", [32, 96])
+    def test_wavenumbers_are_read_only_views(self, n):
+        grid = tf.SpectralGrid(n)
+        k1d = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+        kx, ky = np.meshgrid(k1d, k1d, indexing="ij")
+        for view, full, axis in ((grid.kx, kx, 1), (grid.ky, ky, 0)):
+            assert not view.flags.writeable
+            assert view.strides[axis] == 0
+            assert np.array_equal(view, full)
+        # the derived arrays, bitwise as built from the full meshgrid
+        ksq = (kx * kx + ky * ky).astype(np.float64)
+        assert grid.ksq.tobytes() == ksq.tobytes()
+        assert grid.kmag.tobytes() == np.sqrt(ksq).tobytes()
+        assert grid.ksq.flags.c_contiguous and grid.kmag.flags.c_contiguous
+
 
 class TestDealias:
     def test_mode_just_above_cutoff_zeroed_at_512(self):
