@@ -69,7 +69,7 @@ def _cmd_spinup(args) -> int:
     write_config(cfg, out / "manifest.ini", provenance_info())
     psi = spin_up(cfg, cfg.spinup_time, checkpoint_dir=out)
     path = out / "base.ckpt"
-    nsteps = int(round(cfg.spinup_time / cfg.dt))
+    nsteps = cfg.steps(cfg.spinup_time)
     # the clock of the state stepped, not the requested duration
     t = nsteps * cfg.dt
     # the stepped block as it is, as the rolling checkpoints are written:

@@ -96,6 +96,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
+        for name in ("t_end", "spinup_time", "decorrelate_time", "checkpoint_every"):
+            value = getattr(self, name)
+            if not math.isfinite(value / self.dt):  # no step count
+                raise ConfigError(f"{name} / dt overflows: {name}={value}, dt={self.dt}")
         grid = shared_grid(self.resolution)  # raises on a resolution no grid has
         for name, spec in (("forcing", self.forcing), ("forcing2", self.forcing2)):
             if spec is not None and not band_mask(spec, grid).any():
@@ -113,6 +117,10 @@ class ExperimentConfig:
             observation_mask(self.coupling, self.grid)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+
+    def steps(self, duration: float) -> int:
+        """The number of steps of ``dt`` nearest to ``duration``."""
+        return int(round(duration / self.dt))
 
     @property
     def grid(self) -> SpectralGrid:

@@ -31,7 +31,6 @@ from .spectral import (
     SpectralField,
     SpectralGrid,
     block_of,
-    half_plane_weights,
     low_mode_mask,
     project_low,
     weighted_power,
@@ -96,13 +95,13 @@ def error_record(state: PairState, cutoff: float) -> ErrorRecord:
 
     Streamfunction differences map to velocity norms with one extra
     power of |k|; err_low^2 + err_high^2 = err_h^2 by construction. The
-    sums run over the state's blocks with the block of the column weights
-    of ``half_plane_weights``: a state is zero outside its blocks (also
-    where the cutoff ball reaches past them), so they are exact and no
-    lattice is rebuilt.
+    sums run over the state's blocks with the grid's ``block_weights``: a
+    state is zero outside its blocks (also where the cutoff ball reaches
+    past them), so they are exact and no lattice is rebuilt.
     """
-    p1, p2 = state.block1, state.block2
-    weights, ksq, in_low, out_low = _block_tables(state.grid, cutoff)
+    p1, p2, grid = state.block1, state.block2, state.grid
+    weights, ksq = grid.block_weights, grid.block_ksq
+    in_low, out_low = _low_masks(grid, cutoff)
     diff = p1 - p2
     # |k|^2 |psi_k|^2 = velocity energy density, mirror modes included
     wdiff = weights * (diff.real * diff.real + diff.imag * diff.imag)
@@ -119,15 +118,13 @@ def error_record(state: PairState, cutoff: float) -> ErrorRecord:
 
 
 @lru_cache(maxsize=16)
-def _block_tables(grid: SpectralGrid, cutoff: float):
-    """``error_record``'s weights, |k|^2, low-mode mask and its complement."""
-    kmax = grid.dealias_kmax
-    in_low = block_of(low_mode_mask(grid, cutoff), kmax)
-    tables = (block_of(half_plane_weights(grid, 1), kmax), block_of(grid.ksq, kmax),
-              in_low, ~in_low)
-    for arr in tables:
+def _low_masks(grid: SpectralGrid, cutoff: float):
+    """The block's low-mode mask |k| <= cutoff and its complement."""
+    in_low = block_of(low_mode_mask(grid, cutoff), grid.dealias_kmax)
+    masks = (in_low, ~in_low)
+    for arr in masks:
         arr.setflags(write=False)
-    return tables
+    return masks
 
 
 def _forces(cfg: ExperimentConfig) -> tuple[SpectralField, SpectralField]:
@@ -174,7 +171,7 @@ def run_experiment(
     cfg.check_cutoff()
     state = prepare_initial_pair(cfg) if initial is None else initial
     f1, f2 = _forces(cfg)
-    nsteps = int(round(cfg.t_end / cfg.dt))
+    nsteps = cfg.steps(cfg.t_end)
     cutoff = cfg.coupling.cutoff
 
     out = Path(output_dir) if output_dir is not None else None

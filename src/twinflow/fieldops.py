@@ -37,12 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import (
-    SpectralField,
-    SpectralGrid,
-    block_of,
-    mirror_column,
-)
+from .spectral import SpectralField, SpectralGrid, ksq_of, mirror_column
 
 __all__ = [
     "nonlinear_block",
@@ -66,7 +61,7 @@ def _block_operators(grid: SpectralGrid):
     """
     n, kmax = grid.resolution, grid.dealias_kmax
     m = kmax + 1
-    kx, ky, ksq = (block_of(a, kmax) for a in (grid.kx, grid.ky, grid.ksq))
+    kx, ky, ksq = grid.block_kx, grid.block_ky, grid.block_ksq
     shape = (2 * kmax + 1, m)
     ikx = np.broadcast_to(1j * kx[:, :1], shape)
     neg_iky = np.broadcast_to(-1j * ky[:1], shape)
@@ -147,7 +142,7 @@ def stream_force_term(f: SpectralField) -> SpectralField:
     (see the forcing module); the induced streamfunction source is then
     the profile divided by |k|.
     """
-    kmag = f.grid.kmag
+    kmag = np.sqrt(ksq_of(f.grid.kx, f.grid.ky))
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.where(kmag > 0, 1.0 / kmag, 0.0)
     return SpectralField(f.grid, f.coeffs * inv)

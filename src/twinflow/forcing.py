@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fieldops import stream_force_term
-from .spectral import SpectralField, SpectralGrid, block_of, from_block, norm_hn, to_physical
+from .spectral import SpectralField, SpectralGrid, from_block, norm_hn, to_physical
 
 __all__ = [
     "ForcingSpec",
@@ -84,7 +84,7 @@ class ForcingSpec:
 
 def band_mask(spec: ForcingSpec, grid: SpectralGrid) -> np.ndarray:
     """The force's support on the block: k != 0, band_low <= |k|^2 <= band_high."""
-    ksq = block_of(grid.ksq, grid.dealias_kmax)
+    ksq = grid.block_ksq
     return (ksq >= max(spec.band_low, 1)) & (ksq <= spec.band_high)
 
 
@@ -97,8 +97,7 @@ def make_band_forcing(spec: ForcingSpec, grid: SpectralGrid, nu: float) -> Spect
     """
     if nu <= 0:
         raise ValueError(f"viscosity must be positive, got {nu}")
-    kmax = grid.dealias_kmax
-    kx, ky = block_of(grid.kx, kmax), block_of(grid.ky, kmax)
+    kx, ky = grid.block_kx, grid.block_ky
     band = band_mask(spec, grid)
     if not band.any():
         raise ValueError("forcing band contains no lattice modes")

@@ -22,18 +22,18 @@ flagged read-only, and every operation returns a new field.
 
 Fields at the API hold the full ``N x N`` lattice. A real field's
 coefficients satisfy ``c_{-k} = conj(c_k)``, so the ``rfft2`` half-plane
-(every ``kx``, ``ky = 0 .. N/2``) determines the rest. Norms, spectra and
-the stepper's entry check sum over it with the column weights of
-``half_plane_weights``, and ``to_physical`` transforms it: the columns
-``ky < 0`` are never read. The stepper keeps less: the dealiased block of
-the half-plane, the ``(2K+1) x (K+1)`` raw array of the modes
+(every ``kx``, ``ky = 0 .. N/2``) determines the rest. Norms and spectra
+sum over it with the column weights of ``half_plane_weights``, the
+stepper's entry check reads it, and ``to_physical`` transforms it: the
+columns ``ky < 0`` are never read. The stepper keeps less: the dealiased
+block of the half-plane, the ``(2K+1) x (K+1)`` raw array of the modes
 ``|kx| <= K``, ``ky = 0 .. K`` with ``K = grid.dealias_kmax``, rows
 ``kx = 0 .. K`` then ``-K .. -1`` (``to_block`` / ``from_block``; at
 ``512^2`` that is ``341 x 171``, 44% of the half-plane); its blow-up
-check and every error record sum over the block with the ``block_of``
-of the same weights. Inputs to the stepper must be Hermitian: whatever
-lives only in the dropped columns is lost, and so is every mode outside
-the 2/3 mask.
+check and every error record sum over the block with the grid's
+``block_weights``, the same weights on the block. Inputs to the stepper
+must be Hermitian: whatever lives only in the dropped columns is lost,
+and so is every mode outside the 2/3 mask.
 """
 
 from __future__ import annotations
@@ -53,10 +53,12 @@ class SpectralGrid:
     """Wavenumber bookkeeping for an ``N x N`` periodic grid.
 
     Only ``resolution`` participates in equality/hashing; the derived
-    arrays are attached once in ``__post_init__``, read-only. ``kx`` and
-    ``ky`` are broadcast views of one wavenumber column and row (stride
-    zero along the other axis), so they hold ``N`` integers each;
-    ``ksq``, ``kmag`` and ``dealias_mask`` are full ``N x N`` arrays.
+    arrays are attached once in ``__post_init__``, read-only, and none
+    holds a lattice. ``kx`` and ``ky`` are broadcast views of one
+    wavenumber column and row (stride zero along the other axis), so they
+    hold ``N`` integers each. ``block_kx``, ``block_ky``, ``block_ksq``
+    (``|k|^2``) and ``block_weights`` (the order-1 ``half_plane_weights``)
+    are tables on the dealiased block of ``to_block``.
     """
 
     resolution: int
@@ -69,16 +71,15 @@ class SpectralGrid:
         # read-only views of one column and one row: every use reads them
         kx = np.broadcast_to(k1d[:, np.newaxis], (n, n))
         ky = np.broadcast_to(k1d, (n, n))
-        ksq = (kx * kx + ky * ky).astype(np.float64)
-        kmag = np.sqrt(ksq)
+        object.__setattr__(self, "kx", kx)
+        object.__setattr__(self, "ky", ky)
         kmax = self.dealias_kmax
-        mask = (np.abs(kx) <= kmax) & (np.abs(ky) <= kmax)
+        block_kx, block_ky = block_of(kx, kmax), block_of(ky, kmax)
         for name, arr in (
-            ("kx", kx),
-            ("ky", ky),
-            ("ksq", ksq),
-            ("kmag", kmag),
-            ("dealias_mask", mask),
+            ("block_kx", block_kx),
+            ("block_ky", block_ky),
+            ("block_ksq", ksq_of(block_kx, block_ky)),
+            ("block_weights", block_of(half_plane_weights(self, 1), kmax)),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -155,29 +156,24 @@ def half_plane(arr: np.ndarray) -> np.ndarray:
     return arr[:, : arr.shape[0] // 2 + 1]
 
 
+def ksq_of(kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
+    """``|k|^2`` as floats from integer wavenumbers (the grid's, or views
+    of them)."""
+    return (kx * kx + ky * ky).astype(np.float64)
+
+
 def half_plane_weights(grid: SpectralGrid, n: int) -> np.ndarray:
-    """Weights of ``sum |k|^(2n) |c_k|^2`` on the half-plane (read-only).
+    """Weights of ``sum |k|^(2n) |c_k|^2`` on the half-plane (read-only,
+    built per call).
 
     Columns ``ky = 0`` and ``ky = N/2`` hold each mode once; every other
     half-plane column stands for itself and its mirror, so counts twice.
     Summing these weights times ``|c_k|^2`` over the half-plane of a
     Hermitian array gives the full-lattice sum. The mean mode weighs 1 at
-    ``n = 0`` and 0 at any other order. Only the order-1 table (the
-    velocity energy ``|k|^2 |psi_k|^2``) is cached; other orders are
-    built per call.
+    ``n = 0`` and 0 at any other order.
     """
-    return _energy_weights(grid) if n == 1 else _weights(grid, n)
-
-
-@lru_cache(maxsize=8)
-def _energy_weights(grid: SpectralGrid) -> np.ndarray:
-    return _weights(grid, 1)
-
-
-def _weights(grid: SpectralGrid, n: int) -> np.ndarray:
-    ksq = half_plane(grid.ksq)
     with np.errstate(divide="ignore"):
-        power = ksq**n
+        power = ksq_of(half_plane(grid.kx), half_plane(grid.ky))**n
     power[0, 0] = float(n == 0)
     weights = 2.0 * power
     weights[:, 0], weights[:, -1] = power[:, 0], power[:, -1]
@@ -248,7 +244,7 @@ def project_low(field: SpectralField, cutoff: float) -> SpectralField:
 def low_mode_mask(grid: SpectralGrid, cutoff: float) -> np.ndarray:
     """Boolean mask of the projection ball |k| <= cutoff (read-only, built
     once per grid and cutoff)."""
-    mask = grid.kmag <= cutoff
+    mask = np.sqrt(ksq_of(grid.kx, grid.ky)) <= cutoff
     mask.setflags(write=False)
     return mask
 
@@ -272,7 +268,9 @@ def energy_spectrum(psi: SpectralField) -> np.ndarray:
     Shells partition the lattice, so ``S.sum() == norm_hn(psi, 1)**2``
     up to roundoff.
     """
-    shells = np.floor(half_plane(psi.grid.kmag)).astype(np.int64)
+    grid = psi.grid
+    kmag = np.sqrt(ksq_of(half_plane(grid.kx), half_plane(grid.ky)))
+    shells = np.floor(kmag).astype(np.int64)
     c = half_plane(psi.coeffs)
-    energy = PARSEVAL_FACTOR**2 * half_plane_weights(psi.grid, 1) * (c.real**2 + c.imag**2)
+    energy = PARSEVAL_FACTOR**2 * half_plane_weights(grid, 1) * (c.real**2 + c.imag**2)
     return np.bincount(shells.ravel(), weights=energy.ravel())

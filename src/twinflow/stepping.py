@@ -53,7 +53,6 @@ from .spectral import (
     block_of,
     from_block,
     half_plane,
-    half_plane_weights,
     shared_grid,
     to_block,
     weighted_power,
@@ -136,29 +135,25 @@ class PairState:
 def _enter(psi: SpectralField, t: float) -> np.ndarray:
     """The read-only block of a field entering the stepper. The modes
     outside it are dropped here, so the whole half-plane is checked first."""
-    grid = psi.grid
-    _check_finite(half_plane(psi.coeffs), half_plane_weights(grid, 1), np.inf, t)
-    block = to_block(psi.coeffs, grid.dealias_kmax)
+    if not np.isfinite(half_plane(psi.coeffs)).all():
+        raise BlowUpError(t, "non-finite coefficient detected")
+    block = to_block(psi.coeffs, psi.grid.dealias_kmax)
     block.setflags(write=False)
     return block
 
 
 @lru_cache(maxsize=16)
 def _step_constants(grid: SpectralGrid, nu: float, dt: float, forcing: ForcingSpec):
-    """Integrating factor on the block, the block's weights of the
-    blow-up energy sum |k|^2 |psi_k|^2, and the blow-up limit on |u|."""
-    kmax = grid.dealias_kmax
-    efac = np.exp(-nu * block_of(grid.ksq, kmax) * dt)
-    weights = block_of(half_plane_weights(grid, 1), kmax)
-    for arr in (efac, weights):
-        arr.setflags(write=False)
+    """Integrating factor on the block and the blow-up limit on |u|."""
+    efac = np.exp(-nu * grid.block_ksq * dt)
+    efac.setflags(write=False)
     rho0, _ = absorbing_radii(make_band_forcing(forcing, grid, nu), nu)
-    return efac, weights, BLOWUP_FACTOR * rho0
+    return efac, BLOWUP_FACTOR * rho0
 
 
 def _check_finite(psi: np.ndarray, weights: np.ndarray, limit: float, t: float,
                   last_checkpoint: Optional[str] = None):
-    # |u|^2 in one reduction over a block or half-plane: NaN/Inf propagate.
+    # |u|^2 in one reduction over a block: NaN/Inf propagate.
     energy = weighted_power(weights, psi)
     if not np.isfinite(energy):
         raise BlowUpError(t, "non-finite coefficient detected", last_checkpoint)
@@ -184,7 +179,8 @@ def _evolve(cfg: ExperimentConfig, blocks: list, forces: list, nsteps: int,
     """
     grid, dt = cfg.grid, cfg.dt
     kmax = grid.dealias_kmax
-    efac, weights, limit = _step_constants(grid, cfg.nu, dt, cfg.forcing)
+    efac, limit = _step_constants(grid, cfg.nu, dt, cfg.forcing)
+    weights = grid.block_weights
     for b in blocks:
         _check_finite(b, weights, limit, t)
     ps = np.stack(blocks)
@@ -296,8 +292,8 @@ def spin_up(
         checkpoint_every = cfg.checkpoint_every
     psi = zero_field(cfg.grid)
     force = make_band_forcing(cfg.forcing, cfg.grid, cfg.nu)
-    nsteps = int(round(duration / cfg.dt))
-    every = max(1, int(round(checkpoint_every / cfg.dt)))
+    nsteps = cfg.steps(duration)
+    every = max(1, cfg.steps(checkpoint_every))
 
     def cadence(ps, t, step):
         # checkpoint first: progress may rely on it being on disk
@@ -318,7 +314,7 @@ def decorrelate(psi: SpectralField, cfg: ExperimentConfig, duration: float) -> S
     if duration < 0:
         raise ValueError("decorrelation duration must be nonnegative")
     force = make_band_forcing(cfg.forcing, cfg.grid, cfg.nu)
-    return _evolve_single(psi, cfg, force, int(round(duration / cfg.dt)))
+    return _evolve_single(psi, cfg, force, cfg.steps(duration))
 
 
 # --- checkpoint serialization -------------------------------------------------

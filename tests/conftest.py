@@ -6,15 +6,15 @@ from twinflow.config import ExperimentConfig
 from twinflow.fieldops import nonlinear_block, nonlinear_workspace
 from twinflow.spectral import from_block, to_block
 
-from oracles import field_from_physical
+from oracles import dealias_mask, field_from_physical, lattice_kmag
 
 
 def random_psi(grid, rng, decay=3.0, scale=1.0):
     """Random dealiased mean-free streamfunction with a decaying spectrum."""
     phys = rng.standard_normal(grid.shape)
     fld = field_from_physical(grid, phys)
-    shaped = scale * fld.coeffs * (1.0 + grid.kmag) ** (-decay)
-    return tf.SpectralField(grid, shaped * grid.dealias_mask)
+    shaped = scale * fld.coeffs * (1.0 + lattice_kmag(grid)) ** (-decay)
+    return tf.SpectralField(grid, shaped * dealias_mask(grid))
 
 
 def hermitian_part(c):

@@ -17,6 +17,10 @@
   build fields from physical samples and measure their symmetry.
 * ``checkpoint_bytes`` writes a checkpoint from the byte layout in the
   README, one number at a time.
+* ``lattice_wavenumbers``, ``lattice_ksq``, ``lattice_kmag`` and
+  ``dealias_mask`` build the wavenumbers, ``|k|^2``, ``|k|`` and the
+  square 2/3 mask on the whole ``N x N`` lattice from a meshgrid; the
+  grid keeps only block-sized tables.
 """
 
 import math
@@ -28,6 +32,32 @@ import numpy as np
 
 import twinflow as tf
 from twinflow.fieldops import stream_force_term
+
+
+def lattice_wavenumbers(grid):
+    """Meshgrid ``(kx, ky)`` of the ``N x N`` lattice's integer wavenumbers,
+    'ij' indexed, in ``fft`` order."""
+    n = grid.resolution
+    k1d = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+    return np.meshgrid(k1d, k1d, indexing="ij")
+
+
+def lattice_ksq(grid):
+    """``|k|^2`` on the whole lattice, as floats."""
+    kx, ky = lattice_wavenumbers(grid)
+    return (kx * kx + ky * ky).astype(np.float64)
+
+
+def lattice_kmag(grid):
+    """``|k|`` on the whole lattice."""
+    return np.sqrt(lattice_ksq(grid))
+
+
+def dealias_mask(grid):
+    """The square 2/3 mask on the whole lattice: ``3 |k_i| < N`` per axis."""
+    kx, ky = lattice_wavenumbers(grid)
+    n = grid.resolution
+    return (3 * np.abs(kx) < n) & (3 * np.abs(ky) < n)
 
 
 def convolution_nonlinear_term(psi):
@@ -135,8 +165,8 @@ def five_transform_nonlinear_half(psi, grid):
     n = grid.resolution
     kx = grid.kx[:, : n // 2 + 1]
     ky = grid.ky[:, : n // 2 + 1]
-    ksq = grid.ksq[:, : n // 2 + 1]
-    mask = grid.dealias_mask[:, : n // 2 + 1]
+    ksq = lattice_ksq(grid)[:, : n // 2 + 1]
+    mask = dealias_mask(grid)[:, : n // 2 + 1]
     u = np.fft.irfft2(-1j * ky * psi, norm="forward")
     v = np.fft.irfft2(1j * kx * psi, norm="forward")
     omega = -ksq * psi
@@ -152,9 +182,9 @@ def full_lattice_error_record(state, cutoff):
     """Error norms of a pair summed over the whole ``N x N`` lattice:
     ``(err_h, err_v, err_low, err_high, energy1, energy2)``."""
     grid = state.grid
-    ksq = grid.ksq
+    ksq = lattice_ksq(grid)
     wdiff = ksq * np.abs(state.psi1.coeffs - state.psi2.coeffs) ** 2
-    low_mask = grid.kmag <= cutoff
+    low_mask = lattice_kmag(grid) <= cutoff
     total = float(np.sum(wdiff))
     low = float(np.sum(wdiff * low_mask))
     two_pi = 2.0 * np.pi
@@ -175,7 +205,7 @@ def full_lattice_norm(field, n):
     if n == 0:
         total = np.sum(np.abs(c) ** 2)
     else:
-        ksq = field.grid.ksq
+        ksq = lattice_ksq(field.grid)
         with np.errstate(divide="ignore"):
             weights = np.where(ksq > 0, ksq**n, 0.0)
         total = np.sum(weights * np.abs(c) ** 2)
@@ -244,7 +274,7 @@ def force_velocity(f):
 
 def velocity_laplacian(u):
     """Componentwise Stokes-operator action: coefficients times |k|^2."""
-    ksq = u.grid.ksq
+    ksq = lattice_ksq(u.grid)
     return VelocityField(
         tf.SpectralField(u.grid, u.ux.coeffs * ksq),
         tf.SpectralField(u.grid, u.uy.coeffs * ksq),

@@ -155,6 +155,22 @@ def test_bad_config_exits_2(capsys, tmp_path, config_file, override, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, override",
+    [("run", "sim.t_end=1e308"), ("run", "sim.dt=1e-320"),
+     ("run", "experiment.checkpoint_every=1e308"), ("spinup", "experiment.spinup_time=1e308")],
+)
+def test_step_count_overflow_exits_2(capsys, tmp_path, command, override):
+    # a duration over dt that is no finite number of steps
+    out = tmp_path / "out"
+    argv = [command, "--preset", "desk", "--set", "sim.resolution=16",
+            "--set", "intertwinement.cutoff=3", "--set", override, "--out", str(out)]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert "/ dt overflows" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def thresholds_at_32(overrides):
     argv = ["thresholds", "--preset", "desk", "--set", "sim.resolution=32",
             "--set", "intertwinement.cutoff=8"]

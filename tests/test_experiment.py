@@ -30,7 +30,7 @@ from twinflow.experiment import (
 from twinflow.stepping import BlowUpError, advance, save_checkpoint, spin_up
 
 from conftest import hermitian_part, random_psi, tiny_config
-from oracles import field_from_physical, full_lattice_error_record
+from oracles import dealias_mask, field_from_physical, full_lattice_error_record
 
 DATA = Path(__file__).parent / "data"
 sys.path.insert(0, str(DATA))
@@ -82,7 +82,7 @@ class TestErrorRecord:
         assert np.any(psi1.coeffs[:, 16]) and np.any(psi1.coeffs[1:, 0])
         rec = error_record(tf.PairState(psi1, psi2, 0.5), 7.0)
         clean = SimpleNamespace(grid=grid32, **{
-            name: tf.SpectralField(grid32, psi.coeffs * grid32.dealias_mask)
+            name: tf.SpectralField(grid32, psi.coeffs * dealias_mask(grid32))
             for name, psi in (("psi1", psi1), ("psi2", psi2))})
         expected = full_lattice_error_record(clean, 7.0)
         got = (rec.err_h, rec.err_v, rec.err_low, rec.err_high, rec.energy1, rec.energy2)

@@ -1,11 +1,29 @@
 import numpy as np
 import pytest
+from numpy.lib.array_utils import byte_bounds
 
 import twinflow as tf
-from twinflow.spectral import SpectralField, low_mode_mask, zero_field
+from twinflow.spectral import (
+    SpectralField,
+    block_of,
+    half_plane,
+    half_plane_weights,
+    low_mode_mask,
+    zero_field,
+)
 
 from conftest import hermitian_part, random_psi
-from oracles import field_from_physical, full_lattice_norm, hermitian_defect
+from oracles import (
+    dealias_mask,
+    field_from_physical,
+    full_lattice_norm,
+    hermitian_defect,
+    lattice_kmag,
+    lattice_ksq,
+    lattice_wavenumbers,
+)
+
+GRID_SIZES = [32, 48, 96, 512]
 
 
 def single_mode(grid, k1, k2, amplitude=1.0):
@@ -33,17 +51,50 @@ class TestGrid:
     @pytest.mark.parametrize("n", [32, 96])
     def test_wavenumbers_are_read_only_views(self, n):
         grid = tf.SpectralGrid(n)
-        k1d = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
-        kx, ky = np.meshgrid(k1d, k1d, indexing="ij")
+        kx, ky = lattice_wavenumbers(grid)
         for view, full, axis in ((grid.kx, kx, 1), (grid.ky, ky, 0)):
             assert not view.flags.writeable
             assert view.strides[axis] == 0
             assert np.array_equal(view, full)
-        # the derived arrays, bitwise as built from the full meshgrid
-        ksq = (kx * kx + ky * ky).astype(np.float64)
-        assert grid.ksq.tobytes() == ksq.tobytes()
-        assert grid.kmag.tobytes() == np.sqrt(ksq).tobytes()
-        assert grid.ksq.flags.c_contiguous and grid.kmag.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", GRID_SIZES)
+    def test_grid_holds_no_lattice(self, n):
+        # the memory an array attribute spans, not its shape: kx and ky are
+        # N x N views of N integers
+        grid = tf.SpectralGrid(n)
+        arrays = {name: a for name, a in vars(grid).items() if isinstance(a, np.ndarray)}
+        assert set(arrays) == {"kx", "ky", "block_kx", "block_ky", "block_ksq",
+                               "block_weights"}
+        for name, arr in arrays.items():
+            low, high = byte_bounds(arr)
+            assert (high - low) // arr.itemsize < n * n, name
+
+    @pytest.mark.parametrize("n", GRID_SIZES)
+    def test_block_tables_are_blocks_of_lattice_tables(self, n):
+        grid = tf.SpectralGrid(n)
+        kmax = grid.dealias_kmax
+        kx, ky = lattice_wavenumbers(grid)
+        for table, full in ((grid.block_kx, kx), (grid.block_ky, ky),
+                            (grid.block_ksq, lattice_ksq(grid)),
+                            (grid.block_weights, half_plane_weights(grid, 1))):
+            expected = block_of(full, kmax)
+            assert not table.flags.writeable
+            assert table.shape == (2 * kmax + 1, kmax + 1)
+            assert table.dtype == expected.dtype
+            assert table.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", GRID_SIZES)
+    @pytest.mark.parametrize("order", [-1, 0, 1, 2])
+    def test_half_plane_weights_from_lattice_ksq(self, n, order):
+        grid = tf.SpectralGrid(n)
+        ksq = half_plane(lattice_ksq(grid))
+        with np.errstate(divide="ignore"):
+            power = np.where(ksq > 0, ksq**order, float(order == 0))
+        expected = 2.0 * power
+        expected[:, 0], expected[:, -1] = power[:, 0], power[:, -1]
+        weights = half_plane_weights(grid, order)
+        assert not weights.flags.writeable
+        assert weights.tobytes() == expected.tobytes()
 
 
 class TestDealias:
@@ -51,7 +102,7 @@ class TestDealias:
         # cutoff = 170.66..: 171 goes, 170 stays
         grid = tf.SpectralGrid(512)
         f = single_mode(grid, 171, 0) + single_mode(grid, 170, 0)
-        d = f.coeffs * grid.dealias_mask
+        d = f.coeffs * dealias_mask(grid)
         assert d[171, 0] == 0
         assert d[170, 0] == 1.0
 
@@ -92,7 +143,7 @@ class TestProjections:
     def test_low_mode_mask_shared_and_read_only(self, grid64):
         mask = low_mode_mask(grid64, 7.5)
         assert low_mode_mask(tf.SpectralGrid(64), 7.5) is mask
-        assert np.array_equal(mask, grid64.kmag <= 7.5)
+        assert np.array_equal(mask, lattice_kmag(grid64) <= 7.5)
         with pytest.raises(ValueError):
             mask[0, 0] = False
 
