@@ -34,7 +34,6 @@ from .stepping import (
     load_checkpoint,
     save_checkpoint,
     spin_up,
-    step_single,
 )
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "threshold_mutual_nudge",
     "threshold_symmetric_nudge",
     "PairState",
-    "step_single",
     "spin_up",
     "decorrelate",
     "save_checkpoint",

@@ -20,7 +20,9 @@ Olson & Titi 2014). The named variants are rows of one table:
 
 with ``theta2 = 1 - theta1`` and ``(m00, m01, m10, m11)`` the configured
 ``matrix``. ``coupling_arrays`` returns the right-hand-side additions
-for both systems on the observed modes (``observation_mask``). The
+for both systems on the observed modes, those of the cutoff ball
+``|k| <= N`` (``spectral.low_block``; ``ExperimentConfig.check_cutoff``
+refuses an ``N`` beyond the resolved band). The
 threshold functions give, in closed form from Grashof numbers, the cutoffs
 above which the pair synchronizes; the nudging ones return
 ``(n_assisted, n_unassisted)`` and ``(n_a, n_b)``, and
@@ -40,13 +42,10 @@ from typing import Optional
 
 import numpy as np
 
-from .spectral import SpectralGrid, low_mode_mask
-
 __all__ = [
     "VARIANTS",
     "IntertwinementSpec",
     "coupling_arrays",
-    "observation_mask",
     "threshold_mutual_sync",
     "threshold_degenerate_sync",
     "threshold_mutual_nudge",
@@ -124,17 +123,6 @@ class IntertwinementSpec:
         ``x`` the nonlinear term when ``acts_on_nonlinear``, else the state."""
         acts_on_nonlinear, entries = _FORMS[self.variant]
         return acts_on_nonlinear, entries(self)
-
-
-def observation_mask(spec: IntertwinementSpec, grid: SpectralGrid) -> np.ndarray:
-    """The projection P_N as a read-only boolean mask, after checking N is
-    resolved."""
-    if spec.cutoff > grid.dealias_cutoff:
-        raise ValueError(
-            f"observation cutoff exceeds resolved band: N={spec.cutoff} > "
-            f"{grid.dealias_cutoff}"
-        )
-    return low_mode_mask(grid, spec.cutoff)
 
 
 def coupling_arrays(spec: IntertwinementSpec, x1: np.ndarray, x2: np.ndarray):

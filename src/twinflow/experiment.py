@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -28,10 +27,7 @@ from .coupling import (
 from .forcing import grashof, make_band_forcing
 from .spectral import (
     PARSEVAL_FACTOR,
-    SpectralField,
-    SpectralGrid,
-    block_of,
-    low_mode_mask,
+    low_block,
     project_low,
     weighted_power,
 )
@@ -101,11 +97,12 @@ def error_record(state: PairState, cutoff: float) -> ErrorRecord:
     """
     p1, p2, grid = state.block1, state.block2, state.grid
     weights, ksq = grid.block_weights, grid.block_ksq
-    in_low, out_low = _low_masks(grid, cutoff)
+    in_low = low_block(grid, cutoff)
     diff = p1 - p2
     # |k|^2 |psi_k|^2 = velocity energy density, mirror modes included
     wdiff = weights * (diff.real * diff.real + diff.imag * diff.imag)
-    low, high = float(wdiff[in_low].sum()), float(wdiff[out_low].sum())
+    # summed apart: high = total - low would be roundoff once low dominates
+    low, high = float(wdiff[in_low].sum()), float(wdiff[~in_low].sum())
     return ErrorRecord(
         t=state.t,
         err_h=PARSEVAL_FACTOR * math.sqrt(low + high),
@@ -115,22 +112,6 @@ def error_record(state: PairState, cutoff: float) -> ErrorRecord:
         energy1=PARSEVAL_FACTOR**2 * weighted_power(weights, p1),
         energy2=PARSEVAL_FACTOR**2 * weighted_power(weights, p2),
     )
-
-
-@lru_cache(maxsize=16)
-def _low_masks(grid: SpectralGrid, cutoff: float):
-    """The block's low-mode mask |k| <= cutoff and its complement."""
-    in_low = block_of(low_mode_mask(grid, cutoff), grid.dealias_kmax)
-    masks = (in_low, ~in_low)
-    for arr in masks:
-        arr.setflags(write=False)
-    return masks
-
-
-def _forces(cfg: ExperimentConfig) -> tuple[SpectralField, SpectralField]:
-    f1 = make_band_forcing(cfg.forcing, cfg.grid, cfg.nu)
-    f2 = f1 if cfg.forcing2 is None else make_band_forcing(cfg.forcing2, cfg.grid, cfg.nu)
-    return f1, f2
 
 
 def prepare_initial_pair(cfg: ExperimentConfig) -> PairState:
@@ -170,7 +151,6 @@ def run_experiment(
     """
     cfg.check_cutoff()
     state = prepare_initial_pair(cfg) if initial is None else initial
-    f1, f2 = _forces(cfg)
     nsteps = cfg.steps(cfg.t_end)
     cutoff = cfg.coupling.cutoff
 
@@ -181,7 +161,7 @@ def run_experiment(
     series = [error_record(state, cutoff)]
     try:
         state = advance(
-            state, cfg, f1, f2, nsteps,
+            state, cfg, nsteps,
             lambda s: series.append(error_record(s, cutoff)), cfg.record_every,
         )
     finally:
@@ -283,7 +263,8 @@ def threshold_report(cfg: ExperimentConfig) -> dict[str, float | str | bool]:
     default to 1.0.
     """
     cfg.check_cutoff()
-    f1, f2 = _forces(cfg)
+    f1 = make_band_forcing(cfg.forcing, cfg.grid, cfg.nu)
+    f2 = f1 if cfg.forcing2 is None else make_band_forcing(cfg.forcing2, cfg.grid, cfg.nu)
     g1, g2 = grashof(f1, cfg.nu), grashof(f2, cfg.nu)
     g = math.hypot(g1, g2)  # pair magnitude
     spec = cfg.coupling

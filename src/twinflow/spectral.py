@@ -15,7 +15,8 @@ Conventions, fixed once for the whole package:
   mask ``3 |k_i| < N``, which is ``|k_i| <= N/3`` unless 3 divides ``N``
   (then ``|k_i| = N/3`` would alias onto itself in a quadratic product).
   Spectral ball projections use the circular mask ``|k| <= cutoff``
-  (inclusive).
+  (inclusive): ``project_low`` on a field's lattice, ``low_block`` (the
+  coupling's P_N, shared per grid and cutoff) on the stepper's block.
 
 ``SpectralField`` values are immutable: their coefficient arrays are
 flagged read-only, and every operation returns a new field.
@@ -125,10 +126,6 @@ class SpectralField:
         _check_same_grid(self, other)
         return SpectralField(self.grid, self.coeffs + other.coeffs)
 
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
-
     def __mul__(self, scalar) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs * scalar)
 
@@ -237,14 +234,16 @@ def project_low(field: SpectralField, cutoff: float) -> SpectralField:
     """Retain modes with |k| <= cutoff (euclidean, inclusive). Idempotent."""
     if cutoff <= 0:
         raise ValueError(f"projection cutoff must be positive, got {cutoff}")
-    return SpectralField(field.grid, field.coeffs * low_mode_mask(field.grid, cutoff))
+    grid = field.grid
+    return SpectralField(grid, field.coeffs * (np.sqrt(ksq_of(grid.kx, grid.ky)) <= cutoff))
 
 
-@lru_cache(maxsize=32)
-def low_mode_mask(grid: SpectralGrid, cutoff: float) -> np.ndarray:
-    """Boolean mask of the projection ball |k| <= cutoff (read-only, built
-    once per grid and cutoff)."""
-    mask = np.sqrt(ksq_of(grid.kx, grid.ky)) <= cutoff
+@lru_cache(maxsize=16)
+def low_block(grid: SpectralGrid, cutoff: float) -> np.ndarray:
+    """The projection P_N, the ball |k| <= cutoff, as a boolean mask on the
+    dealiased block (read-only, built once per grid and cutoff). When
+    3 | N the ball also holds modes outside the block: no state has them."""
+    mask = np.sqrt(grid.block_ksq) <= cutoff
     mask.setflags(write=False)
     return mask
 

@@ -6,11 +6,15 @@ Per mode k != 0, one step applies
 
 so diffusion is exact and everything else is explicit Euler.
 
-Every stepping entry point (``advance``, ``spin_up``, ``decorrelate``,
-``step_single``) takes the run's one config, a ``config.ExperimentConfig``,
-and reads its ``grid``, ``nu``, ``dt`` and ``forcing`` (whose absorbing
-radius sets the blow-up limit); ``advance`` also reads its ``coupling``,
-and takes the forces explicitly.
+Every stepping entry point (``advance``, ``spin_up``, ``decorrelate``)
+takes the run's one config, a ``config.ExperimentConfig``, and reads its
+``grid``, ``nu``, ``dt`` and ``forcing``, whose absorbing radius sets the
+blow-up limit of both systems. A single flow is driven by ``forcing``;
+``advance`` drives system 1 by ``forcing`` and system 2 by ``forcing2``
+(``forcing`` when unset), and couples them through ``coupling``: its
+cutoff ball ``spectral.low_block`` is the projection P_N. Each force
+enters the loop as its streamfunction source on the block, built once per
+grid, viscosity and force.
 
 The state is the dealiased block (``spectral.to_block``): the modes the
 2/3 mask keeps. A ``PairState`` holds a pair's two blocks, the grid and
@@ -43,16 +47,16 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .coupling import coupling_arrays, observation_mask
+from .coupling import coupling_arrays
 from .fieldops import nonlinear_block, nonlinear_workspace, stream_force_term
 from .forcing import ForcingSpec, absorbing_radii, make_band_forcing
 from .spectral import (
     PARSEVAL_FACTOR,
     SpectralField,
     SpectralGrid,
-    block_of,
     from_block,
     half_plane,
+    low_block,
     shared_grid,
     to_block,
     weighted_power,
@@ -66,7 +70,6 @@ __all__ = [
     "PairState",
     "BlowUpError",
     "CheckpointError",
-    "step_single",
     "advance",
     "spin_up",
     "decorrelate",
@@ -151,6 +154,15 @@ def _step_constants(grid: SpectralGrid, nu: float, dt: float, forcing: ForcingSp
     return efac, BLOWUP_FACTOR * rho0
 
 
+@lru_cache(maxsize=8)
+def _force_block(grid: SpectralGrid, nu: float, forcing: ForcingSpec) -> np.ndarray:
+    """The force's streamfunction source on the block (read-only)."""
+    g = to_block(stream_force_term(make_band_forcing(forcing, grid, nu)).coeffs,
+                 grid.dealias_kmax)
+    g.setflags(write=False)
+    return g
+
+
 def _check_finite(psi: np.ndarray, weights: np.ndarray, limit: float, t: float,
                   last_checkpoint: Optional[str] = None):
     # |u|^2 in one reduction over a block: NaN/Inf propagate.
@@ -167,7 +179,9 @@ def _evolve(cfg: ExperimentConfig, blocks: list, forces: list, nsteps: int,
             t: float = 0.0, step: int = 0, cadence: Optional[Callable] = None,
             every: int = 1) -> tuple[np.ndarray, float, int]:
     """``nsteps`` steps of the dealiased ``blocks`` (left as they are) under
-    ``forces``: one flow, or two coupled through ``cfg.coupling``.
+    the force blocks ``forces`` (see ``_force_block``): one flow, or two
+    coupled through ``cfg.coupling``, whose cutoff must be resolved
+    (``ConfigError``).
 
     The state is one stack of shape ``(s, 2K+1, K+1)``, ``s`` the number
     of blocks, and every step runs once over it: the nonlinear term (one
@@ -178,21 +192,19 @@ def _evolve(cfg: ExperimentConfig, blocks: list, forces: list, nsteps: int,
     is the one a later ``BlowUpError`` names.
     """
     grid, dt = cfg.grid, cfg.dt
-    kmax = grid.dealias_kmax
     efac, limit = _step_constants(grid, cfg.nu, dt, cfg.forcing)
     weights = grid.block_weights
     for b in blocks:
         _check_finite(b, weights, limit, t)
     ps = np.stack(blocks)
     rs = np.empty_like(ps)
-    gs = np.stack([to_block(stream_force_term(f).coeffs, kmax) for f in forces])
+    gs = np.stack(forces)
     work = nonlinear_workspace(grid, len(ps))
     checkpoint = None
     spec = cfg.coupling if len(ps) == 2 else None  # a single flow is uncoupled
     if spec is not None:
-        # P_N on the block: when 3 | N, the ball |k| <= N/3 also holds
-        # modes outside the block, which are never stepped
-        low = np.flatnonzero(block_of(observation_mask(spec, grid), kmax))
+        cfg.check_cutoff()
+        low = np.flatnonzero(low_block(grid, spec.cutoff))
         g_low = _flat(gs).take(low, axis=1)
         acts_on_nonlinear, _ = spec.form
     for i in range(nsteps):
@@ -225,32 +237,28 @@ def _flat(stack: np.ndarray) -> np.ndarray:
     return stack.reshape(len(stack), -1)
 
 
-def _evolve_single(psi: SpectralField, cfg: ExperimentConfig, f: SpectralField, nsteps: int,
+def _evolve_single(psi: SpectralField, cfg: ExperimentConfig, nsteps: int,
                    cadence: Optional[Callable] = None, every: int = 1) -> SpectralField:
-    """``nsteps`` single-flow steps, clock from zero."""
+    """``nsteps`` single-flow steps under ``cfg.forcing``, clock from zero."""
     if nsteps == 0:
         return psi
-    (p,), _, _ = _evolve(cfg, [_enter(psi, 0.0)], [f], nsteps, cadence=cadence, every=every)
-    return SpectralField(cfg.grid, from_block(p, cfg.grid.resolution))
-
-
-def step_single(psi: SpectralField, cfg: ExperimentConfig, f: SpectralField) -> SpectralField:
-    """One integrating-factor Euler step of a single flow."""
-    return _evolve_single(psi, cfg, f, 1)
+    grid = cfg.grid
+    (p,), _, _ = _evolve(cfg, [_enter(psi, 0.0)], [_force_block(grid, cfg.nu, cfg.forcing)],
+                         nsteps, cadence=cadence, every=every)
+    return SpectralField(grid, from_block(p, grid.resolution))
 
 
 def advance(
     state: PairState,
     cfg: ExperimentConfig,
-    f1: SpectralField,
-    f2: SpectralField,
     nsteps: int,
     observer: Optional[Callable[[PairState], None]] = None,
     observe_every: int = 1,
 ) -> PairState:
     """Run ``nsteps`` steps of the pair coupled through ``cfg.coupling``
-    under forces (f1, f2), and return the stepped state (the input itself
-    when ``nsteps`` is 0).
+    under the forces ``cfg.forcing`` and ``cfg.forcing2`` (``cfg.forcing``
+    when unset), and return the stepped state (the input itself when
+    ``nsteps`` is 0).
 
     ``observer`` sees the stepped pair after every ``observe_every``
     steps, never the input, as a ``PairState`` over the loop's own
@@ -260,12 +268,14 @@ def advance(
     if nsteps == 0:
         return state
     grid = cfg.grid
+    forcing2 = cfg.forcing if cfg.forcing2 is None else cfg.forcing2
+    forces = [_force_block(grid, cfg.nu, f) for f in (cfg.forcing, forcing2)]
 
     def observe(ps, t, step):
         observer(PairState.of_blocks(ps[0], ps[1], grid, t, step))
 
     ps, t, step = _evolve(
-        cfg, [state.block1, state.block2], [f1, f2], nsteps, state.t, state.step_index,
+        cfg, [state.block1, state.block2], forces, nsteps, state.t, state.step_index,
         observe if observer is not None else None, observe_every,
     )
     ps.setflags(write=False)
@@ -286,13 +296,9 @@ def spin_up(
     time units (default ``cfg.checkpoint_every``) when a directory is
     given. From zero data the state never leaves the dealiased block.
     """
-    if duration < 0:
-        raise ValueError("spin-up duration must be nonnegative")
+    nsteps = cfg.steps(duration)
     if checkpoint_every is None:
         checkpoint_every = cfg.checkpoint_every
-    psi = zero_field(cfg.grid)
-    force = make_band_forcing(cfg.forcing, cfg.grid, cfg.nu)
-    nsteps = cfg.steps(duration)
     every = max(1, cfg.steps(checkpoint_every))
 
     def cadence(ps, t, step):
@@ -306,15 +312,12 @@ def spin_up(
             progress(t)
         return path
 
-    return _evolve_single(psi, cfg, force, nsteps, cadence, every)
+    return _evolve_single(zero_field(cfg.grid), cfg, nsteps, cadence, every)
 
 
 def decorrelate(psi: SpectralField, cfg: ExperimentConfig, duration: float) -> SpectralField:
     """Evolve a snapshot further in time to produce a decorrelated partner."""
-    if duration < 0:
-        raise ValueError("decorrelation duration must be nonnegative")
-    force = make_band_forcing(cfg.forcing, cfg.grid, cfg.nu)
-    return _evolve_single(psi, cfg, force, cfg.steps(duration))
+    return _evolve_single(psi, cfg, cfg.steps(duration))
 
 
 # --- checkpoint serialization -------------------------------------------------

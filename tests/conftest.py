@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import twinflow as tf
+from twinflow import config
 from twinflow.config import ExperimentConfig
 from twinflow.fieldops import nonlinear_block, nonlinear_workspace
 from twinflow.spectral import from_block, to_block
@@ -43,6 +44,18 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def sub(a, b):
+    """The field ``a - b`` (the package only adds and scales fields)."""
+    return tf.SpectralField(a.grid, a.coeffs - b.coeffs)
+
+
+def parse_config_text(text):
+    """A config from INI text, parsed as ``config.parse_config`` parses a file."""
+    parser = config._new_parser()
+    parser.read_string(text)
+    return config._build(parser)
+
+
 def nonlinear_full(psi):
     """The stepper's advection term (``nonlinear_block``, fresh workspace)
     of a dealiased, Hermitian field, rebuilt on the full lattice."""
@@ -65,6 +78,19 @@ def grid64():
 @pytest.fixture
 def grid32():
     return tf.SpectralGrid(32)
+
+
+@pytest.fixture
+def no_large_grid(monkeypatch):
+    """``config`` refuses to build a grid past its resolution bound: a
+    config that misses the bound fails the test and allocates nothing."""
+    build = config.shared_grid
+
+    def guarded(n):
+        assert n <= config.MAX_RESOLUTION, f"built a {n}^2 grid"
+        return build(n)
+
+    monkeypatch.setattr(config, "shared_grid", guarded)
 
 
 @pytest.fixture

@@ -17,6 +17,9 @@
   build fields from physical samples and measure their symmetry.
 * ``checkpoint_bytes`` writes a checkpoint from the byte layout in the
   README, one number at a time.
+* ``step_single`` is one step of the package's own stepping loop under
+  any force field, which the package's entry points never take: they
+  step under the forces of their config.
 * ``lattice_wavenumbers``, ``lattice_ksq``, ``lattice_kmag`` and
   ``dealias_mask`` build the wavenumbers, ``|k|^2``, ``|k|`` and the
   square 2/3 mask on the whole ``N x N`` lattice from a meshgrid; the
@@ -32,6 +35,8 @@ import numpy as np
 
 import twinflow as tf
 from twinflow.fieldops import stream_force_term
+from twinflow.spectral import from_block, to_block
+from twinflow.stepping import _enter, _evolve
 
 
 def lattice_wavenumbers(grid):
@@ -58,6 +63,16 @@ def dealias_mask(grid):
     kx, ky = lattice_wavenumbers(grid)
     n = grid.resolution
     return (3 * np.abs(kx) < n) & (3 * np.abs(ky) < n)
+
+
+def step_single(psi, cfg, f):
+    """One single-flow step of the stepper under the force field ``f`` (a
+    zero or random field too), with ``cfg``'s grid, ``nu``, ``dt`` and
+    blow-up limit."""
+    grid = cfg.grid
+    g = to_block(stream_force_term(f).coeffs, grid.dealias_kmax)
+    (p,), _, _ = _evolve(cfg, [_enter(psi, 0.0)], [g], 1)
+    return tf.SpectralField(grid, from_block(p, grid.resolution))
 
 
 def convolution_nonlinear_term(psi):

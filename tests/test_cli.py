@@ -171,6 +171,12 @@ def test_step_count_overflow_exits_2(capsys, tmp_path, command, override):
     assert not out.exists()
 
 
+def test_resolution_beyond_bound_exits_2(capsys, no_large_grid):
+    assert cli_main(["thresholds", "--preset", "desk", "--set", "sim.resolution=4098"]) == 2
+    err = capsys.readouterr().err
+    assert "resolution 4098 exceeds 4096" in err and "Traceback" not in err
+
+
 def thresholds_at_32(overrides):
     argv = ["thresholds", "--preset", "desk", "--set", "sim.resolution=32",
             "--set", "intertwinement.cutoff=8"]

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import twinflow as tf
-from twinflow.coupling import coupling_arrays, observation_mask
+from twinflow.config import ConfigError
+from twinflow.coupling import coupling_arrays
+from twinflow.stepping import advance
 
-from conftest import nonlinear_full, random_psi
+from conftest import nonlinear_full, random_psi, tiny_config
 from oracles import lattice_kmag
 
 ALL_VARIANT_SPECS = [
@@ -61,17 +63,24 @@ class TestSpecValidation:
         spec = tf.IntertwinementSpec("mutual_sync", 10.0, theta1=0.25)
         assert spec.theta1 + spec.theta2 == 1.0
 
-    def test_cutoff_above_dealias_rejected(self, grid64):
-        spec = tf.IntertwinementSpec("mutual_nudge", 30.0, mu1=1.0)
-        with pytest.raises(ValueError, match="exceeds resolved band"):
-            observation_mask(spec, grid64)
+    def test_cutoff_above_dealias_rejected(self, pair):
+        # the stepper refuses a cutoff beyond the resolved band N/3 = 21.3
+        cfg = tiny_config(resolution=64,
+                          coupling=tf.IntertwinementSpec("mutual_nudge", 30.0, mu1=1.0))
+        with pytest.raises(ConfigError, match="exceeds resolved band: N=30.0 > 21.3"):
+            advance(tf.PairState(*pair), cfg, 1)
+
+
+def low_mask(spec, grid):
+    """P_N on the whole lattice: the ball |k| <= N."""
+    return lattice_kmag(grid) <= spec.cutoff
 
 
 def observed(spec, pair):
     """The observed modes ``P_N x`` of both systems, with ``x`` the nonlinear
     term or the state per ``spec.form``: what the stepper hands to
     ``coupling_arrays``."""
-    low = observation_mask(spec, pair[0].grid)
+    low = low_mask(spec, pair[0].grid)
     acts_on_nonlinear, _ = spec.form
     if acts_on_nonlinear:
         return tuple(nonlinear_full(p)[low] for p in pair)
@@ -99,14 +108,13 @@ class TestCouplingTerms:
 
     @pytest.mark.parametrize("spec", ALL_VARIANT_SPECS, ids=lambda s: s.variant)
     def test_coupling_supported_in_ball(self, grid64, pair, spec):
-        low = observation_mask(spec, grid64)
-        assert not np.any(lattice_kmag(grid64)[low] > 10.0)
+        low = low_mask(spec, grid64)
         for c in coupling_arrays(spec, *observed(spec, pair)):
             assert c.shape == (np.count_nonzero(low),)
 
     def test_mutual_sync_low_mode_cancellation(self, grid64, pair):
         # rhs1 - rhs2 on |k| <= N equals the projected nonlinear difference
-        low = observation_mask(tf.IntertwinementSpec("mutual_sync", 10.0), grid64)
+        low = low_mask(tf.IntertwinementSpec("mutual_sync", 10.0), grid64)
         expected = (nonlinear_full(pair[0]) - nonlinear_full(pair[1]))[low]
         for theta1 in (0.0, 0.5, 1.0):
             spec = tf.IntertwinementSpec("mutual_sync", 10.0, theta1=theta1)
@@ -121,7 +129,7 @@ class TestCouplingTerms:
 
     def test_degenerate_sync_is_projected_own_nonlinearity(self, grid64, pair):
         spec = tf.IntertwinementSpec("degenerate_sync", 10.0)
-        low = observation_mask(spec, grid64)
+        low = low_mask(spec, grid64)
         c1, c2 = coupling_arrays(spec, *observed(spec, pair))
         assert np.array_equal(c1, nonlinear_full(pair[0])[low])
         assert np.array_equal(c2, nonlinear_full(pair[1])[low])

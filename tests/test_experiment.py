@@ -13,7 +13,6 @@ from twinflow.config import (
     ConfigError,
     apply_overrides,
     parse_config,
-    parse_config_text,
     preset_config,
     write_config,
 )
@@ -29,7 +28,7 @@ from twinflow.experiment import (
 )
 from twinflow.stepping import BlowUpError, advance, save_checkpoint, spin_up
 
-from conftest import hermitian_part, random_psi, tiny_config
+from conftest import hermitian_part, parse_config_text, random_psi, sub, tiny_config
 from oracles import dealias_mask, field_from_physical, full_lattice_error_record
 
 DATA = Path(__file__).parent / "data"
@@ -62,7 +61,7 @@ class TestErrorRecord:
     def test_matches_norms(self, grid64, rng):
         p1, p2 = random_psi(grid64, rng), random_psi(grid64, rng)
         rec = error_record(tf.PairState(p1, p2), 10.0)
-        w = p1 - p2
+        w = sub(p1, p2)
         assert rec.err_h == pytest.approx(tf.norm_hn(w, 1), rel=1e-12)
         assert rec.err_v == pytest.approx(tf.norm_hn(w, 2), rel=1e-12)
         assert rec.err_low == pytest.approx(
@@ -114,7 +113,6 @@ class TestErrorRecord:
         grid = tf.SpectralGrid(n)
         rng = np.random.default_rng(n)
         cfg = tiny_config(resolution=n, forcing=tf.ForcingSpec(2, 4, 500.0, 3))
-        force = tf.make_band_forcing(cfg.forcing, grid, cfg.nu)
         cutoffs = [n / 4, n / 3 if n % 3 == 0 else float(grid.dealias_kmax)]
         pairs = 0
         for variant in tf.coupling.VARIANTS:
@@ -139,7 +137,7 @@ class TestErrorRecord:
                             1e-14 * scale**2, (variant, cutoff, name)
                     pairs += 1
 
-                advance(start, replace(cfg, coupling=spec), force, force, 4, observer, 2)
+                advance(start, replace(cfg, coupling=spec), 4, observer, 2)
         assert pairs == 2 * len(cutoffs) * len(tf.coupling.VARIANTS)
 
 
@@ -208,13 +206,13 @@ class TestRunExperiment:
     def test_init_modes(self, tmp_path):
         cfg = tiny_config(init_kind="projected_low")
         pair = prepare_initial_pair(cfg)
-        low_diff = tf.project_low(pair.psi1 - pair.psi2, cfg.coupling.cutoff)
+        low_diff = tf.project_low(sub(pair.psi1, pair.psi2), cfg.coupling.cutoff)
         assert not np.any(low_diff.coeffs)
-        assert np.any((pair.psi1 - tf.project_low(pair.psi1, cfg.coupling.cutoff)).coeffs)
+        assert np.any(sub(pair.psi1, tf.project_low(pair.psi1, cfg.coupling.cutoff)).coeffs)
 
         cfg2 = tiny_config(init_kind="decorrelated", decorrelate_time=0.3)
         pair2 = prepare_initial_pair(cfg2)
-        assert tf.norm_hn(pair2.psi1 - pair2.psi2, 1) > 0
+        assert tf.norm_hn(sub(pair2.psi1, pair2.psi2), 1) > 0
 
     def test_init_from_checkpoints(self, tmp_path, rng):
         cfg = tiny_config(init_kind="checkpoints")
@@ -532,6 +530,11 @@ class TestConfigIO:
         path.write_text(path.read_text().replace(old, new))
         with pytest.raises(ConfigError, match=new.strip("[] =")):
             parse_config(path)
+
+    @pytest.mark.parametrize("resolution", [4098, 2**40])
+    def test_resolution_beyond_bound_rejected(self, no_large_grid, resolution):
+        with pytest.raises(ConfigError, match=f"resolution {resolution} exceeds 4096"):
+            tiny_config(resolution=resolution)
 
     def test_readme_schema_is_desk_preset(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -44,7 +44,6 @@ def test_public_surface_is_pinned():
         "save_checkpoint",
         "shape_factor",
         "spin_up",
-        "step_single",
         "sweep",
         "threshold_degenerate_sync",
         "threshold_mutual_nudge",

@@ -20,9 +20,8 @@ from conftest import random_psi, tiny_config
 
 def _readings(psi1, psi2, cfg):
     nu = cfg.nu
-    force = tf.make_band_forcing(cfg.forcing, cfg.grid, nu)
     state = tf.PairState(psi1, psi2)
-    stepped = advance(state, cfg, force, force, 3)
+    stepped = advance(state, cfg, 3)
     return {
         **{f"norm_hn({n})": tf.norm_hn(psi1, n) for n in (-1, 0, 1, 2)},
         "energy_spectrum": tf.energy_spectrum(psi1),

@@ -22,13 +22,9 @@ from twinflow.coupling import VARIANTS
 
 UNREACHED = {
     "cli.main": "console-script entry point: calls cli_main, then exits the process",
-    "config.parse_config_text": "library parser of INI text; the CLI reads files",
     "config.ExperimentConfig.sim": "alias of the config itself for perfbench/workloads.py's "
                                    "spin_up(cfg.sim, ...); ROADMAP item 1 deletes it",
     "experiment.read_series_csv": "library reader of series.csv; the CLI only writes it",
-    "stepping.step_single": "public one-step API; the CLI steps many steps per call",
-    "spectral.SpectralField.__sub__": "public field arithmetic; the program only adds "
-                                      "and scales fields",
 }
 
 VARIANT_SETTINGS = {

@@ -8,11 +8,11 @@ from twinflow.spectral import (
     block_of,
     half_plane,
     half_plane_weights,
-    low_mode_mask,
+    low_block,
     zero_field,
 )
 
-from conftest import hermitian_part, random_psi
+from conftest import hermitian_part, random_psi, sub
 from oracles import (
     dealias_mask,
     field_from_physical,
@@ -117,19 +117,19 @@ class TestProjections:
         # the high part f - P_N f keeps exactly the modes outside the ball
         low = single_mode(grid64, 1, 0)
         high = single_mode(grid64, 0, 21)
-        assert not np.any((low - tf.project_low(low, 50.0)).coeffs)
-        assert np.array_equal((high - tf.project_low(high, 20.0)).coeffs, high.coeffs)
+        assert not np.any(sub(low, tf.project_low(low, 50.0)).coeffs)
+        assert np.array_equal(sub(high, tf.project_low(high, 20.0)).coeffs, high.coeffs)
 
     def test_partition_idempotence_orthogonality(self, grid64, rng):
         x = random_psi(grid64, rng)
         y = random_psi(grid64, rng)
         for cutoff in (1.0, 7.5, 20.0, 50.0):
             p = tf.project_low(x, cutoff)
-            q = x - p
+            q = sub(x, p)
             assert np.array_equal(p.coeffs + q.coeffs, x.coeffs)
             assert np.array_equal(tf.project_low(p, cutoff).coeffs, p.coeffs)
             assert not np.any(tf.project_low(q, cutoff).coeffs)
-            y_high = y - tf.project_low(y, cutoff)
+            y_high = sub(y, tf.project_low(y, cutoff))
             assert np.vdot(p.coeffs, y_high.coeffs) == 0.0
 
     def test_cutoff_beyond_grid_is_identity_on_dealiased(self, grid64, rng):
@@ -140,12 +140,16 @@ class TestProjections:
         with pytest.raises(ValueError):
             tf.project_low(random_psi(grid64, rng), 0.0)
 
-    def test_low_mode_mask_shared_and_read_only(self, grid64):
-        mask = low_mode_mask(grid64, 7.5)
-        assert low_mode_mask(tf.SpectralGrid(64), 7.5) is mask
-        assert np.array_equal(mask, lattice_kmag(grid64) <= 7.5)
-        with pytest.raises(ValueError):
-            mask[0, 0] = False
+    def test_low_block_shared_and_read_only(self):
+        # at 48^2 the ball |k| <= N/3 reaches past the block
+        for n, cutoff in ((64, 7.5), (48, 16.0)):
+            grid = tf.SpectralGrid(n)
+            mask = low_block(grid, cutoff)
+            assert low_block(tf.SpectralGrid(n), cutoff) is mask
+            expected = block_of(lattice_kmag(grid) <= cutoff, grid.dealias_kmax)
+            assert np.array_equal(mask, expected)
+            with pytest.raises(ValueError):
+                mask[0, 0] = False
 
 
 class TestNorms:

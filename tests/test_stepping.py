@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import twinflow as tf
+from twinflow.fieldops import stream_force_term
 from twinflow.spectral import from_block, to_block, zero_field
 from twinflow.stepping import (
     BlowUpError,
@@ -17,7 +18,7 @@ from twinflow.stepping import (
     save_checkpoint,
 )
 
-from conftest import hermitian_part, random_psi, tiny_config
+from conftest import hermitian_part, random_psi, sub, tiny_config
 from oracles import (
     checkpoint_bytes,
     dealias_mask,
@@ -26,6 +27,7 @@ from oracles import (
     lattice_kmag,
     lattice_ksq,
     scalar_reference_pair_step,
+    step_single,
 )
 
 
@@ -38,8 +40,8 @@ def shear_mode(grid, amplitude=1.0):
 
 @pytest.fixture
 def cfg32():
-    # nu = dt = 0.01 at 32^2; its force sets the blow-up limit, and the
-    # tests pass the forces they step explicitly
+    # nu = dt = 0.01 at 32^2; its force sets the blow-up limit and drives
+    # every stepping entry point; ``step_single`` takes any force
     return tiny_config()
 
 
@@ -54,13 +56,13 @@ class TestIntegratingFactor:
         amp0 = tf.norm_hn(psi, 1)
         n = 200
         for _ in range(n):
-            psi = tf.step_single(psi, cfg32, f0)
+            psi = step_single(psi, cfg32, f0)
         expected = amp0 * np.exp(-cfg32.nu * n * cfg32.dt)
         assert tf.norm_hn(psi, 1) == pytest.approx(expected, rel=1e-12)
 
     def test_nonlinear_term_exactly_zero_for_shear(self, grid32, cfg32):
         psi0 = shear_mode(grid32)
-        psi1 = tf.step_single(psi0, cfg32, zero_force(grid32))
+        psi1 = step_single(psi0, cfg32, zero_force(grid32))
         efac = np.exp(-cfg32.nu * 1.0 * cfg32.dt)
         nz = np.abs(psi0.coeffs) > 0
         assert np.array_equal(psi1.coeffs[nz], efac * psi0.coeffs[nz])
@@ -70,9 +72,9 @@ class TestPairStep:
     def test_single_equals_trivial_pair(self, grid32, cfg32, rng):
         psi = random_psi(grid32, rng)
         f = tf.make_band_forcing(cfg32.forcing, grid32, cfg32.nu)
-        single = tf.step_single(psi, cfg32, f)
+        single = step_single(psi, cfg32, f)
         trivial = replace(cfg32, coupling=tf.IntertwinementSpec("trivial", 5.0))
-        pair = advance(tf.PairState(psi, psi), trivial, f, f, 1)
+        pair = advance(tf.PairState(psi, psi), trivial, 1)
         assert np.array_equal(single.coeffs, pair.psi1.coeffs)
         assert np.array_equal(pair.psi1.coeffs, pair.psi2.coeffs)
 
@@ -90,17 +92,18 @@ class TestPairStep:
     )
     def test_against_scalar_reference_at_res8(self, rng, variant, kwargs):
         # independent per-mode reference: convolution nonlinearity plus
-        # plain python integrating-factor arithmetic
+        # plain python integrating-factor arithmetic. At 8^2 the bands
+        # 1 <= |k|^2 <= 8 hold every mode of the block, and system 2 has a
+        # force of its own
         grid = tf.SpectralGrid(8)
         spec = tf.IntertwinementSpec(variant, 2.0, **kwargs)
         cfg = tiny_config(resolution=8, nu=0.05, dt=0.02,
-                          forcing=tf.ForcingSpec(1, 8, 500.0, 3), coupling=spec)
+                          forcing=tf.ForcingSpec(1, 8, 500.0, 3),
+                          forcing2=tf.ForcingSpec(1, 8, 300.0, 11), coupling=spec)
         psi1, psi2 = random_psi(grid, rng, decay=1.0), random_psi(grid, rng, decay=1.0)
-        f1, f2 = random_psi(grid, rng, decay=1.0), random_psi(grid, rng, decay=1.0)
+        f1, f2 = (tf.make_band_forcing(f, grid, cfg.nu) for f in (cfg.forcing, cfg.forcing2))
         state = tf.PairState(psi1, psi2)
-        stepped = advance(state, cfg, f1, f2, 1)
-        from twinflow.fieldops import stream_force_term
-
+        stepped = advance(state, cfg, 1)
         ref1, ref2 = scalar_reference_pair_step(
             state, cfg.nu, cfg.dt, spec,
             stream_force_term(f1).coeffs, stream_force_term(f2).coeffs,
@@ -114,13 +117,12 @@ class TestPairStep:
         # difference contracts by exactly the viscous factor per mode
         cutoff = 5.0
         cfg = replace(cfg32, coupling=tf.IntertwinementSpec("mutual_sync", cutoff, theta1=0.5))
-        f = tf.make_band_forcing(cfg.forcing, grid32, cfg.nu)
         state = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng))
         efac = np.exp(-cfg.nu * lattice_ksq(grid32) * cfg.dt)
         for _ in range(5):
-            before = tf.project_low(state.psi1 - state.psi2, cutoff)
-            state = advance(state, cfg, f, f, 1)
-            after = tf.project_low(state.psi1 - state.psi2, cutoff)
+            before = tf.project_low(sub(state.psi1, state.psi2), cutoff)
+            state = advance(state, cfg, 1)
+            after = tf.project_low(sub(state.psi1, state.psi2), cutoff)
             expected = efac * before.coeffs
             mask = lattice_kmag(grid32) <= cutoff
             num = np.max(np.abs(after.coeffs - expected)[mask])
@@ -130,13 +132,10 @@ class TestPairStep:
     def test_degenerate_sync_low_modes_stay_matched(self, grid32, cfg32, rng):
         cutoff = 5.0
         cfg = replace(cfg32, coupling=tf.IntertwinementSpec("degenerate_sync", cutoff))
-        f = tf.make_band_forcing(cfg.forcing, grid32, cfg.nu)
         psi1 = random_psi(grid32, rng)
         state = tf.PairState(psi1, tf.project_low(psi1, cutoff))
-        state = advance(state, cfg, f, f, 100)
-        drift = tf.norm_hn(
-            tf.project_low(state.psi1 - state.psi2, cutoff), 1
-        )
+        state = advance(state, cfg, 100)
+        drift = tf.norm_hn(tf.project_low(sub(state.psi1, state.psi2), cutoff), 1)
         assert drift <= 1e-12 * tf.norm_hn(psi1, 1)
 
     def test_energy_decreases_without_force(self, grid64, rng):
@@ -145,7 +144,7 @@ class TestPairStep:
         f0 = zero_force(grid64)
         prev = tf.norm_hn(psi, 1)
         for _ in range(1000):
-            psi = tf.step_single(psi, cfg, f0)
+            psi = step_single(psi, cfg, f0)
             cur = tf.norm_hn(psi, 1)
             assert cur <= prev * (1 + 1e-9)
             prev = cur
@@ -170,12 +169,11 @@ class TestOneStepPath:
     @pytest.mark.parametrize("spec", VARIANT_SPECS, ids=lambda s: s.variant)
     def test_step_pair_k_times_equals_advance(self, grid32, cfg32, rng, spec):
         cfg = replace(cfg32, coupling=spec)
-        f = tf.make_band_forcing(cfg.forcing, grid32, cfg.nu)
         start = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng), 0.25, 3)
         state = start
         for _ in range(7):
-            state = advance(state, cfg, f, f, 1)
-        batched = advance(start, cfg, f, f, 7)
+            state = advance(state, cfg, 1)
+        batched = advance(start, cfg, 7)
         assert np.array_equal(state.psi1.coeffs, batched.psi1.coeffs)
         assert np.array_equal(state.psi2.coeffs, batched.psi2.coeffs)
         assert (state.t, state.step_index) == (batched.t, batched.step_index)
@@ -185,7 +183,7 @@ class TestOneStepPath:
         f = tf.make_band_forcing(cfg32.forcing, grid32, cfg32.nu)
         psi = psi0
         for _ in range(7):
-            psi = tf.step_single(psi, cfg32, f)
+            psi = step_single(psi, cfg32, f)
         batched = tf.decorrelate(psi0, cfg32, 7 * cfg32.dt)
         assert np.array_equal(psi.coeffs, batched.coeffs)
 
@@ -193,7 +191,6 @@ class TestOneStepPath:
     def test_modes_outside_block_are_projected_away(self, grid32, cfg32, rng, spec):
         # energy outside the 2/3 mask, Hermitian: stepping drops it first
         cfg = replace(cfg32, coupling=spec)
-        f = tf.make_band_forcing(cfg.forcing, grid32, cfg.nu)
         rough = [tf.SpectralField(grid32, hermitian_part(field_from_physical(
             grid32, 0.01 * rng.standard_normal(grid32.shape)).coeffs)) for _ in range(2)]
         assert all(np.any(p.coeffs[~dealias_mask(grid32)]) for p in rough)
@@ -202,15 +199,14 @@ class TestOneStepPath:
         mask = dealias_mask(grid32)
         clean = tf.PairState(tf.SpectralField(grid32, start.psi1.coeffs * mask),
                              tf.SpectralField(grid32, start.psi2.coeffs * mask), 0.5, 2)
-        a = advance(start, cfg, f, f, 3)
-        b = advance(clean, cfg, f, f, 3)
+        a = advance(start, cfg, 3)
+        b = advance(clean, cfg, 3)
         assert np.array_equal(a.psi1.coeffs, b.psi1.coeffs)
         assert np.array_equal(a.psi2.coeffs, b.psi2.coeffs)
 
     @pytest.mark.parametrize("spec", VARIANT_SPECS, ids=lambda s: s.variant)
     def test_pair_states_handed_out_are_exact(self, grid32, cfg32, rng, spec):
         cfg = replace(cfg32, coupling=spec)
-        f = tf.make_band_forcing(cfg.forcing, grid32, cfg.nu)
         start = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng))
         seen = []
 
@@ -218,8 +214,8 @@ class TestOneStepPath:
             # the blocks are the loop's buffers, valid only during the call
             seen.append((pair.t, pair.step_index, pair.block1.copy(), pair.block2.copy()))
 
-        assert advance(start, cfg, f, f, 0, observer) is start
-        final = advance(start, cfg, f, f, 6, observer, 2)
+        assert advance(start, cfg, 0, observer) is start
+        final = advance(start, cfg, 6, observer, 2)
         # the observer sees stepped pairs only, never the input
         assert [step for _, step, _, _ in seen] == [2, 4, 6]
         t, step, block1, block2 = seen[-1]
@@ -227,7 +223,7 @@ class TestOneStepPath:
         assert np.array_equal(block1, to_block(final.psi1.coeffs, kmax))
         assert np.array_equal(block2, to_block(final.psi2.coeffs, kmax))
         assert (t, step) == (final.t, final.step_index)
-        stepped = advance(start, cfg, f, f, 1)
+        stepped = advance(start, cfg, 1)
         observed = [tf.SpectralField(grid32, from_block(b, 32))
                     for _, _, *blocks in seen for b in blocks]
         for psi in observed + [final.psi1, final.psi2, stepped.psi1, stepped.psi2]:
@@ -240,7 +236,7 @@ class TestOneStepPath:
         ckpts = sorted(tmp_path.glob("spinup_*.ckpt"))
         assert len(ckpts) == 3
         states = [spun, tf.decorrelate(spun, cfg32, 0.05),
-                  tf.step_single(random_psi(grid32, rng), cfg32, f)]
+                  step_single(random_psi(grid32, rng), cfg32, f)]
         for path in ckpts:
             state, _ = load_checkpoint(path)
             states += [state.psi1, state.psi2]
@@ -254,7 +250,7 @@ class TestBlowUpDetection:
         c[1, 0] = c[-1, 0] = np.nan
         bad = tf.SpectralField(grid32, c)
         with pytest.raises(BlowUpError, match="non-finite"):
-            tf.step_single(bad, cfg32, zero_force(grid32))
+            step_single(bad, cfg32, zero_force(grid32))
 
     @pytest.mark.parametrize("mode", [(1, 0), (3, 16), (2, 5)])
     def test_nonfinite_detected_in_pair(self, grid32, cfg32, rng, mode):
@@ -267,12 +263,12 @@ class TestBlowUpDetection:
         # building the pair drops the modes outside the block, so it checks
         with pytest.raises(BlowUpError, match="non-finite"):
             state = tf.PairState(random_psi(grid32, rng), tf.SpectralField(grid32, c))
-            advance(state, cfg, zero_force(grid32), zero_force(grid32), 1)
+            advance(state, cfg, 1)
 
     def test_runaway_magnitude_detected(self, grid32, cfg32, rng):
         huge = random_psi(grid32, rng, scale=1e12)
         with pytest.raises(BlowUpError, match="absorbing radius"):
-            tf.step_single(huge, cfg32, zero_force(grid32))
+            step_single(huge, cfg32, zero_force(grid32))
 
     def test_spin_up_blow_up_names_newest_checkpoint(self, tmp_path):
         # dt = 0.05 under a Grashof 10^6 force is past the explicit step's
@@ -307,8 +303,19 @@ class TestSpinUpDecorrelate:
         psi = state.psi1
         f = tf.make_band_forcing(cfg32.forcing, cfg32.grid, cfg32.nu)
         for _ in range(50):
-            psi = tf.step_single(psi, cfg32, f)
+            psi = step_single(psi, cfg32, f)
         assert np.array_equal(psi.coeffs, full.coeffs)
+
+    @pytest.mark.parametrize(
+        "entry, duration",
+        [("spin_up", 1e308), ("decorrelate", np.inf), ("spin_up", np.nan),
+         ("spin_up", -1.0), ("decorrelate", -1.0)],
+    )
+    def test_duration_without_step_count_rejected(self, cfg32, rng, entry, duration):
+        # a duration whose step count is negative or not finite
+        args = (cfg32,) if entry == "spin_up" else (random_psi(cfg32.grid, rng), cfg32)
+        with pytest.raises(ValueError, match="duration must be nonnegative"):
+            getattr(tf, entry)(*args, duration)
 
     def test_decorrelate_zero_duration_is_identity(self, cfg32, rng):
         psi = random_psi(cfg32.grid, rng)
