@@ -22,7 +22,7 @@ from .config import (
     write_config,
 )
 from .experiment import SWEEP_AXES, run_experiment, sweep, sweep_label, threshold_report
-from .spectral import block_of, energy_spectrum
+from .spectral import energy_spectrum
 from .stepping import (
     BlowUpError,
     CheckpointError,
@@ -72,10 +72,7 @@ def _cmd_spinup(args) -> int:
     nsteps = cfg.steps(cfg.spinup_time)
     # the clock of the state stepped, not the requested duration
     t = nsteps * cfg.dt
-    # the stepped block as it is, as the rolling checkpoints are written:
-    # entering psi again can flip the sign of a zero imaginary part
-    block = block_of(psi.coeffs, cfg.grid.dealias_kmax)
-    save_checkpoint(PairState.of_blocks(block, block, cfg.grid, t, nsteps), cfg.dt, path)
+    save_checkpoint(PairState(psi, psi, t, nsteps), cfg.dt, path)
     print(f"spun up {t:g} time units -> {path}")
     return 0
 

@@ -9,8 +9,8 @@ convolution, so the truncated system conserves energy and enstrophy
 exactly; the tests check both identities, and the convolution, on
 ``nonlinear_block`` itself.
 
-The stepper evaluates the advection term on the dealiased block of the
-half-plane (``nonlinear_block``; see ``spectral.to_block``), in
+The stepper evaluates the advection term on the dealiased block every
+field holds (``nonlinear_block``; see ``spectral``), in
 Basdevant's form of the advection term (Basdevant 1983; Canuto et al.,
 *Spectral Methods*, 2006): for ``u = (u, v)`` divergence-free,
 
@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import SpectralField, SpectralGrid, ksq_of, mirror_column
+from .spectral import SpectralField, SpectralGrid, mirror_column
 
 __all__ = [
     "nonlinear_block",
@@ -50,7 +50,7 @@ __all__ = [
 def _block_operators(grid: SpectralGrid):
     """Derivative multipliers, output factors and row map of the block.
 
-    On the block of ``to_block`` (rows ``kx = 0 .. K, -K .. -1``, columns
+    On the block (rows ``kx = 0 .. K, -K .. -1``, columns
     ``ky = 0 .. K``, ``K = grid.dealias_kmax``), ``i*kx`` is a column and
     ``-i*ky`` a row (both broadcast to the block's shape).
     ``fa = (kx^2 - ky^2)/|k|^2`` and ``fb = kx*ky/|k|^2``, zero at
@@ -142,8 +142,7 @@ def stream_force_term(f: SpectralField) -> SpectralField:
     (see the forcing module); the induced streamfunction source is then
     the profile divided by |k|.
     """
-    kmag = np.sqrt(ksq_of(f.grid.kx, f.grid.ky))
+    kmag = np.sqrt(f.grid.block_ksq)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.where(kmag > 0, 1.0 / kmag, 0.0)
-    return SpectralField(f.grid, f.coeffs * inv)
-
+    return SpectralField(f.grid, f.block * inv)

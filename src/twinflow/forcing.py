@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fieldops import stream_force_term
-from .spectral import SpectralField, SpectralGrid, from_block, norm_hn, to_physical
+from .spectral import SpectralField, SpectralGrid, norm_hn, to_physical
 
 __all__ = [
     "ForcingSpec",
@@ -95,36 +95,35 @@ def make_band_forcing(spec: ForcingSpec, grid: SpectralGrid, nu: float) -> Spect
     Built once per (spec, grid, nu): the field is immutable, so a run, its
     spin-up and its blow-up check share one.
     """
-    if nu <= 0:
+    if not 0 < nu < math.inf:
         raise ValueError(f"viscosity must be positive, got {nu}")
     kx, ky = grid.block_kx, grid.block_ky
     band = band_mask(spec, grid)
     if not band.any():
         raise ValueError("forcing band contains no lattice modes")
 
-    # fill the dealiased block, reflect the rest: each mode pair takes the
-    # phase of its lexicographically smaller member, c_{-k} = conj(c_k)
+    # each mode pair takes the phase of its lexicographically smaller
+    # member, c_{-k} = conj(c_k): column ky = 0 holds both members
     block = np.zeros(band.shape, dtype=np.complex128)
     for i, j in zip(*np.nonzero(band)):
         k = (int(kx[i, j]), int(ky[i, j]))
         smaller = min(k, (-k[0], -k[1]))
         c = np.exp(1j * _mode_phase(*smaller, spec.phase_seed))
         block[i, j] = c if k == smaller else np.conj(c)
-    coeffs = from_block(block, grid.resolution)
 
-    field = SpectralField(grid, coeffs)
+    field = SpectralField(grid, block)
     target = spec.grashof_target * nu**2
     if spec.norm_kind == "h":
         realized = norm_hn(field, 0)
     else:
         realized = force_sup_norm(field)
-    return SpectralField(grid, coeffs * (target / realized))
+    return SpectralField(grid, block * (target / realized))
 
 
 def grashof(f: SpectralField, nu: float) -> float:
     """Grashof number |f| / nu^2 (time-independent force), with the L2
     norm of the theorems."""
-    if nu <= 0:
+    if not 0 < nu < math.inf:
         raise ValueError(f"viscosity must be positive, got {nu}")
     return norm_hn(f, 0) / nu**2
 
@@ -132,9 +131,9 @@ def grashof(f: SpectralField, nu: float) -> float:
 def force_sup_norm(f: SpectralField) -> float:
     """max over grid points of the pointwise force magnitude |f(x)|: the
     force is the perp-gradient of ``stream_force_term(f)``."""
-    grid, g = f.grid, stream_force_term(f).coeffs
+    grid, g = f.grid, stream_force_term(f).block
     fx, fy = (to_physical(SpectralField(grid, d * g))
-              for d in (-1j * grid.ky, 1j * grid.kx))
+              for d in (-1j * grid.block_ky, 1j * grid.block_kx))
     return float(np.sqrt(np.max(fx * fx + fy * fy)))
 
 
@@ -148,7 +147,7 @@ def shape_factor(f: SpectralField, n: int) -> float:
 
 def absorbing_radii(f: SpectralField, nu: float) -> tuple[float, float]:
     """Radii of the forward-invariant balls: (nu*sigma_{-1}*G, nu*G)."""
-    if nu <= 0:
+    if not 0 < nu < math.inf:
         raise ValueError(f"viscosity must be positive, got {nu}")
     if norm_hn(f, 0) == 0.0:
         raise ValueError("absorbing radii of a zero force are undefined")

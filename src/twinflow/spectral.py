@@ -15,30 +15,30 @@ Conventions, fixed once for the whole package:
   mask ``3 |k_i| < N``, which is ``|k_i| <= N/3`` unless 3 divides ``N``
   (then ``|k_i| = N/3`` would alias onto itself in a quadratic product).
   Spectral ball projections use the circular mask ``|k| <= cutoff``
-  (inclusive): ``project_low`` on a field's lattice, ``low_block`` (the
-  coupling's P_N, shared per grid and cutoff) on the stepper's block.
+  (inclusive): ``low_block``, the coupling's P_N, shared per grid and
+  cutoff, which ``project_low`` applies to a field.
 
-``SpectralField`` values are immutable: their coefficient arrays are
-flagged read-only, and every operation returns a new field.
+A ``SpectralField`` holds the dealiased block, read-only: the
+``(2K+1) x (K+1)`` array of the modes ``|kx| <= K``, ``ky = 0 .. K`` with
+``K = grid.dealias_kmax``, rows ``kx = 0 .. K`` then ``-K .. -1`` (at
+``512^2`` that is ``341 x 171``). A real field's coefficients satisfy
+``c_{-k} = conj(c_k)``, so the block, with its self-mirrored column
+``ky = 0`` Hermitian, determines every mode the 2/3 mask keeps. Every
+operation returns a new field. Norms, spectra, P_N, the forces, the
+stepper and the error records work on the block, through the grid's
+block tables; ``sobolev_weights`` count each column ``ky > 0`` twice,
+for itself and its mirror.
 
-Fields at the API hold the full ``N x N`` lattice. A real field's
-coefficients satisfy ``c_{-k} = conj(c_k)``, so the ``rfft2`` half-plane
-(every ``kx``, ``ky = 0 .. N/2``) determines the rest. Norms and spectra
-sum over it with the column weights of ``half_plane_weights``, the
-stepper's entry check reads it, and ``to_physical`` transforms it: the
-columns ``ky < 0`` are never read. The stepper keeps less: the dealiased
-block of the half-plane, the ``(2K+1) x (K+1)`` raw array of the modes
-``|kx| <= K``, ``ky = 0 .. K`` with ``K = grid.dealias_kmax``, rows
-``kx = 0 .. K`` then ``-K .. -1`` (``to_block`` / ``from_block``; at
-``512^2`` that is ``341 x 171``, 44% of the half-plane); its blow-up
-check and every error record sum over the block with the grid's
-``block_weights``, the same weights on the block. Inputs to the stepper
-must be Hermitian: whatever lives only in the dropped columns is lost,
-and so is every mode outside the 2/3 mask.
+The ``N x N`` lattice is only a view: ``SpectralField.coeffs`` rebuilds
+it by exact Hermitian reflection (``from_block``) for ``to_physical``'s
+``irfft2`` and for the checkpoint file, and the checkpoint reader takes
+a stored lattice onto the block with ``to_block``, which drops every
+mode outside it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,12 +54,10 @@ class SpectralGrid:
     """Wavenumber bookkeeping for an ``N x N`` periodic grid.
 
     Only ``resolution`` participates in equality/hashing; the derived
-    arrays are attached once in ``__post_init__``, read-only, and none
-    holds a lattice. ``kx`` and ``ky`` are broadcast views of one
-    wavenumber column and row (stride zero along the other axis), so they
-    hold ``N`` integers each. ``block_kx``, ``block_ky``, ``block_ksq``
-    (``|k|^2``) and ``block_weights`` (the order-1 ``half_plane_weights``)
-    are tables on the dealiased block of ``to_block``.
+    arrays are attached once in ``__post_init__``, read-only, and all are
+    tables on the dealiased block of ``block_shape``: ``block_kx``,
+    ``block_ky``, ``block_ksq`` (``|k|^2``) and ``block_weights`` (the
+    order-1 ``sobolev_weights``).
     """
 
     resolution: int
@@ -68,22 +66,15 @@ class SpectralGrid:
         n = self.resolution
         if n < 4 or n % 2 != 0:
             raise ValueError(f"grid resolution must be an even integer >= 4, got {n}")
-        k1d = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
-        # read-only views of one column and one row: every use reads them
-        kx = np.broadcast_to(k1d[:, np.newaxis], (n, n))
-        ky = np.broadcast_to(k1d, (n, n))
-        object.__setattr__(self, "kx", kx)
-        object.__setattr__(self, "ky", ky)
         kmax = self.dealias_kmax
-        block_kx, block_ky = block_of(kx, kmax), block_of(ky, kmax)
-        for name, arr in (
-            ("block_kx", block_kx),
-            ("block_ky", block_ky),
-            ("block_ksq", ksq_of(block_kx, block_ky)),
-            ("block_weights", block_of(half_plane_weights(self, 1), kmax)),
-        ):
+        k1d = np.r_[0:kmax + 1, -kmax:0]
+        block_kx, block_ky = np.meshgrid(k1d, k1d[:kmax + 1], indexing="ij")
+        block_ksq = (block_kx * block_kx + block_ky * block_ky).astype(np.float64)
+        for name, arr in (("block_kx", block_kx), ("block_ky", block_ky),
+                          ("block_ksq", block_ksq)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "block_weights", sobolev_weights(self, 1))
 
     @property
     def dealias_cutoff(self) -> float:
@@ -95,6 +86,11 @@ class SpectralGrid:
         """Largest ``|k_i|`` the 2/3 mask keeps: the largest with ``3 |k_i| < N``,
         so that products of kept modes never alias onto kept modes."""
         return (self.resolution - 1) // 3
+
+    @property
+    def block_shape(self) -> tuple[int, int]:
+        kmax = self.dealias_kmax
+        return (2 * kmax + 1, kmax + 1)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -109,25 +105,34 @@ def shared_grid(resolution: int) -> SpectralGrid:
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """Mean-free, Hermitian-symmetric coefficient array on a grid."""
+    """Mean-free, Hermitian-symmetric field, held as its dealiased block
+    (read-only, in ``to_block``'s layout)."""
 
     grid: SpectralGrid
-    coeffs: np.ndarray
+    block: np.ndarray
 
     def __post_init__(self):
-        if self.coeffs.shape != self.grid.shape:
+        if self.block.shape != self.grid.block_shape:
             raise ValueError(
-                f"coefficient array shape {self.coeffs.shape} does not match "
-                f"grid shape {self.grid.shape}"
+                f"coefficient array shape {self.block.shape} is not the grid's block "
+                f"shape {self.grid.block_shape} (take a lattice onto it with to_block)"
             )
-        self.coeffs.setflags(write=False)
+        self.block.setflags(write=False)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The ``N x N`` lattice of the field, rebuilt by exact Hermitian
+        reflection (read-only): what ``irfft2`` and checkpoint files read."""
+        full = from_block(self.block, self.grid.resolution)
+        full.setflags(write=False)
+        return full
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         _check_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
+        return SpectralField(self.grid, self.block + other.block)
 
     def __mul__(self, scalar) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * scalar)
+        return SpectralField(self.grid, self.block * scalar)
 
     __rmul__ = __mul__
 
@@ -140,40 +145,32 @@ def _check_same_grid(a: SpectralField, b: SpectralField):
 
 
 def zero_field(grid: SpectralGrid) -> SpectralField:
-    return SpectralField(grid, np.zeros(grid.shape, dtype=np.complex128))
+    return SpectralField(grid, np.zeros(grid.block_shape, dtype=np.complex128))
 
 
 def to_physical(field: SpectralField) -> np.ndarray:
-    """Inverse transform of the half-plane (fields are real)."""
-    return np.fft.irfft2(half_plane(field.coeffs), s=field.grid.shape, norm="forward")
+    """Inverse transform of the field's lattice. The field is real, so
+    ``irfft2`` reads only the columns ``ky = 0 .. N/2``; passing just those
+    spares its complex pass the other half."""
+    n = field.grid.resolution
+    return np.fft.irfft2(field.coeffs[:, : n // 2 + 1], s=field.grid.shape, norm="forward")
 
 
-def half_plane(arr: np.ndarray) -> np.ndarray:
-    """View of a full-lattice array on the half-plane columns ``ky = 0 .. N/2``."""
-    return arr[:, : arr.shape[0] // 2 + 1]
+def sobolev_weights(grid: SpectralGrid, n: int) -> np.ndarray:
+    """Weights of ``sum |k|^(2n) |c_k|^2`` on the block (read-only, built
+    per call).
 
-
-def ksq_of(kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
-    """``|k|^2`` as floats from integer wavenumbers (the grid's, or views
-    of them)."""
-    return (kx * kx + ky * ky).astype(np.float64)
-
-
-def half_plane_weights(grid: SpectralGrid, n: int) -> np.ndarray:
-    """Weights of ``sum |k|^(2n) |c_k|^2`` on the half-plane (read-only,
-    built per call).
-
-    Columns ``ky = 0`` and ``ky = N/2`` hold each mode once; every other
-    half-plane column stands for itself and its mirror, so counts twice.
-    Summing these weights times ``|c_k|^2`` over the half-plane of a
-    Hermitian array gives the full-lattice sum. The mean mode weighs 1 at
-    ``n = 0`` and 0 at any other order.
+    Column ``ky = 0`` holds each mode once; every other column stands for
+    itself and its mirror, so counts twice. Summing these weights times
+    ``|c_k|^2`` over the block of a Hermitian field gives the sum over the
+    whole lattice. The mean mode weighs 1 at ``n = 0`` and 0 at any other
+    order.
     """
     with np.errstate(divide="ignore"):
-        power = ksq_of(half_plane(grid.kx), half_plane(grid.ky))**n
+        power = grid.block_ksq**n
     power[0, 0] = float(n == 0)
     weights = 2.0 * power
-    weights[:, 0], weights[:, -1] = power[:, 0], power[:, -1]
+    weights[:, 0] = power[:, 0]
     weights.setflags(write=False)
     return weights
 
@@ -194,18 +191,13 @@ def to_block(coeffs: np.ndarray, kmax: int) -> np.ndarray:
     rows and its ``k = 0`` entry to its real part, so the result is exactly
     Hermitian. For an exactly Hermitian input that changes no value (a
     zero imaginary part may change sign)."""
-    block = np.asarray(block_of(coeffs, kmax), dtype=np.complex128)
+    n = coeffs.shape[0]
+    block = np.asarray(coeffs[np.r_[0:kmax + 1, n - kmax:n], : kmax + 1],
+                       dtype=np.complex128)
     col = block[:, 0]
     mirror_column(col)
     col[0] = col[0].real
     return block
-
-
-def block_of(arr: np.ndarray, kmax: int) -> np.ndarray:
-    """Copy of any full-lattice array (masks, wavenumbers) on the block of
-    ``to_block``, without its Hermitian fix."""
-    n = arr.shape[0]
-    return arr[np.r_[0:kmax + 1, n - kmax:n], : kmax + 1]
 
 
 def mirror_column(col: np.ndarray) -> None:
@@ -232,10 +224,9 @@ def from_block(block: np.ndarray, n: int) -> np.ndarray:
 
 def project_low(field: SpectralField, cutoff: float) -> SpectralField:
     """Retain modes with |k| <= cutoff (euclidean, inclusive). Idempotent."""
-    if cutoff <= 0:
+    if not 0 < cutoff < math.inf:
         raise ValueError(f"projection cutoff must be positive, got {cutoff}")
-    grid = field.grid
-    return SpectralField(grid, field.coeffs * (np.sqrt(ksq_of(grid.kx, grid.ky)) <= cutoff))
+    return SpectralField(field.grid, field.block * low_block(field.grid, cutoff))
 
 
 @lru_cache(maxsize=16)
@@ -249,27 +240,28 @@ def low_block(grid: SpectralGrid, cutoff: float) -> np.ndarray:
 
 
 def norm_hn(field: SpectralField, n: int = 0) -> float:
-    """Sobolev-scale norm: 2*pi * sqrt(sum |k|^(2n) |c_k|^2), on the half-plane.
+    """Sobolev-scale norm: 2*pi * sqrt(sum |k|^(2n) |c_k|^2), on the block.
 
     ``n=0`` is the L2 norm |u|, ``n=1`` the gradient norm ||u||. Negative
     ``n`` requires an exactly mean-free field.
     """
-    if n < 0 and field.coeffs[0, 0] != 0:
+    if n < 0 and field.block[0, 0] != 0:
         raise ValueError("negative-order norm of a field with nonzero mean mode")
-    total = weighted_power(half_plane_weights(field.grid, n), half_plane(field.coeffs))
+    total = weighted_power(sobolev_weights(field.grid, n), field.block)
     return PARSEVAL_FACTOR * float(np.sqrt(total))
 
 
 def energy_spectrum(psi: SpectralField) -> np.ndarray:
     """Velocity energy shells of a streamfunction: S[m] = (2*pi)^2 times
-    the sum of |k|^2 |psi_k|^2 over m <= |k| < m+1, on the half-plane.
+    the sum of |k|^2 |psi_k|^2 over m <= |k| < m+1, on the block.
 
     Shells partition the lattice, so ``S.sum() == norm_hn(psi, 1)**2``
-    up to roundoff.
+    up to roundoff. There is one shell per ``m`` up to the lattice's
+    corner ``|k| = sqrt(2) N/2``; those past the block are zero.
     """
     grid = psi.grid
-    kmag = np.sqrt(ksq_of(half_plane(grid.kx), half_plane(grid.ky)))
-    shells = np.floor(kmag).astype(np.int64)
-    c = half_plane(psi.coeffs)
-    energy = PARSEVAL_FACTOR**2 * half_plane_weights(grid, 1) * (c.real**2 + c.imag**2)
-    return np.bincount(shells.ravel(), weights=energy.ravel())
+    shells = np.floor(np.sqrt(grid.block_ksq)).astype(np.int64)
+    c = psi.block
+    energy = PARSEVAL_FACTOR**2 * grid.block_weights * (c.real**2 + c.imag**2)
+    corner = math.isqrt(2 * (grid.resolution // 2) ** 2)
+    return np.bincount(shells.ravel(), weights=energy.ravel(), minlength=corner + 1)

@@ -16,23 +16,22 @@ cutoff ball ``spectral.low_block`` is the projection P_N. Each force
 enters the loop as its streamfunction source on the block, built once per
 grid, viscosity and force.
 
-The state is the dealiased block (``spectral.to_block``): the modes the
-2/3 mask keeps. A ``PairState`` holds a pair's two blocks, the grid and
-the clock. A field enters once, when a ``PairState`` is built or a single
-flow starts: its ``rfft2`` half-plane is checked for non-finite
-coefficients, then only its block is kept, so the state is dealiased by
-construction. One loop steps the blocks of a single flow (the uncoupled
+The state is the dealiased block that every ``SpectralField`` holds
+(see ``spectral``): the modes the 2/3 mask keeps. A ``PairState`` holds
+a pair's two blocks, the grid and the clock. Fields enter and leave the
+stepper as their blocks, never through a lattice: ``_evolve`` checks its
+input blocks for non-finite coefficients and runaway magnitude, then
+steps them. One loop steps the blocks of a single flow (the uncoupled
 case) or of a coupled pair, as one stack over which every stage of a
-step runs once; a callback on its cadence hands
-``advance``'s observer a ``PairState`` over the loop's own buffers, or
-writes a spin-up's rolling checkpoint. Stepped blocks are wrapped, never
-entered again: ``to_block`` re-mirrors column ``ky = 0``, which keeps
-every value but can flip the sign of a zero imaginary part, and so the
-bytes of a checkpoint. Full-lattice fields are rebuilt by exact
-Hermitian reflection only for ``psi1``/``psi2``, the single flows
-returned and checkpoint files, so every state handed out is exactly
-Hermitian, and stepping k times one call at a time equals one k-step
-call bitwise. Inputs must be Hermitian.
+step runs once; a callback on its cadence hands ``advance``'s observer
+a ``PairState`` over the loop's own buffers, or writes a spin-up's
+rolling checkpoint. Stepped blocks are wrapped as they are, so every
+state handed out is exactly Hermitian, and stepping k times one call at
+a time equals one k-step call bitwise. Only a checkpoint file holds a
+lattice: ``save_checkpoint`` writes the fields' ``coeffs`` views, and
+``load_checkpoint`` takes what it reads back onto the block
+(``spectral.to_block``), which drops every mode outside it. Inputs must
+be Hermitian.
 """
 
 from __future__ import annotations
@@ -54,8 +53,6 @@ from .spectral import (
     PARSEVAL_FACTOR,
     SpectralField,
     SpectralGrid,
-    from_block,
-    half_plane,
     low_block,
     shared_grid,
     to_block,
@@ -99,10 +96,10 @@ class BlowUpError(RuntimeError):
 class PairState:
     """Two streamfunctions as their dealiased blocks, the grid and the clock.
 
-    The constructor checks each field's half-plane for a non-finite
-    coefficient (``BlowUpError``), then keeps its block, read-only.
-    ``of_blocks`` wraps blocks without copying; ``psi1`` and ``psi2``
-    rebuild the fields by exact Hermitian reflection.
+    The constructor keeps each field's block as it is (read-only);
+    ``of_blocks`` wraps blocks without copying; ``psi1`` and ``psi2`` are
+    fields over copies of the blocks, so a field kept from an observer's
+    state does not change with the loop's buffers.
     """
 
     block1: np.ndarray
@@ -115,8 +112,8 @@ class PairState:
                  step_index: int = 0):
         if psi1.grid.resolution != psi2.grid.resolution:
             raise ValueError("pair components live on different grids")
-        self.__dict__.update(block1=_enter(psi1, t), block2=_enter(psi2, t),
-                             grid=psi1.grid, t=t, step_index=step_index)
+        self.__dict__.update(block1=psi1.block, block2=psi2.block, grid=psi1.grid, t=t,
+                             step_index=step_index)
 
     @classmethod
     def of_blocks(cls, block1: np.ndarray, block2: np.ndarray, grid: SpectralGrid,
@@ -128,21 +125,11 @@ class PairState:
 
     @property
     def psi1(self) -> SpectralField:
-        return SpectralField(self.grid, from_block(self.block1, self.grid.resolution))
+        return SpectralField(self.grid, self.block1.copy())
 
     @property
     def psi2(self) -> SpectralField:
-        return SpectralField(self.grid, from_block(self.block2, self.grid.resolution))
-
-
-def _enter(psi: SpectralField, t: float) -> np.ndarray:
-    """The read-only block of a field entering the stepper. The modes
-    outside it are dropped here, so the whole half-plane is checked first."""
-    if not np.isfinite(half_plane(psi.coeffs)).all():
-        raise BlowUpError(t, "non-finite coefficient detected")
-    block = to_block(psi.coeffs, psi.grid.dealias_kmax)
-    block.setflags(write=False)
-    return block
+        return SpectralField(self.grid, self.block2.copy())
 
 
 @lru_cache(maxsize=16)
@@ -157,10 +144,7 @@ def _step_constants(grid: SpectralGrid, nu: float, dt: float, forcing: ForcingSp
 @lru_cache(maxsize=8)
 def _force_block(grid: SpectralGrid, nu: float, forcing: ForcingSpec) -> np.ndarray:
     """The force's streamfunction source on the block (read-only)."""
-    g = to_block(stream_force_term(make_band_forcing(forcing, grid, nu)).coeffs,
-                 grid.dealias_kmax)
-    g.setflags(write=False)
-    return g
+    return stream_force_term(make_band_forcing(forcing, grid, nu)).block
 
 
 def _check_finite(psi: np.ndarray, weights: np.ndarray, limit: float, t: float,
@@ -243,9 +227,9 @@ def _evolve_single(psi: SpectralField, cfg: ExperimentConfig, nsteps: int,
     if nsteps == 0:
         return psi
     grid = cfg.grid
-    (p,), _, _ = _evolve(cfg, [_enter(psi, 0.0)], [_force_block(grid, cfg.nu, cfg.forcing)],
+    (p,), _, _ = _evolve(cfg, [psi.block], [_force_block(grid, cfg.nu, cfg.forcing)],
                          nsteps, cadence=cadence, every=every)
-    return SpectralField(grid, from_block(p, grid.resolution))
+    return SpectralField(grid, p)
 
 
 def advance(
@@ -367,8 +351,8 @@ def load_checkpoint(path, grid: Optional[SpectralGrid] = None) -> tuple[PairStat
     Validates magic, version, length, CRC, and that every stored
     coefficient is finite before constructing any state
     (``CheckpointError``, naming the file); if ``grid`` is given its
-    resolution must match the file's. The stored fields enter a
-    ``PairState``: see there.
+    resolution must match the file's. Each stored lattice is taken onto
+    the block: modes outside it are dropped.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size + 4:
@@ -400,4 +384,5 @@ def load_checkpoint(path, grid: Optional[SpectralGrid] = None) -> tuple[PairStat
                            offset=_HEADER.size).reshape(2, n, n)
     if not np.isfinite(stored).all():
         raise CheckpointError(f"non-finite coefficient stored in checkpoint {path}")
-    return PairState(*(SpectralField(grid, c) for c in stored), t, step), dt
+    kmax = grid.dealias_kmax
+    return PairState(*(SpectralField(grid, to_block(c, kmax)) for c in stored), t, step), dt

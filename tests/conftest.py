@@ -5,9 +5,9 @@ import twinflow as tf
 from twinflow import config
 from twinflow.config import ExperimentConfig
 from twinflow.fieldops import nonlinear_block, nonlinear_workspace
-from twinflow.spectral import from_block, to_block
+from twinflow.spectral import from_block
 
-from oracles import dealias_mask, field_from_physical, lattice_kmag
+from oracles import dealias_mask, field_from_physical, lattice_field, lattice_kmag
 
 
 def random_psi(grid, rng, decay=3.0, scale=1.0):
@@ -15,7 +15,7 @@ def random_psi(grid, rng, decay=3.0, scale=1.0):
     phys = rng.standard_normal(grid.shape)
     fld = field_from_physical(grid, phys)
     shaped = scale * fld.coeffs * (1.0 + lattice_kmag(grid)) ** (-decay)
-    return tf.SpectralField(grid, shaped * dealias_mask(grid))
+    return lattice_field(grid, shaped * dealias_mask(grid))
 
 
 def hermitian_part(c):
@@ -46,7 +46,7 @@ def tiny_config(**overrides):
 
 def sub(a, b):
     """The field ``a - b`` (the package only adds and scales fields)."""
-    return tf.SpectralField(a.grid, a.coeffs - b.coeffs)
+    return tf.SpectralField(a.grid, a.block - b.block)
 
 
 def parse_config_text(text):
@@ -60,8 +60,7 @@ def nonlinear_full(psi):
     """The stepper's advection term (``nonlinear_block``, fresh workspace)
     of a dealiased, Hermitian field, rebuilt on the full lattice."""
     grid = psi.grid
-    block = to_block(psi.coeffs, grid.dealias_kmax)
-    out = nonlinear_block(block, grid, nonlinear_workspace(grid), np.empty_like(block))
+    out = nonlinear_block(psi.block, grid, nonlinear_workspace(grid), np.empty_like(psi.block))
     return from_block(out, grid.resolution)
 
 

@@ -15,8 +15,13 @@
   ``divergence`` are the spectral operators those checks use.
 * ``physical_coords``, ``field_from_physical`` and ``hermitian_defect``
   build fields from physical samples and measure their symmetry.
+* ``lattice_field`` takes an ``N x N`` coefficient lattice onto the block
+  a field holds (``to_block``), and ``block_of`` takes any lattice table
+  (masks, wavenumbers) onto the block as it is.
+* ``odd_energy`` is the energy of the odd sublattice, ``kx + ky`` odd.
 * ``checkpoint_bytes`` writes a checkpoint from the byte layout in the
-  README, one number at a time.
+  README, one number at a time, and ``lattice_checkpoint_bytes`` writes
+  one from any two lattices (modes outside the block, NaN).
 * ``step_single`` is one step of the package's own stepping loop under
   any force field, which the package's entry points never take: they
   step under the forces of their config.
@@ -35,8 +40,29 @@ import numpy as np
 
 import twinflow as tf
 from twinflow.fieldops import stream_force_term
-from twinflow.spectral import from_block, to_block
-from twinflow.stepping import _enter, _evolve
+from twinflow.spectral import to_block
+from twinflow.stepping import _evolve
+
+
+def lattice_field(grid, coeffs):
+    """The field of an ``N x N`` coefficient lattice: its dealiased block,
+    column ``ky = 0`` made exactly Hermitian; every mode outside is dropped."""
+    return tf.SpectralField(grid, to_block(np.asarray(coeffs), grid.dealias_kmax))
+
+
+def block_of(arr, kmax):
+    """Any ``N x N`` lattice table on the block of ``to_block``, as it is."""
+    n = arr.shape[0]
+    return arr[np.r_[0:kmax + 1, n - kmax:n], : kmax + 1]
+
+
+def odd_energy(psi):
+    """Velocity energy of the modes with ``kx + ky`` odd, summed on the block
+    with the grid's weights."""
+    grid = psi.grid
+    odd = (grid.block_kx + grid.block_ky) % 2 == 1
+    c = psi.block[odd]
+    return float(np.sum(grid.block_weights[odd] * (c.real * c.real + c.imag * c.imag)))
 
 
 def lattice_wavenumbers(grid):
@@ -69,10 +95,8 @@ def step_single(psi, cfg, f):
     """One single-flow step of the stepper under the force field ``f`` (a
     zero or random field too), with ``cfg``'s grid, ``nu``, ``dt`` and
     blow-up limit."""
-    grid = cfg.grid
-    g = to_block(stream_force_term(f).coeffs, grid.dealias_kmax)
-    (p,), _, _ = _evolve(cfg, [_enter(psi, 0.0)], [g], 1)
-    return tf.SpectralField(grid, from_block(p, grid.resolution))
+    (p,), _, _ = _evolve(cfg, [psi.block], [stream_force_term(f).block], 1)
+    return tf.SpectralField(cfg.grid, p)
 
 
 def convolution_nonlinear_term(psi):
@@ -178,8 +202,7 @@ def five_transform_nonlinear_half(psi, grid):
     ``u . grad(omega)``: four full ``irfft2`` (u, v, d_x omega, d_y omega)
     and one full ``rfft2``, then the 2/3 mask and the inverse laplacian."""
     n = grid.resolution
-    kx = grid.kx[:, : n // 2 + 1]
-    ky = grid.ky[:, : n // 2 + 1]
+    kx, ky = (k[:, : n // 2 + 1] for k in lattice_wavenumbers(grid))
     ksq = lattice_ksq(grid)[:, : n // 2 + 1]
     mask = dealias_mask(grid)[:, : n // 2 + 1]
     u = np.fft.irfft2(-1j * ky * psi, norm="forward")
@@ -228,13 +251,18 @@ def full_lattice_norm(field, n):
 
 
 def checkpoint_bytes(state, dt):
-    """The checkpoint file of a pair state, built from the README's layout:
-    magic, version, resolution, dt, t, step, both arrays as (re, im) f64
-    pairs in row-major order, then the CRC32 of everything before it."""
-    n = state.grid.resolution
-    blob = b"INTWNSE1" + struct.pack("<IIddQ", 1, n, dt, state.t, state.step_index)
-    for psi in (state.psi1, state.psi2):
-        for row in psi.coeffs:
+    """The checkpoint file of a pair state (see ``lattice_checkpoint_bytes``)."""
+    return lattice_checkpoint_bytes(state.grid.resolution, dt, state.t, state.step_index,
+                                    [state.psi1.coeffs, state.psi2.coeffs])
+
+
+def lattice_checkpoint_bytes(n, dt, t, step, lattices):
+    """A checkpoint file built from the README's layout: magic, version,
+    resolution, dt, t, step, both ``n x n`` arrays as (re, im) f64 pairs in
+    row-major order, then the CRC32 of everything before it."""
+    blob = b"INTWNSE1" + struct.pack("<IIddQ", 1, n, dt, t, step)
+    for lattice in lattices:
+        for row in lattice:
             for c in row:
                 blob += struct.pack("<dd", c.real, c.imag)
     return blob + struct.pack("<I", zlib.crc32(blob))
@@ -249,10 +277,11 @@ def physical_coords(grid):
 
 
 def field_from_physical(grid, values):
-    """Transform real physical samples to a mean-free spectral field."""
+    """Transform real physical samples to a mean-free spectral field (the
+    modes of its block)."""
     c = np.fft.fft2(np.asarray(values, dtype=np.float64), norm="forward")
     c[0, 0] = 0.0
-    return tf.SpectralField(grid, c)
+    return lattice_field(grid, c)
 
 
 def hermitian_defect(field):
@@ -277,8 +306,9 @@ class VelocityField:
 def velocity_from_stream(psi):
     """u = perp-gradient of psi: ux_k = -i k2 psi_k, uy_k = i k1 psi_k."""
     grid = psi.grid
-    ux = tf.SpectralField(grid, -1j * grid.ky * psi.coeffs)
-    uy = tf.SpectralField(grid, 1j * grid.kx * psi.coeffs)
+    kx, ky = lattice_wavenumbers(grid)
+    ux = lattice_field(grid, -1j * ky * psi.coeffs)
+    uy = lattice_field(grid, 1j * kx * psi.coeffs)
     return VelocityField(ux, uy)
 
 
@@ -291,19 +321,19 @@ def velocity_laplacian(u):
     """Componentwise Stokes-operator action: coefficients times |k|^2."""
     ksq = lattice_ksq(u.grid)
     return VelocityField(
-        tf.SpectralField(u.grid, u.ux.coeffs * ksq),
-        tf.SpectralField(u.grid, u.uy.coeffs * ksq),
+        lattice_field(u.grid, u.ux.coeffs * ksq),
+        lattice_field(u.grid, u.uy.coeffs * ksq),
     )
 
 
 def divergence(u):
     """Spectral divergence i k . u_k."""
-    grid = u.grid
-    return tf.SpectralField(grid, 1j * (grid.kx * u.ux.coeffs + grid.ky * u.uy.coeffs))
+    kx, ky = lattice_wavenumbers(u.grid)
+    return lattice_field(u.grid, 1j * (kx * u.ux.coeffs + ky * u.uy.coeffs))
 
 
 def _deriv_phys(field, axis):
-    k = field.grid.kx if axis == 0 else field.grid.ky
+    k = lattice_wavenumbers(field.grid)[axis]
     return np.fft.ifft2(1j * k * field.coeffs, norm="forward").real
 
 

@@ -3,7 +3,6 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,8 +27,13 @@ from twinflow.experiment import (
 )
 from twinflow.stepping import BlowUpError, advance, save_checkpoint, spin_up
 
-from conftest import hermitian_part, parse_config_text, random_psi, sub, tiny_config
-from oracles import dealias_mask, field_from_physical, full_lattice_error_record
+from conftest import parse_config_text, random_psi, sub, tiny_config
+from oracles import (
+    dealias_mask,
+    field_from_physical,
+    full_lattice_error_record,
+    lattice_field,
+)
 
 DATA = Path(__file__).parent / "data"
 sys.path.insert(0, str(DATA))
@@ -70,20 +74,18 @@ class TestErrorRecord:
         assert rec.energy1 == pytest.approx(tf.norm_hn(p1, 1) ** 2, rel=1e-12)
 
     def test_matches_full_lattice_sums(self, grid32, rng):
-        # not dealiased: the pair keeps the blocks, so its record is the
-        # full-lattice record of the dealiased copy, where the self-mirrored
-        # column ky = 0 carries energy and its single weight counts
+        # a block-supported pair with every mode of the block nonzero: the
+        # self-mirrored column ky = 0 carries energy and its single weight
+        # counts, as does the last column ky = K with its double weight
         def field():
             c = field_from_physical(grid32, rng.standard_normal(grid32.shape)).coeffs
-            return tf.SpectralField(grid32, hermitian_part(c))
+            return lattice_field(grid32, c)
 
         psi1, psi2 = field(), field()
-        assert np.any(psi1.coeffs[:, 16]) and np.any(psi1.coeffs[1:, 0])
-        rec = error_record(tf.PairState(psi1, psi2, 0.5), 7.0)
-        clean = SimpleNamespace(grid=grid32, **{
-            name: tf.SpectralField(grid32, psi.coeffs * dealias_mask(grid32))
-            for name, psi in (("psi1", psi1), ("psi2", psi2))})
-        expected = full_lattice_error_record(clean, 7.0)
+        assert np.all(psi1.coeffs[dealias_mask(grid32)][1:] != 0)
+        state = tf.PairState(psi1, psi2, 0.5)
+        rec = error_record(state, 7.0)
+        expected = full_lattice_error_record(state, 7.0)
         got = (rec.err_h, rec.err_v, rec.err_low, rec.err_high, rec.energy1, rec.energy2)
         for a, b in zip(got, expected):
             assert a == pytest.approx(b, rel=1e-13)
@@ -94,8 +96,8 @@ class TestErrorRecord:
         coeffs = np.zeros(grid32.shape, dtype=complex)
         for (kx, ky), c in (((1, 2), 0.8 + 0.4j), ((9, 5), 1e-10)):
             coeffs[kx, ky], coeffs[-kx, -ky] = c, np.conj(c)
-        psi1 = tf.SpectralField(grid32, coeffs)
-        psi2 = tf.SpectralField(grid32, np.zeros_like(coeffs))
+        psi1 = lattice_field(grid32, coeffs)
+        psi2 = lattice_field(grid32, np.zeros_like(coeffs))
         expected = 2 * math.pi * math.sqrt(2 * 106) * 1e-10
         rec = error_record(tf.PairState(psi1, psi2), 5.0)
         assert rec.err_high == pytest.approx(expected, rel=1e-12, abs=0)
@@ -217,9 +219,7 @@ class TestRunExperiment:
     def test_init_from_checkpoints(self, tmp_path, rng):
         cfg = tiny_config(init_kind="checkpoints")
         g = cfg.grid
-        # exactly Hermitian, so the blocks reflect back to the same fields
-        a, b = (tf.SpectralField(g, hermitian_part(random_psi(g, rng).coeffs))
-                for _ in range(2))
+        a, b = (random_psi(g, rng) for _ in range(2))
         p1 = tmp_path / "a.ckpt"
         p2 = tmp_path / "b.ckpt"
         save_checkpoint(tf.PairState(a, a), cfg.dt, p1)
@@ -238,7 +238,7 @@ class TestRunExperiment:
 
     def test_base_checkpoint_reused(self, tmp_path, rng):
         g = tf.SpectralGrid(32)
-        base = tf.SpectralField(g, hermitian_part(random_psi(g, rng).coeffs))
+        base = random_psi(g, rng)
         path = tmp_path / "base.ckpt"
         save_checkpoint(tf.PairState(base, base), 0.01, path)
         cfg = tiny_config(base_checkpoint=str(path))

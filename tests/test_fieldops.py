@@ -3,7 +3,7 @@ import pytest
 
 import twinflow as tf
 from twinflow.fieldops import nonlinear_block, nonlinear_workspace, stream_force_term
-from twinflow.spectral import from_block, half_plane, to_block, zero_field
+from twinflow.spectral import from_block, zero_field
 
 from conftest import nonlinear_full, random_psi, velocity_norm
 from oracles import (
@@ -14,6 +14,7 @@ from oracles import (
     field_from_physical,
     five_transform_nonlinear_half,
     force_velocity,
+    lattice_field,
     lattice_kmag,
     physical_coords,
     trilinear_b,
@@ -39,7 +40,7 @@ class TestVelocityFromStream:
         for k1, k2 in ((3, 5), (-7, 2), (11, -11)):
             c[k1 % 64, k2 % 64] = 1.0
             c[(-k1) % 64, (-k2) % 64] = 1.0
-        u = velocity_from_stream(tf.SpectralField(grid64, c))
+        u = velocity_from_stream(lattice_field(grid64, c))
         assert np.max(np.abs(divergence(u).coeffs)) == 0.0
 
     def test_divergence_free_within_roundoff(self, grid64, rng):
@@ -118,11 +119,10 @@ class TestNonlinearTerm:
         # form on the whole half-plane: equal on the block, zero elsewhere
         work = nonlinear_workspace(grid64)
         for decay in (3.0, 1.5):
-            psi = random_psi(grid64, rng, decay=decay).coeffs
-            block = to_block(psi, grid64.dealias_kmax)
-            fast = nonlinear_block(block, grid64, work, np.empty_like(block))
-            slow = five_transform_nonlinear_half(half_plane(psi), grid64)
-            diff = half_plane(from_block(fast, 64)) - slow
+            psi = random_psi(grid64, rng, decay=decay)
+            fast = nonlinear_block(psi.block, grid64, work, np.empty_like(psi.block))
+            slow = five_transform_nonlinear_half(psi.coeffs[:, :33], grid64)
+            diff = from_block(fast, 64)[:, :33] - slow
             assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(slow))
             col = fast[:, 0]
             assert np.array_equal(col[1:], np.conj(col[:0:-1]))
@@ -133,8 +133,7 @@ class TestBlockWorkspace:
         # A, then B, then A again through one workspace that starts out
         # full of NaN: the third result is bitwise the first, and bitwise
         # a fresh workspace's
-        a, b = (to_block(random_psi(grid64, rng, decay=d).coeffs, grid64.dealias_kmax)
-                for d in (3.0, 1.0))
+        a, b = (random_psi(grid64, rng, decay=d).block for d in (3.0, 1.0))
         work = nonlinear_workspace(grid64)
         for arr in work:
             arr.fill(np.nan)
@@ -152,8 +151,7 @@ class TestStackedBlocks:
 
     @staticmethod
     def blocks(grid, rng, count):
-        return [to_block(random_psi(grid, rng, decay=d).coeffs, grid.dealias_kmax)
-                for d in rng.uniform(1.0, 3.0, count)]
+        return [random_psi(grid, rng, decay=d).block for d in rng.uniform(1.0, 3.0, count)]
 
     @pytest.mark.parametrize("n", [64, 96])  # 3 | 96: the block ends below N/3
     def test_pair_equals_two_single_calls(self, rng, n):
@@ -183,8 +181,7 @@ class TestStackedBlocks:
     @pytest.mark.parametrize("slot", [0, 1])
     def test_parallel_shear_vanishes_in_either_slot(self, grid64, rng, slot):
         _, y = physical_coords(grid64)
-        shear = to_block(field_from_physical(grid64, np.cos(y)).coeffs,
-                         grid64.dealias_kmax)
+        shear = field_from_physical(grid64, np.cos(y)).block
         stack = np.stack(self.blocks(grid64, rng, 2))
         stack[slot] = shear
         out = nonlinear_block(stack, grid64, nonlinear_workspace(grid64, 2),

@@ -5,7 +5,7 @@ import twinflow as tf
 from twinflow.forcing import force_sup_norm
 from twinflow.spectral import zero_field
 
-from oracles import hermitian_defect
+from oracles import hermitian_defect, lattice_ksq
 
 
 NU = 0.0005
@@ -24,7 +24,7 @@ class TestMakeBandForcing:
         assert force.coeffs[3, 1] != 0  # |k|^2 = 10
         assert force.coeffs[3, 0] == 0  # |k|^2 = 9
         assert force.coeffs[4, 0] == 0  # |k|^2 = 16
-        ksq = force.grid.kx**2 + force.grid.ky**2
+        ksq = lattice_ksq(force.grid)
         outside = (ksq < 10) | (ksq > 12)
         assert not np.any(force.coeffs[outside])
 
@@ -47,9 +47,15 @@ class TestMakeBandForcing:
         with pytest.raises(ValueError, match="no lattice modes"):
             tf.make_band_forcing(tf.ForcingSpec(11, 11, 1e5), grid64, NU)
 
-    def test_nonpositive_viscosity_rejected(self, grid64):
-        with pytest.raises(ValueError, match="viscosity must be positive"):
-            tf.make_band_forcing(tf.ForcingSpec(10, 12, 1e5), grid64, 0.0)
+    def test_nonpositive_viscosity_rejected(self, grid64, force):
+        # NaN fails every comparison, so it must fail the check as well
+        for nu in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="viscosity must be positive"):
+                tf.make_band_forcing(tf.ForcingSpec(10, 12, 1e5), grid64, nu)
+            with pytest.raises(ValueError, match="viscosity must be positive"):
+                tf.grashof(force, nu)
+            with pytest.raises(ValueError, match="viscosity must be positive"):
+                tf.absorbing_radii(force, nu)
 
     def test_band_order_validated(self):
         with pytest.raises(ValueError):

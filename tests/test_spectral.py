@@ -5,19 +5,20 @@ from numpy.lib.array_utils import byte_bounds
 import twinflow as tf
 from twinflow.spectral import (
     SpectralField,
-    block_of,
-    half_plane,
-    half_plane_weights,
     low_block,
+    sobolev_weights,
+    to_block,
     zero_field,
 )
 
 from conftest import hermitian_part, random_psi, sub
 from oracles import (
+    block_of,
     dealias_mask,
     field_from_physical,
     full_lattice_norm,
     hermitian_defect,
+    lattice_field,
     lattice_kmag,
     lattice_ksq,
     lattice_wavenumbers,
@@ -30,7 +31,7 @@ def single_mode(grid, k1, k2, amplitude=1.0):
     c = np.zeros(grid.shape, dtype=np.complex128)
     c[k1 % grid.resolution, k2 % grid.resolution] = amplitude
     c[(-k1) % grid.resolution, (-k2) % grid.resolution] = np.conj(amplitude)
-    return SpectralField(grid, c)
+    return lattice_field(grid, c)
 
 
 class TestGrid:
@@ -44,30 +45,23 @@ class TestGrid:
             tf.SpectralGrid(bad)
 
     def test_wavenumber_lattice_is_bijective(self, grid64):
-        pairs = set(zip(grid64.kx.ravel().tolist(), grid64.ky.ravel().tolist()))
-        assert len(pairs) == 64 * 64
-        assert max(abs(k) for k, _ in pairs) == 32
-
-    @pytest.mark.parametrize("n", [32, 96])
-    def test_wavenumbers_are_read_only_views(self, n):
-        grid = tf.SpectralGrid(n)
-        kx, ky = lattice_wavenumbers(grid)
-        for view, full, axis in ((grid.kx, kx, 1), (grid.ky, ky, 0)):
-            assert not view.flags.writeable
-            assert view.strides[axis] == 0
-            assert np.array_equal(view, full)
+        # the block's modes and their mirrors cover the dealiased lattice,
+        # each mode once but for column ky = 0, which is its own mirror
+        pairs = list(zip(grid64.block_kx.ravel().tolist(), grid64.block_ky.ravel().tolist()))
+        assert len(set(pairs)) == len(pairs) == 43 * 22
+        mirrored = set(pairs) | {(-k1, -k2) for k1, k2 in pairs}
+        assert mirrored == {(k1, k2) for k1 in range(-21, 22) for k2 in range(-21, 22)}
 
     @pytest.mark.parametrize("n", GRID_SIZES)
     def test_grid_holds_no_lattice(self, n):
-        # the memory an array attribute spans, not its shape: kx and ky are
-        # N x N views of N integers
+        # the memory an array attribute spans, not its shape
         grid = tf.SpectralGrid(n)
         arrays = {name: a for name, a in vars(grid).items() if isinstance(a, np.ndarray)}
-        assert set(arrays) == {"kx", "ky", "block_kx", "block_ky", "block_ksq",
-                               "block_weights"}
+        assert set(arrays) == {"block_kx", "block_ky", "block_ksq", "block_weights"}
+        rows, cols = grid.block_shape
         for name, arr in arrays.items():
             low, high = byte_bounds(arr)
-            assert (high - low) // arr.itemsize < n * n, name
+            assert (high - low) // arr.itemsize == rows * cols, name
 
     @pytest.mark.parametrize("n", GRID_SIZES)
     def test_block_tables_are_blocks_of_lattice_tables(self, n):
@@ -75,26 +69,29 @@ class TestGrid:
         kmax = grid.dealias_kmax
         kx, ky = lattice_wavenumbers(grid)
         for table, full in ((grid.block_kx, kx), (grid.block_ky, ky),
-                            (grid.block_ksq, lattice_ksq(grid)),
-                            (grid.block_weights, half_plane_weights(grid, 1))):
+                            (grid.block_ksq, lattice_ksq(grid))):
             expected = block_of(full, kmax)
             assert not table.flags.writeable
             assert table.shape == (2 * kmax + 1, kmax + 1)
             assert table.dtype == expected.dtype
             assert table.tobytes() == expected.tobytes()
+        assert grid.block_weights.tobytes() == sobolev_weights(grid, 1).tobytes()
+        assert not grid.block_weights.flags.writeable
 
     @pytest.mark.parametrize("n", GRID_SIZES)
     @pytest.mark.parametrize("order", [-1, 0, 1, 2])
     def test_half_plane_weights_from_lattice_ksq(self, n, order):
+        # the half-plane's column weights on the block: the columns ky = 0
+        # and ky = N/2 hold each mode once, every other column counts twice
         grid = tf.SpectralGrid(n)
-        ksq = half_plane(lattice_ksq(grid))
+        ksq = lattice_ksq(grid)[:, : n // 2 + 1]
         with np.errstate(divide="ignore"):
             power = np.where(ksq > 0, ksq**order, float(order == 0))
         expected = 2.0 * power
         expected[:, 0], expected[:, -1] = power[:, 0], power[:, -1]
-        weights = half_plane_weights(grid, order)
+        weights = sobolev_weights(grid, order)
         assert not weights.flags.writeable
-        assert weights.tobytes() == expected.tobytes()
+        assert weights.tobytes() == block_of(expected, grid.dealias_kmax).tobytes()
 
 
 class TestDealias:
@@ -137,8 +134,11 @@ class TestProjections:
         assert np.array_equal(tf.project_low(x, 50.0).coeffs, x.coeffs)
 
     def test_rejects_nonpositive_cutoff(self, grid64, rng):
-        with pytest.raises(ValueError):
-            tf.project_low(random_psi(grid64, rng), 0.0)
+        # NaN fails every comparison, so it must fail the check as well
+        psi = random_psi(grid64, rng)
+        for cutoff in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="cutoff must be positive"):
+                tf.project_low(psi, cutoff)
 
     def test_low_block_shared_and_read_only(self):
         # at 48^2 the ball |k| <= N/3 reaches past the block
@@ -179,21 +179,22 @@ class TestNorms:
         c = np.zeros(grid64.shape, dtype=np.complex128)
         c[0, 0] = 1.0
         c[1, 0] = c[-1, 0] = 1.0
-        bad = SpectralField(grid64, c)
+        bad = lattice_field(grid64, c)
         with pytest.raises(ValueError):
             tf.norm_hn(bad, -1)
 
     @pytest.mark.parametrize("n", [16, 18, 20])
     def test_half_plane_sum_matches_full_lattice(self, n):
-        # not dealiased: the row kx = N/2 and the column ky = N/2 are
-        # nonzero, so the column weights of the half-plane are exercised
+        # every mode of the block is nonzero, the self-mirrored column
+        # ky = 0 and the last column ky = K included, so both column
+        # weights are exercised
         grid = tf.SpectralGrid(n)
         rng = np.random.default_rng(n)
         c = hermitian_part(rng.standard_normal(grid.shape)
                            + 1j * rng.standard_normal(grid.shape))
         c[0, 0] = 0.0
-        assert np.all(c[n // 2, :] != 0) and np.all(c[:, n // 2] != 0)
-        f = SpectralField(grid, c)
+        f = lattice_field(grid, c * dealias_mask(grid))
+        assert np.count_nonzero(f.block) == f.block.size - 1
         for order in (-1, 0, 1, 2):
             assert tf.norm_hn(f, order) == pytest.approx(
                 full_lattice_norm(f, order), rel=1e-13
@@ -225,7 +226,18 @@ class TestTransforms:
         f = random_psi(grid64, rng)
         assert hermitian_defect(f) <= 1e-15
         with pytest.raises(ValueError):
+            f.block[1, 1] = 9.0
+        with pytest.raises(ValueError):
             f.coeffs[1, 1] = 9.0
+
+    def test_field_holds_the_block_and_rejects_a_lattice(self, grid64, rng):
+        f = random_psi(grid64, rng)
+        assert f.block.shape == grid64.block_shape == (43, 22)
+        assert np.array_equal(to_block(f.coeffs, grid64.dealias_kmax), f.block)
+        with pytest.raises(ValueError, match="to_block"):
+            SpectralField(grid64, np.array(f.coeffs))
+        with pytest.raises(ValueError, match="to_block"):
+            SpectralField(grid64, np.zeros((43, 21), dtype=np.complex128))
 
     def test_grid_mismatch_rejected(self, grid64, grid32, rng):
         with pytest.raises(ValueError):
@@ -241,6 +253,15 @@ class TestEnergySpectrum:
 
     def test_zero_field(self, grid64):
         assert not np.any(tf.energy_spectrum(zero_field(grid64)))
+
+    @pytest.mark.parametrize("n, shells", [(16, 12), (18, 13), (48, 34), (96, 68)])
+    def test_shells_reach_the_lattice_corner(self, rng, n, shells):
+        # floor(sqrt(2) N/2) + 1 shells, whatever the block holds: those
+        # past the block are zero
+        grid = tf.SpectralGrid(n)
+        spec = tf.energy_spectrum(random_psi(grid, rng))
+        assert len(spec) == shells == int(np.floor(np.sqrt(2) * n / 2)) + 1
+        assert not np.any(spec[int(np.sqrt(2) * grid.dealias_kmax) + 1:])
 
     def test_shells_regroup_parseval(self, grid64, rng):
         f = random_psi(grid64, rng)

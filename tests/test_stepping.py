@@ -9,7 +9,7 @@ import pytest
 
 import twinflow as tf
 from twinflow.fieldops import stream_force_term
-from twinflow.spectral import from_block, to_block, zero_field
+from twinflow.spectral import zero_field
 from twinflow.stepping import (
     BlowUpError,
     CheckpointError,
@@ -22,8 +22,9 @@ from conftest import hermitian_part, random_psi, sub, tiny_config
 from oracles import (
     checkpoint_bytes,
     dealias_mask,
-    field_from_physical,
     hermitian_defect,
+    lattice_checkpoint_bytes,
+    lattice_field,
     lattice_kmag,
     lattice_ksq,
     scalar_reference_pair_step,
@@ -35,7 +36,7 @@ def shear_mode(grid, amplitude=1.0):
     # cos(y) built directly in spectral space: exact, no transform noise
     c = np.zeros(grid.shape, dtype=np.complex128)
     c[0, 1] = c[0, -1] = amplitude / 2.0
-    return tf.SpectralField(grid, c)
+    return lattice_field(grid, c)
 
 
 @pytest.fixture
@@ -188,17 +189,24 @@ class TestOneStepPath:
         assert np.array_equal(psi.coeffs, batched.coeffs)
 
     @pytest.mark.parametrize("spec", VARIANT_SPECS, ids=lambda s: s.variant)
-    def test_modes_outside_block_are_projected_away(self, grid32, cfg32, rng, spec):
-        # energy outside the 2/3 mask, Hermitian: stepping drops it first
+    def test_modes_outside_block_are_projected_away(self, grid32, cfg32, rng, spec,
+                                                    tmp_path):
+        # a v1 file with energy outside the 2/3 mask, Hermitian: loading it
+        # drops that energy, so the state steps as the dealiased one
         cfg = replace(cfg32, coupling=spec)
-        rough = [tf.SpectralField(grid32, hermitian_part(field_from_physical(
-            grid32, 0.01 * rng.standard_normal(grid32.shape)).coeffs)) for _ in range(2)]
-        assert all(np.any(p.coeffs[~dealias_mask(grid32)]) for p in rough)
-        start = tf.PairState(rough[0] + random_psi(grid32, rng),
-                             rough[1] + random_psi(grid32, rng), 0.5, 2)
         mask = dealias_mask(grid32)
-        clean = tf.PairState(tf.SpectralField(grid32, start.psi1.coeffs * mask),
-                             tf.SpectralField(grid32, start.psi2.coeffs * mask), 0.5, 2)
+        rough = [hermitian_part(np.fft.fft2(0.01 * rng.standard_normal(grid32.shape),
+                                            norm="forward")) for _ in range(2)]
+        for c in rough:
+            c[0, 0] = 0.0
+        assert all(np.any(c[~mask]) for c in rough)
+        lattices = [c + random_psi(grid32, rng).coeffs for c in rough]
+        path = tmp_path / "rough.ckpt"
+        path.write_bytes(lattice_checkpoint_bytes(32, cfg.dt, 0.5, 2, lattices))
+        start, _ = load_checkpoint(path)
+        clean = tf.PairState(*(lattice_field(grid32, c * mask) for c in lattices), 0.5, 2)
+        assert np.array_equal(start.block1, clean.block1)
+        assert np.array_equal(start.block2, clean.block2)
         a = advance(start, cfg, 3)
         b = advance(clean, cfg, 3)
         assert np.array_equal(a.psi1.coeffs, b.psi1.coeffs)
@@ -219,15 +227,27 @@ class TestOneStepPath:
         # the observer sees stepped pairs only, never the input
         assert [step for _, step, _, _ in seen] == [2, 4, 6]
         t, step, block1, block2 = seen[-1]
-        kmax = grid32.dealias_kmax
-        assert np.array_equal(block1, to_block(final.psi1.coeffs, kmax))
-        assert np.array_equal(block2, to_block(final.psi2.coeffs, kmax))
+        assert np.array_equal(block1, final.psi1.block)
+        assert np.array_equal(block2, final.psi2.block)
         assert (t, step) == (final.t, final.step_index)
         stepped = advance(start, cfg, 1)
-        observed = [tf.SpectralField(grid32, from_block(b, 32))
-                    for _, _, *blocks in seen for b in blocks]
+        observed = [tf.SpectralField(grid32, b) for _, _, *blocks in seen for b in blocks]
         for psi in observed + [final.psi1, final.psi2, stepped.psi1, stepped.psi2]:
             assert_exact_state(psi)
+
+    def test_fields_kept_from_an_observer_do_not_change(self, grid32, cfg32, rng):
+        # the observer's state wraps the loop's buffers; its fields do not
+        kept = []
+
+        def observer(pair):
+            kept.append((pair.psi1, pair.block1.copy()))
+
+        advance(tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng)), cfg32, 4,
+                observer)
+        assert len(kept) == 4
+        for psi, block in kept:
+            assert np.array_equal(psi.block, block)
+        assert not np.array_equal(kept[0][1], kept[-1][1])
 
     def test_single_states_and_checkpoints_are_exact(self, grid32, cfg32, rng,
                                                      tmp_path):
@@ -248,22 +268,32 @@ class TestBlowUpDetection:
     def test_nonfinite_detected(self, grid32, cfg32):
         c = np.zeros(grid32.shape, dtype=np.complex128)
         c[1, 0] = c[-1, 0] = np.nan
-        bad = tf.SpectralField(grid32, c)
+        bad = lattice_field(grid32, c)
         with pytest.raises(BlowUpError, match="non-finite"):
             step_single(bad, cfg32, zero_force(grid32))
 
-    @pytest.mark.parametrize("mode", [(1, 0), (3, 16), (2, 5)])
+    @pytest.mark.parametrize("mode", [(1, 0), (3, 10), (2, 5)])
     def test_nonfinite_detected_in_pair(self, grid32, cfg32, rng, mode):
-        # column 0, column N/2 and an interior column of the half-plane
+        # column 0, the last column ky = K and an interior column of the
+        # block: the stepper checks its input blocks before the first step
         c = np.array(random_psi(grid32, rng).coeffs)
         k1, k2 = mode
         c[k1, k2] = c[-k1, -k2] = np.nan
         cfg = replace(cfg32, coupling=tf.IntertwinementSpec("mutual_nudge", 5.0, mu1=1.0,
                                                             mu2=1.0))
-        # building the pair drops the modes outside the block, so it checks
+        state = tf.PairState(random_psi(grid32, rng), lattice_field(grid32, c))
         with pytest.raises(BlowUpError, match="non-finite"):
-            state = tf.PairState(random_psi(grid32, rng), tf.SpectralField(grid32, c))
             advance(state, cfg, 1)
+
+    def test_nonfinite_outside_block_only_in_a_checkpoint(self, grid32, rng, tmp_path):
+        # a field cannot hold column N/2; a v1 file can, and its reader
+        # checks the whole stored lattice
+        c = np.array(random_psi(grid32, rng).coeffs)
+        c[3, 16] = c[-3, 16] = np.nan
+        path = tmp_path / "nan.ckpt"
+        path.write_bytes(lattice_checkpoint_bytes(32, 0.01, 0.0, 0, [c, c]))
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_checkpoint(path)
 
     def test_runaway_magnitude_detected(self, grid32, cfg32, rng):
         huge = random_psi(grid32, rng, scale=1e12)
