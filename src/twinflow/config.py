@@ -16,9 +16,9 @@ as a ``nu`` whose square underflows, a force band outside the grid, or a
 force whose L2 norm underflows to zero.
 
 Any other section or key is an error. Manifests written next to run
-outputs are config files with an extra ``[provenance]`` section (versions,
-seed, command line); the parser ignores that section, so a manifest re-runs
-as-is.
+outputs are config files with an extra ``[provenance]`` section (package
+and Python versions, command line); the parser ignores that section, so a
+manifest re-runs as-is.
 """
 
 from __future__ import annotations
@@ -275,16 +275,13 @@ def apply_overrides(cfg: ExperimentConfig, overrides: list[str]) -> ExperimentCo
     return _build(parser)
 
 
-def provenance_info(extra: Optional[dict] = None) -> dict:
-    info = {
+def provenance_info() -> dict:
+    return {
         "twinflow_version": __version__,
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
         "command": " ".join(sys.argv),
     }
-    if extra:
-        info.update(extra)
-    return info
 
 
 def _desk() -> ExperimentConfig:

@@ -95,7 +95,7 @@ def error_record(state: PairState, cutoff: float) -> ErrorRecord:
     state is zero outside its blocks (also where the cutoff ball reaches
     past them), so they are exact and no lattice is rebuilt.
     """
-    p1, p2, grid = state.block1, state.block2, state.grid
+    p1, p2, grid = state.psi1.block, state.psi2.block, state.grid
     weights, ksq = grid.block_weights, grid.block_ksq
     in_low = low_block(grid, cutoff)
     diff = p1 - p2
@@ -124,7 +124,7 @@ def prepare_initial_pair(cfg: ExperimentConfig) -> PairState:
             )
         s1, _ = load_checkpoint(cfg.checkpoint1, cfg.grid)
         s2, _ = load_checkpoint(cfg.checkpoint2, cfg.grid)
-        return PairState.of_blocks(s1.block1, s2.block1, cfg.grid, 0.0, 0)
+        return PairState(s1.psi1, s2.psi1)
     if cfg.base_checkpoint:
         psi1 = load_checkpoint(cfg.base_checkpoint, cfg.grid)[0].psi1
     else:

@@ -17,21 +17,23 @@ enters the loop as its streamfunction source on the block, built once per
 grid, viscosity and force.
 
 The state is the dealiased block that every ``SpectralField`` holds
-(see ``spectral``): the modes the 2/3 mask keeps. A ``PairState`` holds
-a pair's two blocks, the grid and the clock. Fields enter and leave the
-stepper as their blocks, never through a lattice: ``_evolve`` checks its
-input blocks for non-finite coefficients and runaway magnitude, then
-steps them. One loop steps the blocks of a single flow (the uncoupled
-case) or of a coupled pair, as one stack over which every stage of a
-step runs once; a callback on its cadence hands ``advance``'s observer
-a ``PairState`` over the loop's own buffers, or writes a spin-up's
-rolling checkpoint. Stepped blocks are wrapped as they are, so every
-state handed out is exactly Hermitian, and stepping k times one call at
-a time equals one k-step call bitwise. Only a checkpoint file holds a
-lattice: ``save_checkpoint`` writes the fields' ``coeffs`` views, and
-``load_checkpoint`` takes what it reads back onto the block
-(``spectral.to_block``), which drops every mode outside it. Inputs must
-be Hermitian.
+(see ``spectral``): the modes the 2/3 mask keeps. A ``PairState`` is two
+fields and a clock. Fields enter and leave the stepper as their blocks,
+never through a lattice: ``_evolve`` checks its input blocks for
+non-finite coefficients and runaway magnitude, then steps them. One
+loop steps the blocks of a single flow (the uncoupled case) or of a
+coupled pair, as one stack over which every stage of a step runs once;
+a callback on its cadence hands ``advance``'s observer a ``PairState``
+over the stepped stack, or writes a spin-up's rolling checkpoint. Each
+step writes a new block-sized stack, so nothing handed out is written
+again: a state kept from an observer stays as it was, and no step
+allocates a lattice-sized array. Stepped blocks are wrapped as they
+are, so every state handed out is exactly Hermitian, and stepping k
+times one call at a time equals one k-step call bitwise. Only a
+checkpoint file holds a lattice: ``save_checkpoint`` writes the fields'
+``coeffs`` views, and ``load_checkpoint`` takes what it reads back onto
+the block (``spectral.to_block``), which drops every mode outside it.
+Inputs must be Hermitian.
 """
 
 from __future__ import annotations
@@ -92,44 +94,22 @@ class BlowUpError(RuntimeError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class PairState:
-    """Two streamfunctions as their dealiased blocks, the grid and the clock.
+    """Two streamfunctions on one grid and the clock."""
 
-    The constructor keeps each field's block as it is (read-only);
-    ``of_blocks`` wraps blocks without copying; ``psi1`` and ``psi2`` are
-    fields over copies of the blocks, so a field kept from an observer's
-    state does not change with the loop's buffers.
-    """
+    psi1: SpectralField
+    psi2: SpectralField
+    t: float = 0.0
+    step_index: int = 0
 
-    block1: np.ndarray
-    block2: np.ndarray
-    grid: SpectralGrid
-    t: float
-    step_index: int
-
-    def __init__(self, psi1: SpectralField, psi2: SpectralField, t: float = 0.0,
-                 step_index: int = 0):
-        if psi1.grid.resolution != psi2.grid.resolution:
+    def __post_init__(self):
+        if self.psi1.grid.resolution != self.psi2.grid.resolution:
             raise ValueError("pair components live on different grids")
-        self.__dict__.update(block1=psi1.block, block2=psi2.block, grid=psi1.grid, t=t,
-                             step_index=step_index)
-
-    @classmethod
-    def of_blocks(cls, block1: np.ndarray, block2: np.ndarray, grid: SpectralGrid,
-                  t: float, step_index: int) -> PairState:
-        state = cls.__new__(cls)
-        state.__dict__.update(block1=block1, block2=block2, grid=grid, t=t,
-                              step_index=step_index)
-        return state
 
     @property
-    def psi1(self) -> SpectralField:
-        return SpectralField(self.grid, self.block1.copy())
-
-    @property
-    def psi2(self) -> SpectralField:
-        return SpectralField(self.grid, self.block2.copy())
+    def grid(self) -> SpectralGrid:
+        return self.psi1.grid
 
 
 @lru_cache(maxsize=16)
@@ -170,7 +150,8 @@ def _evolve(cfg: ExperimentConfig, blocks: list, forces: list, nsteps: int,
     The state is one stack of shape ``(s, 2K+1, K+1)``, ``s`` the number
     of blocks, and every step runs once over it: the nonlinear term (one
     ``nonlinear_block`` call), the gather and scatter of the observed
-    modes, and the integrating-factor update. Returns the stepped stack,
+    modes, and the integrating-factor update. Each step writes a new
+    stack and never writes the last one again. Returns the stepped stack,
     the clock and the step index. Every ``every`` steps calls
     ``cadence(ps, t, step)`` with the stack; a checkpoint path it returns
     is the one a later ``BlowUpError`` names.
@@ -181,7 +162,6 @@ def _evolve(cfg: ExperimentConfig, blocks: list, forces: list, nsteps: int,
     for b in blocks:
         _check_finite(b, weights, limit, t)
     ps = np.stack(blocks)
-    rs = np.empty_like(ps)
     gs = np.stack(forces)
     work = nonlinear_workspace(grid, len(ps))
     checkpoint = None
@@ -192,6 +172,7 @@ def _evolve(cfg: ExperimentConfig, blocks: list, forces: list, nsteps: int,
         g_low = _flat(gs).take(low, axis=1)
         acts_on_nonlinear, _ = spec.form
     for i in range(nsteps):
+        rs = np.empty_like(ps)
         nonlinear_block(ps, grid, work, rs)
         if spec is not None:
             n_low = _flat(rs).take(low, axis=1)
@@ -207,7 +188,7 @@ def _evolve(cfg: ExperimentConfig, blocks: list, forces: list, nsteps: int,
         rs *= dt
         rs += ps
         rs *= efac
-        ps, rs = rs, ps
+        ps = rs
         t, step = t + dt, step + 1
         for p in ps:
             _check_finite(p, weights, limit, t, checkpoint)
@@ -245,9 +226,8 @@ def advance(
     ``nsteps`` is 0).
 
     ``observer`` sees the stepped pair after every ``observe_every``
-    steps, never the input, as a ``PairState`` over the loop's own
-    buffers, valid only during the call: an observer that keeps them
-    copies them. The returned state wraps the stepped blocks, read-only.
+    steps, never the input, as a ``PairState`` that no later step
+    changes. The returned state wraps the stepped blocks.
     """
     if nsteps == 0:
         return state
@@ -255,15 +235,17 @@ def advance(
     forcing2 = cfg.forcing if cfg.forcing2 is None else cfg.forcing2
     forces = [_force_block(grid, cfg.nu, f) for f in (cfg.forcing, forcing2)]
 
+    def pair(ps, t, step):
+        return PairState(SpectralField(grid, ps[0]), SpectralField(grid, ps[1]), t, step)
+
     def observe(ps, t, step):
-        observer(PairState.of_blocks(ps[0], ps[1], grid, t, step))
+        observer(pair(ps, t, step))
 
     ps, t, step = _evolve(
-        cfg, [state.block1, state.block2], forces, nsteps, state.t, state.step_index,
-        observe if observer is not None else None, observe_every,
+        cfg, [state.psi1.block, state.psi2.block], forces, nsteps, state.t,
+        state.step_index, observe if observer is not None else None, observe_every,
     )
-    ps.setflags(write=False)
-    return PairState.of_blocks(*ps, grid, t, step)
+    return pair(ps, t, step)
 
 
 def spin_up(
@@ -290,8 +272,8 @@ def spin_up(
         path = None
         if checkpoint_dir is not None:
             path = str(Path(checkpoint_dir) / f"spinup_{step:09d}.ckpt")
-            save_checkpoint(PairState.of_blocks(ps[0], ps[0], cfg.grid, t, step), cfg.dt,
-                            path)
+            psi = SpectralField(cfg.grid, ps[0])
+            save_checkpoint(PairState(psi, psi, t, step), cfg.dt, path)
         if progress is not None:
             progress(t)
         return path

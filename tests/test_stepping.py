@@ -205,8 +205,8 @@ class TestOneStepPath:
         path.write_bytes(lattice_checkpoint_bytes(32, cfg.dt, 0.5, 2, lattices))
         start, _ = load_checkpoint(path)
         clean = tf.PairState(*(lattice_field(grid32, c * mask) for c in lattices), 0.5, 2)
-        assert np.array_equal(start.block1, clean.block1)
-        assert np.array_equal(start.block2, clean.block2)
+        assert np.array_equal(start.psi1.block, clean.psi1.block)
+        assert np.array_equal(start.psi2.block, clean.psi2.block)
         a = advance(start, cfg, 3)
         b = advance(clean, cfg, 3)
         assert np.array_equal(a.psi1.coeffs, b.psi1.coeffs)
@@ -218,36 +218,49 @@ class TestOneStepPath:
         start = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng))
         seen = []
 
-        def observer(pair):
-            # the blocks are the loop's buffers, valid only during the call
-            seen.append((pair.t, pair.step_index, pair.block1.copy(), pair.block2.copy()))
-
-        assert advance(start, cfg, 0, observer) is start
-        final = advance(start, cfg, 6, observer, 2)
+        assert advance(start, cfg, 0, seen.append) is start
+        final = advance(start, cfg, 6, seen.append, 2)
         # the observer sees stepped pairs only, never the input
-        assert [step for _, step, _, _ in seen] == [2, 4, 6]
-        t, step, block1, block2 = seen[-1]
-        assert np.array_equal(block1, final.psi1.block)
-        assert np.array_equal(block2, final.psi2.block)
-        assert (t, step) == (final.t, final.step_index)
+        assert [pair.step_index for pair in seen] == [2, 4, 6]
+        last = seen[-1]
+        assert np.array_equal(last.psi1.block, final.psi1.block)
+        assert np.array_equal(last.psi2.block, final.psi2.block)
+        assert (last.t, last.step_index) == (final.t, final.step_index)
         stepped = advance(start, cfg, 1)
-        observed = [tf.SpectralField(grid32, b) for _, _, *blocks in seen for b in blocks]
-        for psi in observed + [final.psi1, final.psi2, stepped.psi1, stepped.psi2]:
-            assert_exact_state(psi)
+        for pair in seen + [final, stepped]:
+            assert_exact_state(pair.psi1)
+            assert_exact_state(pair.psi2)
 
     def test_fields_kept_from_an_observer_do_not_change(self, grid32, cfg32, rng):
-        # the observer's state wraps the loop's buffers; its fields do not
+        # no step writes a stack it has handed out
         kept = []
 
         def observer(pair):
-            kept.append((pair.psi1, pair.block1.copy()))
+            kept.append((pair, pair.psi1.block.copy(), pair.psi2.block.copy(), pair.t,
+                         pair.step_index))
 
         advance(tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng)), cfg32, 4,
                 observer)
-        assert len(kept) == 4
-        for psi, block in kept:
-            assert np.array_equal(psi.block, block)
+        assert [pair.step_index for pair, *_ in kept] == [1, 2, 3, 4]
+        for pair, block1, block2, t, step in kept:
+            assert np.array_equal(pair.psi1.block, block1)
+            assert np.array_equal(pair.psi2.block, block2)
+            assert (pair.t, pair.step_index) == (t, step)
         assert not np.array_equal(kept[0][1], kept[-1][1])
+        assert not np.array_equal(kept[0][2], kept[-1][2])
+
+    def test_advance_leaves_its_input_as_it_was(self, grid32, cfg32, rng):
+        psi1, psi2 = random_psi(grid32, rng), random_psi(grid32, rng)
+        start = tf.PairState(psi1, psi2, 0.5, 3)
+        # a state is its two fields: nothing is copied on read
+        assert start.psi1 is psi1 and start.psi2 is psi2
+        blocks = [psi1.block.copy(), psi2.block.copy()]
+        final = advance(start, cfg32, 3)
+        assert np.array_equal(start.psi1.block, blocks[0])
+        assert np.array_equal(start.psi2.block, blocks[1])
+        for a in (final.psi1.block, final.psi2.block):
+            for b in (psi1.block, psi2.block):
+                assert not np.shares_memory(a, b)
 
     def test_single_states_and_checkpoints_are_exact(self, grid32, cfg32, rng,
                                                      tmp_path):
