@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -124,13 +125,25 @@ class IntertwinementSpec:
         acts_on_nonlinear, entries = _FORMS[self.variant]
         return acts_on_nonlinear, entries(self)
 
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """The columns ``(a, c)`` and ``(b, d)`` of ``form``'s matrix as a
+        read-only complex ``(2, 2, 1)`` array, built once per spec."""
+        _, entries = self.form
+        cols = np.array(entries, dtype=np.complex128).reshape(2, 2).T[:, :, np.newaxis]
+        cols.setflags(write=False)
+        return cols
 
-def coupling_arrays(spec: IntertwinementSpec, x1: np.ndarray, x2: np.ndarray):
-    """RHS additions ``(c1, c2)`` from the observed modes ``x1``, ``x2`` of
-    both systems (``P_N`` of the states or of the nonlinear terms, per
-    ``spec.form``), in any layout the two share."""
-    _, (a, b, c, d) = spec.form
-    return a * x1 + b * x2, c * x1 + d * x2
+
+def coupling_arrays(spec: IntertwinementSpec, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """RHS additions of both systems from their observed modes ``x[0]``,
+    ``x[1]`` (``P_N`` of the states or of the nonlinear terms, per
+    ``spec.form``), written into ``out`` of ``x``'s shape:
+    ``out[0] = a x[0] + b x[1]`` and ``out[1] = c x[0] + d x[1]``."""
+    first, second = spec.columns
+    np.multiply(first, x[0], out=out)
+    out += second * x[1]
+    return out
 
 
 def threshold_mutual_sync(

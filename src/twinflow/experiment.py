@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -27,6 +28,7 @@ from .coupling import (
 from .forcing import grashof, make_band_forcing
 from .spectral import (
     PARSEVAL_FACTOR,
+    SpectralGrid,
     low_block,
     project_low,
     weighted_power,
@@ -97,12 +99,14 @@ def error_record(state: PairState, cutoff: float) -> ErrorRecord:
     """
     p1, p2, grid = state.psi1.block, state.psi2.block, state.grid
     weights, ksq = grid.block_weights, grid.block_ksq
-    in_low = low_block(grid, cutoff)
-    diff = p1 - p2
+    in_low, in_high = _split_masks(grid, cutoff)
     # |k|^2 |psi_k|^2 = velocity energy density, mirror modes included
-    wdiff = weights * (diff.real * diff.real + diff.imag * diff.imag)
+    parts = (p1 - p2).view(np.float64)
+    parts *= parts
+    wdiff = parts[:, ::2] + parts[:, 1::2]
+    wdiff *= weights
     # summed apart: high = total - low would be roundoff once low dominates
-    low, high = float(wdiff[in_low].sum()), float(wdiff[~in_low].sum())
+    low, high = float(wdiff[in_low].sum()), float(wdiff[in_high].sum())
     return ErrorRecord(
         t=state.t,
         err_h=PARSEVAL_FACTOR * math.sqrt(low + high),
@@ -112,6 +116,16 @@ def error_record(state: PairState, cutoff: float) -> ErrorRecord:
         energy1=PARSEVAL_FACTOR**2 * weighted_power(weights, p1),
         energy2=PARSEVAL_FACTOR**2 * weighted_power(weights, p2),
     )
+
+
+@lru_cache(maxsize=16)
+def _split_masks(grid: SpectralGrid, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """The block's modes inside the ball ``|k| <= cutoff`` (``low_block``)
+    and outside it (read-only, built once per grid and cutoff)."""
+    inside = low_block(grid, cutoff)
+    outside = ~inside
+    outside.setflags(write=False)
+    return inside, outside
 
 
 def prepare_initial_pair(cfg: ExperimentConfig) -> PairState:

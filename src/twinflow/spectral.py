@@ -55,7 +55,8 @@ class SpectralGrid:
 
     Only ``resolution`` participates in equality/hashing; the derived
     arrays are attached once in ``__post_init__``, read-only, and all are
-    tables on the dealiased block of ``block_shape``: ``block_kx``,
+    tables on the dealiased block of ``block_shape``
+    (``(2 dealias_kmax + 1, dealias_kmax + 1)``): ``block_kx``,
     ``block_ky``, ``block_ksq`` (``|k|^2``) and ``block_weights`` (the
     order-1 ``sobolev_weights``).
     """
@@ -67,6 +68,7 @@ class SpectralGrid:
         if n < 4 or n % 2 != 0:
             raise ValueError(f"grid resolution must be an even integer >= 4, got {n}")
         kmax = self.dealias_kmax
+        object.__setattr__(self, "block_shape", (2 * kmax + 1, kmax + 1))
         k1d = np.r_[0:kmax + 1, -kmax:0]
         block_kx, block_ky = np.meshgrid(k1d, k1d[:kmax + 1], indexing="ij")
         block_ksq = (block_kx * block_kx + block_ky * block_ky).astype(np.float64)
@@ -86,11 +88,6 @@ class SpectralGrid:
         """Largest ``|k_i|`` the 2/3 mask keeps: the largest with ``3 |k_i| < N``,
         so that products of kept modes never alias onto kept modes."""
         return (self.resolution - 1) // 3
-
-    @property
-    def block_shape(self) -> tuple[int, int]:
-        kmax = self.dealias_kmax
-        return (2 * kmax + 1, kmax + 1)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -205,7 +202,7 @@ def mirror_column(col: np.ndarray) -> None:
     stack of them along leading axes) to the conjugates of its ``kx > 0``
     rows, in place."""
     kmax = col.shape[-1] // 2
-    col[..., kmax + 1:] = np.conj(col[..., kmax:0:-1])
+    np.conjugate(col[..., kmax:0:-1], out=col[..., kmax + 1:])
 
 
 def from_block(block: np.ndarray, n: int) -> np.ndarray:

@@ -38,7 +38,9 @@ Inputs must be Hermitian.
 
 from __future__ import annotations
 
+import mmap
 import os
+import stat
 import struct
 import zlib
 from dataclasses import dataclass
@@ -114,11 +116,17 @@ class PairState:
 
 @lru_cache(maxsize=16)
 def _step_constants(grid: SpectralGrid, nu: float, dt: float, forcing: ForcingSpec):
-    """Integrating factor on the block and the blow-up limit on |u|."""
+    """Integrating factor on the block, the blow-up limit on |u|, and the
+    bound under which a stack's plain coefficient power passes the
+    blow-up check (see ``_evolve``)."""
     efac = np.exp(-nu * grid.block_ksq * dt)
     efac.setflags(write=False)
     rho0, _ = absorbing_radii(make_band_forcing(forcing, grid, nu), nu)
-    return efac, BLOWUP_FACTOR * rho0
+    limit = BLOWUP_FACTOR * rho0
+    # every block's sum(weights |c|^2) is at most max(weights) times the
+    # stack's sum |c|^2; half the limit on |u|^2 leaves room for roundoff
+    safe_power = 0.5 * (limit / PARSEVAL_FACTOR) ** 2 / grid.block_weights.max()
+    return efac, limit, safe_power
 
 
 @lru_cache(maxsize=8)
@@ -150,56 +158,71 @@ def _evolve(cfg: ExperimentConfig, blocks: list, forces: list, nsteps: int,
     The state is one stack of shape ``(s, 2K+1, K+1)``, ``s`` the number
     of blocks, and every step runs once over it: the nonlinear term (one
     ``nonlinear_block`` call), the gather and scatter of the observed
-    modes, and the integrating-factor update. Each step writes a new
-    stack and never writes the last one again. Returns the stepped stack,
-    the clock and the step index. Every ``every`` steps calls
-    ``cadence(ps, t, step)`` with the stack; a checkpoint path it returns
-    is the one a later ``BlowUpError`` names.
+    modes, the integrating-factor update and the blow-up check. Each step
+    writes a new stack and never writes the last one again. Returns the
+    stepped stack, the clock and the step index. Every ``every`` steps
+    calls ``cadence(ps, t, step)`` with the stack; a checkpoint path it
+    returns is the one a later ``BlowUpError`` names.
+
+    The blow-up check is one reduction over the stack: its plain
+    coefficient power times the largest weight bounds every block's
+    ``|u|^2``. Only when that bound is not far below the limit, or not
+    finite, does ``_check_finite`` check each block and raise.
     """
     grid, dt = cfg.grid, cfg.dt
-    efac, limit = _step_constants(grid, cfg.nu, dt, cfg.forcing)
+    efac, limit, safe_power = _step_constants(grid, cfg.nu, dt, cfg.forcing)
     weights = grid.block_weights
     for b in blocks:
         _check_finite(b, weights, limit, t)
     ps = np.stack(blocks)
-    gs = np.stack(forces)
+    # one force for every block is read through a broadcast view, not copied
+    gs = (np.broadcast_to(forces[0], ps.shape) if all(f is forces[0] for f in forces)
+          else np.stack(forces))
     work = nonlinear_workspace(grid, len(ps))
     checkpoint = None
     spec = cfg.coupling if len(ps) == 2 else None  # a single flow is uncoupled
     if spec is not None:
         cfg.check_cutoff()
-        low = np.flatnonzero(low_block(grid, spec.cutoff))
-        g_low = _flat(gs).take(low, axis=1)
+        mask = low_block(grid, spec.cutoff)
+        g_low = gs[:, mask]
+        # flat indices of the observed modes in the stack, block by block
+        low = np.flatnonzero(np.broadcast_to(mask, ps.shape))
         acts_on_nonlinear, _ = spec.form
+        # observed modes of the nonlinear terms and of the coupled arrays,
+        # block by block, and the coupling's right-hand-side additions
+        n_low = np.empty(g_low.shape, dtype=np.complex128)
+        x = n_low if acts_on_nonlinear else np.empty_like(n_low)
+        c = np.empty_like(n_low)
+        n_flat, x_flat = n_low.reshape(-1), x.reshape(-1)
     for i in range(nsteps):
         rs = np.empty_like(ps)
         nonlinear_block(ps, grid, work, rs)
         if spec is not None:
-            n_low = _flat(rs).take(low, axis=1)
+            np.take(rs, low, out=n_flat, mode="clip")
         np.subtract(gs, rs, out=rs)
         if spec is not None:
             # On the observed modes the right-hand side is (c - n) + g:
             # subtracting first lets coupled low modes cancel exactly when
             # the coupling reproduces the nonlinear term coefficientwise.
-            x1, x2 = n_low if acts_on_nonlinear else _flat(ps).take(low, axis=1)
-            cs = coupling_arrays(spec, x1, x2)
-            _flat(rs)[:, low] = np.subtract(cs, n_low) + g_low
+            if not acts_on_nonlinear:
+                np.take(ps, low, out=x_flat, mode="clip")
+            coupling_arrays(spec, x, c)
+            c -= n_low
+            c += g_low
+            np.put(rs, low, c)
         # efac * (p + dt * r), bitwise, without temporaries
         rs *= dt
         rs += ps
         rs *= efac
         ps = rs
         t, step = t + dt, step + 1
-        for p in ps:
-            _check_finite(p, weights, limit, t, checkpoint)
+        power = ps.view(np.float64)
+        if not np.vdot(power, power) <= safe_power:  # NaN fails too
+            for p in ps:
+                _check_finite(p, weights, limit, t, checkpoint)
         if cadence is not None and (i + 1) % every == 0:
             checkpoint = cadence(ps, t, step) or checkpoint
     return ps, t, step
-
-
-def _flat(stack: np.ndarray) -> np.ndarray:
-    """View of a stack of blocks with each block as one row."""
-    return stack.reshape(len(stack), -1)
 
 
 def _evolve_single(psi: SpectralField, cfg: ExperimentConfig, nsteps: int,
@@ -334,11 +357,18 @@ def load_checkpoint(path, grid: Optional[SpectralGrid] = None) -> tuple[PairStat
     coefficient is finite before constructing any state
     (``CheckpointError``, naming the file); if ``grid`` is given its
     resolution must match the file's. Each stored lattice is taken onto
-    the block: modes outside it are dropped.
+    the block: modes outside it are dropped. The file, which must be a
+    regular file, is read through a read-only memory map, released with
+    the last view of it.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size + 4:
-        raise CheckpointError(f"truncated checkpoint file: {path}")
+    # a read-only map of the file: its bytes are never copied onto the heap
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise CheckpointError(f"checkpoint is not a regular file: {path}")
+        if info.st_size < _HEADER.size + 4:
+            raise CheckpointError(f"truncated checkpoint file: {path}")
+        raw = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     magic, version, n, dt, t, step = _HEADER.unpack_from(raw, 0)
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad checkpoint magic {magic!r} in {path}")

@@ -1,3 +1,4 @@
+import os
 import struct
 import zlib
 from dataclasses import replace
@@ -313,6 +314,18 @@ class TestBlowUpDetection:
         with pytest.raises(BlowUpError, match="absorbing radius"):
             step_single(huge, cfg32, zero_force(grid32))
 
+    def test_runaway_second_system_detected(self, grid32, rng):
+        # one check reduces over the whole stack: system 2 alone runs away
+        # (dt = 0.05 under a Grashof 10^6 force, as below), past 10^6 times
+        # the absorbing radius of ``forcing``, while system 1 stays bounded
+        cfg = tiny_config(dt=0.05, coupling=tf.IntertwinementSpec("trivial", 5.0))
+        state = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng))
+        advance(state, cfg, 40)
+        runaway = replace(cfg, forcing2=tf.ForcingSpec(10, 12, 1e6, phase_seed=3))
+        with pytest.raises(BlowUpError, match="absorbing radius") as info:
+            advance(state, runaway, 40)
+        assert info.value.t > 0
+
     def test_spin_up_blow_up_names_newest_checkpoint(self, tmp_path):
         # dt = 0.05 under a Grashof 10^6 force is past the explicit step's
         # stability limit: the spin-up blows up after some checkpoints
@@ -326,6 +339,37 @@ class TestBlowUpDetection:
         blown = int(round(info.value.t / cfg.dt))
         assert dt == cfg.dt
         assert blown - 5 <= state.step_index < blown
+
+
+class TestTransformCount:
+    """Each axis pass of a step is one FFT call for both velocity
+    components and every block of the stack: four calls per step."""
+
+    @pytest.fixture
+    def fft_calls(self, monkeypatch):
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+                     "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft"):
+            def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
+                calls.append(_name)
+                return _transform(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        return calls
+
+    def test_coupled_pair_step(self, grid32, cfg32, rng, fft_calls):
+        state = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng))
+        advance(state, cfg32, 1)  # builds the cached forces and constants
+        fft_calls.clear()
+        advance(state, cfg32, 1)
+        assert fft_calls == ["ifft", "irfft", "rfft", "fft"]
+
+    def test_single_flow_step(self, grid32, cfg32, rng, fft_calls):
+        psi = random_psi(grid32, rng)
+        tf.decorrelate(psi, cfg32, cfg32.dt)
+        fft_calls.clear()
+        tf.decorrelate(psi, cfg32, cfg32.dt)
+        assert fft_calls == ["ifft", "irfft", "rfft", "fft"]
 
 
 class TestSpinUpDecorrelate:
@@ -410,6 +454,11 @@ class TestCheckpoints:
         bad.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(bad)
+
+    def test_non_regular_file_rejected(self):
+        # the reader maps the file, which a device or a pipe cannot be
+        with pytest.raises(CheckpointError, match="not a regular file"):
+            load_checkpoint(os.devnull)
 
     def test_truncated_rejected(self, grid32, rng, tmp_path):
         path = tmp_path / "state.ckpt"
