@@ -50,8 +50,9 @@ __all__ = [
 
 INIT_KINDS = ("projected_low", "decorrelated", "checkpoints")
 
-# A pair's stepping workspace alone is 48 N^2 bytes (two complex N x N and
-# two N x (N/2+1) arrays): 768 MiB at 4096^2, a tenth of an 8 GiB machine.
+# A pair's stepping workspace alone is 64 N^2 + 64 N bytes (two complex
+# N x N and four complex N x (N/2+1) arrays): 16 MiB at 512^2, 1 GiB at
+# 4096^2, an eighth of an 8 GiB machine.
 # The largest preset is 512^2.
 MAX_RESOLUTION = 4096
 

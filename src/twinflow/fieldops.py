@@ -24,19 +24,20 @@ and writes full rows. ``u`` and ``v`` are the real and imaginary parts of
 one complex array ``w``, so the products are one complex square:
 ``w^2 = (u^2 - v^2) + i 2uv``.
 
-``nonlinear_block`` takes one block or a stack of them (a coupled pair
-is a stack of two), and each axis pass is one FFT call for both
-components and the whole stack: a step, of a pair or of a single flow,
-makes four FFT calls. Every transform and product writes into one
-workspace (``nonlinear_workspace``: per block one complex ``N x N``, and
-per block and component one complex ``N x (N/2+1)``) that a stepping
-call allocates once and reuses for every evaluation, so a step allocates
-no ``N x N`` array.
+``nonlinear_block`` takes a stack of blocks (a coupled pair is a stack
+of two, a single flow a stack of one), and each axis pass is one FFT
+call for both components and the whole stack: a step, of a pair or of a
+single flow, makes four FFT calls. Every transform and product writes
+into one workspace (``nonlinear_workspace``: per block one complex
+``N x N``, and per block and component one complex ``N x (N/2+1)``)
+that a stepping call allocates once and reuses for every evaluation, so
+a step allocates no ``N x N`` array. The workspace also carries the
+derivative multipliers and output factors of the block's row ranges, so
+``nonlinear_block`` reads nothing from the grid.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -50,22 +51,40 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=8)
-def _block_operators(grid: SpectralGrid):
-    """Derivative multipliers and output factors of the block, per row
-    range.
+class _Workspace(NamedTuple):
+    """Scratch and operators of ``nonlinear_block`` for a stack of ``s``
+    blocks (see ``nonlinear_workspace``)."""
 
-    The block's rows ``kx = 0 .. K`` stand for the lattice's first
-    ``K+1`` rows and its rows ``kx = -K .. -1`` for the last ``K``
-    (``K = grid.dealias_kmax``); its columns are ``ky = 0 .. K``. For
-    each of the two row ranges, ``mults`` holds ``-i*ky`` (of ``u``) and
-    ``i*kx`` (of ``v``), both broadcast to the range's shape, and
-    ``factors`` stacks ``-fb`` and ``fa/2``, with ``fa = (kx^2 -
-    ky^2)/|k|^2`` and ``fb = kx*ky/|k|^2`` zero at ``k = 0``: they map the
-    transforms of ``u^2 - v^2`` and ``2 u v`` to the output.
+    w: np.ndarray  # complex (s, N, N): u + iv, then (u + iv)^2
+    spec: np.ndarray  # complex (2, s, N, N/2+1): both components' spectra
+    phys: np.ndarray  # (2, s, N, N) real view of w
+    low: np.ndarray  # the columns ky <= K of spec: the complex pass
+    pad_cols: np.ndarray  # the columns ky > K of spec
+    pad_rows: np.ndarray  # the rows |kx| > K of low
+    ranges: tuple  # per row range: block rows, lattice rows of low, mults, factors
+
+
+def nonlinear_workspace(grid: SpectralGrid, count: int) -> _Workspace:
+    """Scratch arrays and operators of ``nonlinear_block`` for a stack of
+    ``count`` blocks on ``grid``: one complex ``(count, N, N)`` array
+    ``w`` (``u`` in its real part, ``v`` in its imaginary part), one
+    complex ``(2, count, N, N/2+1)`` array of both components' spectra,
+    and views of them.
+
+    The block's rows ``kx = 0 .. K`` stand for the lattice's first ``K+1``
+    rows and its rows ``kx = -K .. -1`` for the last ``K``
+    (``K = grid.dealias_kmax``). For each of the two row ranges,
+    ``ranges`` holds its rows of the block and of ``low``, the multipliers
+    ``-i*ky`` (of ``u``) and ``i*kx`` (of ``v``) as broadcast views, and
+    the factors ``-fb`` and ``fa/2``, with ``fa = (kx^2 - ky^2)/|k|^2`` and
+    ``fb = kx*ky/|k|^2`` zero at ``k = 0``: they map the transforms of
+    ``u^2 - v^2`` and ``2 u v`` to the output.
     """
-    kmax = grid.dealias_kmax
+    n, kmax = grid.resolution, grid.dealias_kmax
     m = kmax + 1
+    w = np.empty((count, n, n), dtype=np.complex128)
+    spec = np.empty((2, count, n, n // 2 + 1), dtype=np.complex128)
+    low = spec[..., :m]
     kx, ky, ksq = grid.block_kx, grid.block_ky, grid.block_ksq
     shape = (2 * kmax + 1, m)
     neg_iky = np.broadcast_to(-1j * ky[:1], shape)
@@ -76,46 +95,17 @@ def _block_operators(grid: SpectralGrid):
     np.multiply(-(kx * ky), scale, out=factors[0, 0])
     np.multiply(0.5 * (kx * kx - ky * ky), scale, out=factors[1, 0])
     factors.setflags(write=False)
-    ranges = (slice(0, m), slice(m, None))
-    return (m, tuple((neg_iky[b], ikx[b]) for b in ranges),
-            tuple(factors[:, :, b] for b in ranges))
-
-
-class _Workspace(NamedTuple):
-    """Scratch of ``nonlinear_block`` for a stack of ``s`` blocks: two
-    arrays, and the views of them that every call reads."""
-
-    w: np.ndarray  # complex (s, N, N): u + iv, then (u + iv)^2
-    spec: np.ndarray  # complex (2, s, N, N/2+1): both components' spectra
-    phys: np.ndarray  # (2, s, N, N) real view of w
-    low: np.ndarray  # the columns ky <= K of spec: the complex pass
-    pad_cols: np.ndarray  # the columns ky > K of spec
-    pad_rows: np.ndarray  # the rows |kx| > K of low
-    head: np.ndarray  # the lattice rows kx = 0 .. K of low
-    tail: np.ndarray  # the lattice rows kx = -K .. -1 of low
-
-
-def nonlinear_workspace(grid: SpectralGrid, count: int = 1) -> _Workspace:
-    """Scratch arrays of ``nonlinear_block`` for a stack of ``count``
-    blocks: one complex ``(count, N, N)`` array ``w`` (``u`` in its real
-    part, ``v`` in its imaginary part) and one complex
-    ``(2, count, N, N/2+1)`` array, the spectra of both components, with
-    views of them."""
-    n, kmax = grid.resolution, grid.dealias_kmax
-    m = kmax + 1
-    w = np.empty((count, n, n), dtype=np.complex128)
-    spec = np.empty((2, count, n, n // 2 + 1), dtype=np.complex128)
-    low = spec[..., :m]
+    ranges = tuple((rows, low[:, :, lat], neg_iky[rows], ikx[rows], factors[:, :, rows])
+                   for rows, lat in ((slice(0, m), slice(0, m)),
+                                     (slice(m, None), slice(n - kmax, None))))
     return _Workspace(w, spec, w.view(np.float64).reshape(w.shape + (2,)).transpose(3, 0, 1, 2),
-                      low, spec[..., m:], low[:, :, m:n - kmax], low[:, :, :m],
-                      low[:, :, n - kmax:])
+                      low, spec[..., m:], low[:, :, m:n - kmax], ranges)
 
 
-def nonlinear_block(psi: np.ndarray, grid: SpectralGrid, work: _Workspace,
-                    out: np.ndarray) -> np.ndarray:
-    """Advection term invlap( u . grad(lap psi) ) of a block, or of a stack
-    of blocks along a leading axis, written into ``out`` (of ``psi``'s
-    shape, not ``psi``).
+def nonlinear_block(psi: np.ndarray, work: _Workspace, out: np.ndarray) -> np.ndarray:
+    """Advection term invlap( u . grad(lap psi) ) of a stack of blocks
+    along a leading axis, written into ``out`` (of ``psi``'s shape, not
+    ``psi``).
 
     Two inverse and two forward transforms, each as two axis passes, and
     each pass is one FFT call for both components and every block of the
@@ -123,37 +113,33 @@ def nonlinear_block(psi: np.ndarray, grid: SpectralGrid, work: _Workspace,
     block's columns; the real pass reads and writes full rows, whose
     columns ``ky > K`` the inverse pass holds at zero. ``u`` and ``v``
     share one complex buffer, so one complex square gives ``u^2 - v^2``
-    and ``2 u v``. Every array they write is in ``work``
-    (``nonlinear_workspace`` of the stack's count; a single block takes
-    a count of one), which holds nothing from one call to the next. The
-    blocks do not interact: a stacked call equals one call per block.
-    Each input must be Hermitian in its column ``ky = 0``; the output is
-    mean-free and exactly Hermitian there.
+    and ``2 u v``. Every array they write, and every operator they read,
+    is in ``work`` (``nonlinear_workspace`` of the stack's grid and count),
+    which holds nothing from one call to the next. The blocks do not
+    interact: a stacked call equals one call per block. Each input must
+    be Hermitian in its column ``ky = 0``; the output is mean-free and
+    exactly Hermitian there.
     """
-    m, mults, factors = _block_operators(grid)
-    # a single block is a stack of one
-    p, o = (psi, out) if psi.ndim == 3 else (psi[np.newaxis], out[np.newaxis])
-    w, spec, phys, low, pad_cols, pad_rows, head, tail = work
-    # the block's two row ranges: the input, their lattice rows, the output
-    ranges = ((p[:, :m], head, o[:, :m]), (p[:, m:], tail, o[:, m:]))
+    w, spec, phys, low, pad_cols, pad_rows, ranges = work
     # zero padding of the inverse pass
     pad_cols.fill(0.0)
     pad_rows.fill(0.0)
-    for (pb, lat, _), (mult_u, mult_v) in zip(ranges, mults):
+    for rows, lat, mult_u, mult_v, _ in ranges:
+        pb = psi[:, rows]
         np.multiply(pb, mult_u, out=lat[0])
         np.multiply(pb, mult_v, out=lat[1])
     np.fft.ifft(low, axis=2, norm="forward", out=low)
-    np.fft.irfft(spec, n=grid.resolution, axis=3, norm="forward", out=phys)
+    np.fft.irfft(spec, n=phys.shape[3], axis=3, norm="forward", out=phys)
     # (u + iv)^2 = (u^2 - v^2) + i 2uv
     np.multiply(w, w, out=w)
     np.fft.rfft(phys, axis=3, norm="forward", out=spec)
     np.fft.fft(low, axis=2, norm="forward", out=low)
-    for (_, lat, ob), factor in zip(ranges, factors):
+    for rows, lat, _, _, factor in ranges:
         lat *= factor
-        np.add(lat[1], lat[0], out=ob)
+        np.add(lat[1], lat[0], out=out[:, rows])
     # the forward pass leaves column ky = 0 Hermitian only to roundoff;
     # make it exact
-    mirror_column(o[:, :, 0])
+    mirror_column(out[:, :, 0])
     return out
 
 

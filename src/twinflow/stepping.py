@@ -19,12 +19,14 @@ grid, viscosity and force.
 The state is the dealiased block that every ``SpectralField`` holds
 (see ``spectral``): the modes the 2/3 mask keeps. A ``PairState`` is two
 fields and a clock. Fields enter and leave the stepper as their blocks,
-never through a lattice: ``_evolve`` checks its input blocks for
-non-finite coefficients and runaway magnitude, then steps them. One
-loop steps the blocks of a single flow (the uncoupled case) or of a
-coupled pair, as one stack over which every stage of a step runs once;
-a callback on its cadence hands ``advance``'s observer a ``PairState``
-over the stepped stack, or writes a spin-up's rolling checkpoint. Each
+never through a lattice: ``_evolve`` stacks its input blocks, and one
+function (``_check_finite``) checks the stack for non-finite
+coefficients and runaway magnitude before the first step and after
+every step. One loop steps the blocks of a single flow (the uncoupled
+case) or of a coupled pair, as one stack over which every stage of a
+step runs once; a callback on its cadence hands ``advance``'s observer
+a ``PairState`` over the stepped stack, or writes a spin-up's rolling
+checkpoint. Each
 step writes a new block-sized stack, so nothing handed out is written
 again: a state kept from an observer stays as it was, and no step
 allocates a lattice-sized array. Stepped blocks are wrapped as they
@@ -118,7 +120,7 @@ class PairState:
 def _step_constants(grid: SpectralGrid, nu: float, dt: float, forcing: ForcingSpec):
     """Integrating factor on the block, the blow-up limit on |u|, and the
     bound under which a stack's plain coefficient power passes the
-    blow-up check (see ``_evolve``)."""
+    blow-up check (see ``_check_finite``)."""
     efac = np.exp(-nu * grid.block_ksq * dt)
     efac.setflags(write=False)
     rho0, _ = absorbing_radii(make_band_forcing(forcing, grid, nu), nu)
@@ -135,16 +137,29 @@ def _force_block(grid: SpectralGrid, nu: float, forcing: ForcingSpec) -> np.ndar
     return stream_force_term(make_band_forcing(forcing, grid, nu)).block
 
 
-def _check_finite(psi: np.ndarray, weights: np.ndarray, limit: float, t: float,
-                  last_checkpoint: Optional[str] = None):
-    # |u|^2 in one reduction over a block: NaN/Inf propagate.
-    energy = weighted_power(weights, psi)
-    if not np.isfinite(energy):
-        raise BlowUpError(t, "non-finite coefficient detected", last_checkpoint)
-    if PARSEVAL_FACTOR * np.sqrt(energy) > limit:
-        raise BlowUpError(
-            t, f"|u| exceeded {BLOWUP_FACTOR:g} x absorbing radius", last_checkpoint
-        )
+def _check_finite(ps: np.ndarray, weights: np.ndarray, limit: float, safe_power: float,
+                  t: float, last_checkpoint: Optional[str] = None):
+    """The blow-up check of the stack ``ps`` at clock ``t``: a
+    ``BlowUpError`` (naming ``last_checkpoint``) when a block holds a
+    non-finite coefficient or its ``|u|`` exceeds ``limit``.
+
+    One reduction over the stack comes first: its plain coefficient power
+    times the largest weight bounds every block's ``|u|^2``. Only when
+    that bound is above ``safe_power`` (see ``_step_constants``), or not
+    finite, is each block's ``|u|^2`` summed exactly and checked.
+    """
+    power = ps.view(np.float64)
+    if np.vdot(power, power) <= safe_power:  # NaN fails too
+        return
+    for p in ps:
+        # |u|^2 in one reduction over a block: NaN/Inf propagate.
+        energy = weighted_power(weights, p)
+        if not np.isfinite(energy):
+            raise BlowUpError(t, "non-finite coefficient detected", last_checkpoint)
+        if PARSEVAL_FACTOR * np.sqrt(energy) > limit:
+            raise BlowUpError(
+                t, f"|u| exceeded {BLOWUP_FACTOR:g} x absorbing radius", last_checkpoint
+            )
 
 
 def _evolve(cfg: ExperimentConfig, blocks: list, forces: list, nsteps: int,
@@ -158,23 +173,18 @@ def _evolve(cfg: ExperimentConfig, blocks: list, forces: list, nsteps: int,
     The state is one stack of shape ``(s, 2K+1, K+1)``, ``s`` the number
     of blocks, and every step runs once over it: the nonlinear term (one
     ``nonlinear_block`` call), the gather and scatter of the observed
-    modes, the integrating-factor update and the blow-up check. Each step
+    modes, the integrating-factor update and the blow-up check
+    (``_check_finite``, which also checks the input stack). Each step
     writes a new stack and never writes the last one again. Returns the
     stepped stack, the clock and the step index. Every ``every`` steps
     calls ``cadence(ps, t, step)`` with the stack; a checkpoint path it
     returns is the one a later ``BlowUpError`` names.
-
-    The blow-up check is one reduction over the stack: its plain
-    coefficient power times the largest weight bounds every block's
-    ``|u|^2``. Only when that bound is not far below the limit, or not
-    finite, does ``_check_finite`` check each block and raise.
     """
     grid, dt = cfg.grid, cfg.dt
     efac, limit, safe_power = _step_constants(grid, cfg.nu, dt, cfg.forcing)
     weights = grid.block_weights
-    for b in blocks:
-        _check_finite(b, weights, limit, t)
     ps = np.stack(blocks)
+    _check_finite(ps, weights, limit, safe_power, t)
     # one force for every block is read through a broadcast view, not copied
     gs = (np.broadcast_to(forces[0], ps.shape) if all(f is forces[0] for f in forces)
           else np.stack(forces))
@@ -196,7 +206,7 @@ def _evolve(cfg: ExperimentConfig, blocks: list, forces: list, nsteps: int,
         n_flat, x_flat = n_low.reshape(-1), x.reshape(-1)
     for i in range(nsteps):
         rs = np.empty_like(ps)
-        nonlinear_block(ps, grid, work, rs)
+        nonlinear_block(ps, work, rs)
         if spec is not None:
             np.take(rs, low, out=n_flat, mode="clip")
         np.subtract(gs, rs, out=rs)
@@ -216,10 +226,7 @@ def _evolve(cfg: ExperimentConfig, blocks: list, forces: list, nsteps: int,
         rs *= efac
         ps = rs
         t, step = t + dt, step + 1
-        power = ps.view(np.float64)
-        if not np.vdot(power, power) <= safe_power:  # NaN fails too
-            for p in ps:
-                _check_finite(p, weights, limit, t, checkpoint)
+        _check_finite(ps, weights, limit, safe_power, t, checkpoint)
         if cadence is not None and (i + 1) % every == 0:
             checkpoint = cadence(ps, t, step) or checkpoint
     return ps, t, step

@@ -57,11 +57,13 @@ def parse_config_text(text):
 
 
 def nonlinear_full(psi):
-    """The stepper's advection term (``nonlinear_block``, fresh workspace)
-    of a dealiased, Hermitian field, rebuilt on the full lattice."""
+    """The stepper's advection term (``nonlinear_block`` on a stack of one,
+    fresh workspace) of a dealiased, Hermitian field, rebuilt on the full
+    lattice."""
     grid = psi.grid
-    out = nonlinear_block(psi.block, grid, nonlinear_workspace(grid), np.empty_like(psi.block))
-    return from_block(out, grid.resolution)
+    stack = psi.block[np.newaxis]
+    out = nonlinear_block(stack, nonlinear_workspace(grid, 1), np.empty_like(stack))
+    return from_block(out[0], grid.resolution)
 
 
 def velocity_norm(vel, n=0):

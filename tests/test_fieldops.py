@@ -117,10 +117,11 @@ class TestNonlinearTerm:
     def test_half_plane_against_five_transform_form(self, grid64, rng):
         # the block term, expanded to the half-plane, against the direct
         # form on the whole half-plane: equal on the block, zero elsewhere
-        work = nonlinear_workspace(grid64)
+        work = nonlinear_workspace(grid64, 1)
         for decay in (3.0, 1.5):
             psi = random_psi(grid64, rng, decay=decay)
-            fast = nonlinear_block(psi.block, grid64, work, np.empty_like(psi.block))
+            stack = psi.block[np.newaxis]
+            fast = nonlinear_block(stack, work, np.empty_like(stack))[0]
             slow = five_transform_nonlinear_half(psi.coeffs[:, :33], grid64)
             diff = from_block(fast, 64)[:, :33] - slow
             assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(slow))
@@ -128,19 +129,25 @@ class TestNonlinearTerm:
             assert np.array_equal(col[1:], np.conj(col[:0:-1]))
 
 
+def fill_scratch(work, value):
+    """Fill the two scratch arrays of a workspace (every other array in it
+    is a view of them, or a read-only operator)."""
+    work.w.fill(value)
+    work.spec.fill(value)
+
+
 class TestBlockWorkspace:
     def test_reused_workspace_holds_no_state(self, grid64, rng):
-        # A, then B, then A again through one workspace that starts out
-        # full of NaN: the third result is bitwise the first, and bitwise
-        # a fresh workspace's
-        a, b = (random_psi(grid64, rng, decay=d).block for d in (3.0, 1.0))
-        work = nonlinear_workspace(grid64)
-        for arr in work:
-            arr.fill(np.nan)
-        first = nonlinear_block(a, grid64, work, np.full_like(a, np.nan))
-        nonlinear_block(b, grid64, work, np.empty_like(b))
-        third = nonlinear_block(a, grid64, work, np.empty_like(a))
-        fresh = nonlinear_block(a, grid64, nonlinear_workspace(grid64), np.empty_like(a))
+        # A, then B, then A again through one workspace (a stack of one)
+        # whose scratch starts out full of NaN: the third result is bitwise
+        # the first, and bitwise a fresh workspace's
+        a, b = (random_psi(grid64, rng, decay=d).block[np.newaxis] for d in (3.0, 1.0))
+        work = nonlinear_workspace(grid64, 1)
+        fill_scratch(work, np.nan)
+        first = nonlinear_block(a, work, np.full_like(a, np.nan))
+        nonlinear_block(b, work, np.empty_like(b))
+        third = nonlinear_block(a, work, np.empty_like(a))
+        fresh = nonlinear_block(a, nonlinear_workspace(grid64, 1), np.empty_like(a))
         assert np.all(np.isfinite(first))
         assert np.array_equal(third, first)
         assert np.array_equal(fresh, first)
@@ -157,24 +164,23 @@ class TestStackedBlocks:
     def test_pair_equals_two_single_calls(self, rng, n):
         # the systems do not interact through the batch: bitwise
         grid = tf.SpectralGrid(n)
-        single, pair = nonlinear_workspace(grid), nonlinear_workspace(grid, 2)
+        single, pair = nonlinear_workspace(grid, 1), nonlinear_workspace(grid, 2)
         for _ in range(30):
             stack = np.stack(self.blocks(grid, rng, 2))
-            stacked = nonlinear_block(stack, grid, pair, np.empty_like(stack))
+            stacked = nonlinear_block(stack, pair, np.empty_like(stack))
             for got, block in zip(stacked, stack):
-                alone = nonlinear_block(block, grid, single, np.empty_like(block))
-                assert np.array_equal(got, alone)
+                one = block[np.newaxis]
+                alone = nonlinear_block(one, single, np.empty_like(one))
+                assert np.array_equal(got, alone[0])
 
     def test_reused_pair_workspace_holds_no_state(self, grid64, rng):
         first, second = (np.stack(self.blocks(grid64, rng, 2)) for _ in range(2))
         work = nonlinear_workspace(grid64, 2)
-        for arr in work:
-            arr.fill(np.nan)
-        reused = nonlinear_block(first, grid64, work, np.full_like(first, np.nan))
-        nonlinear_block(second, grid64, work, np.empty_like(second))
-        again = nonlinear_block(first, grid64, work, np.empty_like(first))
-        fresh = nonlinear_block(first, grid64, nonlinear_workspace(grid64, 2),
-                                np.empty_like(first))
+        fill_scratch(work, np.nan)
+        reused = nonlinear_block(first, work, np.full_like(first, np.nan))
+        nonlinear_block(second, work, np.empty_like(second))
+        again = nonlinear_block(first, work, np.empty_like(first))
+        fresh = nonlinear_block(first, nonlinear_workspace(grid64, 2), np.empty_like(first))
         assert np.all(np.isfinite(reused))
         assert reused.tobytes() == again.tobytes() == fresh.tobytes()
 
@@ -184,8 +190,7 @@ class TestStackedBlocks:
         shear = field_from_physical(grid64, np.cos(y)).block
         stack = np.stack(self.blocks(grid64, rng, 2))
         stack[slot] = shear
-        out = nonlinear_block(stack, grid64, nonlinear_workspace(grid64, 2),
-                              np.empty_like(stack))
+        out = nonlinear_block(stack, nonlinear_workspace(grid64, 2), np.empty_like(stack))
         assert np.max(np.abs(out[slot])) == 0.0
         assert np.max(np.abs(out[1 - slot])) > 0.0
 

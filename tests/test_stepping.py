@@ -14,6 +14,8 @@ from twinflow.spectral import zero_field
 from twinflow.stepping import (
     BlowUpError,
     CheckpointError,
+    _check_finite,
+    _step_constants,
     advance,
     load_checkpoint,
     save_checkpoint,
@@ -326,6 +328,35 @@ class TestBlowUpDetection:
             advance(state, runaway, 40)
         assert info.value.t > 0
 
+    @staticmethod
+    def shear_at_speed(grid, cfg, ratio):
+        """A pure cos(x) shear (nonlinear term exactly 0) with ``|u|`` at
+        ``ratio`` times the blow-up limit, as a pair stack, and the limit
+        and bound of ``_check_finite``."""
+        _, limit, safe_power = _step_constants(grid, cfg.nu, cfg.dt, cfg.forcing)
+        c = np.zeros(grid.shape, dtype=np.complex128)
+        c[1, 0] = c[-1, 0] = 0.5
+        psi = lattice_field(grid, c * (ratio * limit / tf.norm_hn(lattice_field(grid, c), 1)))
+        ps = np.stack([psi.block, psi.block])
+        # at 32^2 the largest weight is 400: the stack's plain power times
+        # it fails the one-reduction bound, and the exact sums decide
+        power = ps.view(np.float64)
+        assert np.vdot(power, power) > safe_power
+        return psi, ps, limit, safe_power
+
+    def test_bound_fails_every_block_inside_limit(self, grid32, cfg32):
+        psi, ps, limit, safe_power = self.shear_at_speed(grid32, cfg32, 0.5)
+        assert _check_finite(ps, grid32.block_weights, limit, safe_power, 0.0) is None
+        stepped = step_single(psi, cfg32, zero_force(grid32))
+        assert np.array_equal(stepped.block, np.exp(-cfg32.nu * cfg32.dt) * psi.block)
+
+    def test_bound_fails_block_past_limit(self, grid32, cfg32):
+        psi, ps, limit, safe_power = self.shear_at_speed(grid32, cfg32, 1.01)
+        with pytest.raises(BlowUpError, match="absorbing radius"):
+            _check_finite(ps, grid32.block_weights, limit, safe_power, 0.0)
+        with pytest.raises(BlowUpError, match="absorbing radius"):
+            step_single(psi, cfg32, zero_force(grid32))
+
     def test_spin_up_blow_up_names_newest_checkpoint(self, tmp_path):
         # dt = 0.05 under a Grashof 10^6 force is past the explicit step's
         # stability limit: the spin-up blows up after some checkpoints
@@ -339,6 +370,32 @@ class TestBlowUpDetection:
         blown = int(round(info.value.t / cfg.dt))
         assert dt == cfg.dt
         assert blown - 5 <= state.step_index < blown
+
+
+class TestOneBlowUpCheck:
+    """Every blow-up check is one ``_check_finite`` call over the stack:
+    one on the input, one after every step."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        check = twinflow.stepping._check_finite
+
+        def counted(ps, *args, **kwargs):
+            calls.append(len(ps))
+            return check(ps, *args, **kwargs)
+
+        monkeypatch.setattr(twinflow.stepping, "_check_finite", counted)
+        return calls
+
+    def test_pair_advance(self, grid32, cfg32, rng, checks):
+        state = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng))
+        advance(state, cfg32, 7)
+        assert checks == [2] * 8
+
+    def test_spin_up(self, cfg32, checks):
+        tf.spin_up(cfg32, 0.1)
+        assert checks == [1] * (cfg32.steps(0.1) + 1)
 
 
 class TestTransformCount:
