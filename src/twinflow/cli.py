@@ -21,7 +21,14 @@ from .config import (
     provenance_info,
     write_config,
 )
-from .experiment import SWEEP_AXES, run_experiment, sweep, sweep_label, threshold_report
+from .experiment import (
+    SWEEP_AXES,
+    report_value_text,
+    run_experiment,
+    sweep,
+    sweep_label,
+    threshold_report,
+)
 from .spectral import energy_spectrum
 from .stepping import (
     BlowUpError,
@@ -109,11 +116,7 @@ def _cmd_thresholds(args) -> int:
     report = threshold_report(cfg)
     width = max(len(k) for k in report)
     for key, value in report.items():
-        if isinstance(value, bool):
-            value = "yes" if value else "no"
-        elif isinstance(value, float):
-            value = f"{value:.12g}"
-        print(f"{key:<{width}}  {value}")
+        print(f"{key:<{width}}  {report_value_text(value, 12)}")
     return 0
 
 

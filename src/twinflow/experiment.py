@@ -11,7 +11,7 @@ platform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -58,8 +58,6 @@ __all__ = [
     "threshold_report",
 ]
 
-CSV_COLUMNS = ("t", "err_h", "err_v", "err_low", "err_high", "energy1", "energy2")
-
 # err_h over |u| = sqrt(energy1) of a pair equal to double precision: 2e-17
 # to 3e-17 on the desk preset, so the floor is over three decades above it.
 ROUNDOFF_FLOOR = 1e-13
@@ -76,6 +74,10 @@ class ErrorRecord:
     err_high: float
     energy1: float
     energy2: float
+
+
+# series.csv's header: the record's fields, in order
+CSV_COLUMNS = tuple(f.name for f in fields(ErrorRecord))
 
 
 @dataclass(frozen=True)
@@ -331,18 +333,20 @@ def threshold_report(cfg: ExperimentConfig) -> dict[str, float | str | bool]:
     return report
 
 
+def report_value_text(value, digits: int) -> str:
+    """A threshold-report value as text: a bool as yes or no, a float to
+    ``digits`` significant digits, anything else as it prints."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        return f"{value:.{digits}g}"
+    return str(value)
+
+
 def _verdict_string(cfg: ExperimentConfig) -> str:
-    items = []
-    for key, value in threshold_report(cfg).items():
-        if key in ("variant", "cutoff"):
-            continue
-        if isinstance(value, bool):
-            items.append(f"{key}={'yes' if value else 'no'}")
-        elif isinstance(value, float):
-            items.append(f"{key}={value:.6g}")
-        else:
-            items.append(f"{key}={value}")
-    return "; ".join(items)
+    return "; ".join(f"{key}={report_value_text(value, 6)}"
+                     for key, value in threshold_report(cfg).items()
+                     if key not in ("variant", "cutoff"))
 
 
 def sweep_label(value: float) -> str:

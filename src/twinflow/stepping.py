@@ -12,9 +12,11 @@ takes the run's one config, a ``config.ExperimentConfig``, and reads its
 blow-up limit of both systems. A single flow is driven by ``forcing``;
 ``advance`` drives system 1 by ``forcing`` and system 2 by ``forcing2``
 (``forcing`` when unset), and couples them through ``coupling``: its
-cutoff ball ``spectral.low_block`` is the projection P_N. Each force
-enters the loop as its streamfunction source on the block, built once per
-grid, viscosity and force.
+cutoff ball ``spectral.low_block`` is the projection P_N. Each entry is
+one call of the one loop, ``_evolve``, with the states as fields and the
+forces as force fields (``make_band_forcing``); the loop builds each
+force's streamfunction source on the block once per call, and refuses a
+state on another grid than the config's or a negative step count.
 
 The state is the dealiased block that every ``SpectralField`` holds
 (see ``spectral``): the modes the 2/3 mask keeps. A ``PairState`` is two
@@ -24,18 +26,17 @@ function (``_check_finite``) checks the stack for non-finite
 coefficients and runaway magnitude before the first step and after
 every step. One loop steps the blocks of a single flow (the uncoupled
 case) or of a coupled pair, as one stack over which every stage of a
-step runs once; a callback on its cadence hands ``advance``'s observer
-a ``PairState`` over the stepped stack, or writes a spin-up's rolling
-checkpoint. Each
-step writes a new block-sized stack, so nothing handed out is written
-again: a state kept from an observer stays as it was, and no step
-allocates a lattice-sized array. Stepped blocks are wrapped as they
-are, so every state handed out is exactly Hermitian, and stepping k
-times one call at a time equals one k-step call bitwise. Only a
-checkpoint file holds a lattice: ``save_checkpoint`` writes the fields'
-``coeffs`` views, and ``load_checkpoint`` takes what it reads back onto
-the block (``spectral.to_block``), which drops every mode outside it.
-Inputs must be Hermitian.
+step runs once; a callback on its cadence gets the stepped fields, from
+which ``advance``'s observer sees a ``PairState`` and a spin-up writes
+its rolling checkpoint. Each step writes a new block-sized stack, so
+nothing handed out is written again: a state kept from an observer
+stays as it was, and no step allocates a lattice-sized array. Stepped
+blocks are wrapped as they are, so every state handed out is exactly
+Hermitian, and stepping k times one call at a time equals one k-step
+call bitwise. Only a checkpoint file holds a lattice: ``save_checkpoint``
+writes the fields' ``coeffs`` views, and ``load_checkpoint`` takes what
+it reads back onto the block (``spectral.to_block``), which drops every
+mode outside it. Inputs must be Hermitian.
 """
 
 from __future__ import annotations
@@ -131,12 +132,6 @@ def _step_constants(grid: SpectralGrid, nu: float, dt: float, forcing: ForcingSp
     return efac, limit, safe_power
 
 
-@lru_cache(maxsize=8)
-def _force_block(grid: SpectralGrid, nu: float, forcing: ForcingSpec) -> np.ndarray:
-    """The force's streamfunction source on the block (read-only)."""
-    return stream_force_term(make_band_forcing(forcing, grid, nu)).block
-
-
 def _check_finite(ps: np.ndarray, weights: np.ndarray, limit: float, safe_power: float,
                   t: float, last_checkpoint: Optional[str] = None):
     """The blow-up check of the stack ``ps`` at clock ``t``: a
@@ -162,32 +157,51 @@ def _check_finite(ps: np.ndarray, weights: np.ndarray, limit: float, safe_power:
             )
 
 
-def _evolve(cfg: ExperimentConfig, blocks: list, forces: list, nsteps: int,
+def _evolve(cfg: ExperimentConfig, fields: list, forces: list, nsteps: int,
             t: float = 0.0, step: int = 0, cadence: Optional[Callable] = None,
-            every: int = 1) -> tuple[np.ndarray, float, int]:
-    """``nsteps`` steps of the dealiased ``blocks`` (left as they are) under
-    the force blocks ``forces`` (see ``_force_block``): one flow, or two
-    coupled through ``cfg.coupling``, whose cutoff must be resolved
-    (``ConfigError``).
+            every: int = 1) -> tuple[list, float, int]:
+    """``nsteps`` steps of the states ``fields`` (``SpectralField``s on
+    ``cfg.grid``) under the force fields ``forces``, one per state: one
+    flow, or two coupled through ``cfg.coupling``, whose cutoff must be
+    resolved (``ConfigError``). Returns the stepped fields, the clock and
+    the step index; for 0 steps, the input fields themselves. A state on
+    another grid than ``cfg.grid``, or a negative ``nsteps``, is a
+    ``ValueError``.
+
+    A force field is what ``make_band_forcing`` returns (any field will
+    do); it enters as its streamfunction source on the block
+    (``stream_force_term``), built once per call. When every state shares
+    one force object, the stack reads that source through a broadcast
+    view, not a copy.
 
     The state is one stack of shape ``(s, 2K+1, K+1)``, ``s`` the number
-    of blocks, and every step runs once over it: the nonlinear term (one
+    of states, and every step runs once over it: the nonlinear term (one
     ``nonlinear_block`` call), the gather and scatter of the observed
     modes, the integrating-factor update and the blow-up check
     (``_check_finite``, which also checks the input stack). Each step
-    writes a new stack and never writes the last one again. Returns the
-    stepped stack, the clock and the step index. Every ``every`` steps
-    calls ``cadence(ps, t, step)`` with the stack; a checkpoint path it
-    returns is the one a later ``BlowUpError`` names.
+    writes a new stack and never writes the last one again. Every
+    ``every`` steps calls ``cadence(fields, t, step)`` with the stepped
+    fields; a checkpoint path it returns is the one a later
+    ``BlowUpError`` names.
     """
     grid, dt = cfg.grid, cfg.dt
+    for f in fields:
+        if f.grid != grid:
+            raise ValueError(f"state on a {f.grid.resolution}^2 grid, but the "
+                             f"configuration's grid is {grid.resolution}^2")
+    if nsteps < 0:
+        raise ValueError(f"nsteps must be non-negative, got {nsteps}")
+    if nsteps == 0:
+        return fields, t, step
     efac, limit, safe_power = _step_constants(grid, cfg.nu, dt, cfg.forcing)
     weights = grid.block_weights
-    ps = np.stack(blocks)
+    ps = np.stack([f.block for f in fields])
     _check_finite(ps, weights, limit, safe_power, t)
-    # one force for every block is read through a broadcast view, not copied
-    gs = (np.broadcast_to(forces[0], ps.shape) if all(f is forces[0] for f in forces)
-          else np.stack(forces))
+    # one force for every state is read through a broadcast view, not copied
+    if all(f is forces[0] for f in forces):
+        gs = np.broadcast_to(stream_force_term(forces[0]).block, ps.shape)
+    else:
+        gs = np.stack([stream_force_term(f).block for f in forces])
     work = nonlinear_workspace(grid, len(ps))
     checkpoint = None
     spec = cfg.coupling if len(ps) == 2 else None  # a single flow is uncoupled
@@ -228,19 +242,8 @@ def _evolve(cfg: ExperimentConfig, blocks: list, forces: list, nsteps: int,
         t, step = t + dt, step + 1
         _check_finite(ps, weights, limit, safe_power, t, checkpoint)
         if cadence is not None and (i + 1) % every == 0:
-            checkpoint = cadence(ps, t, step) or checkpoint
-    return ps, t, step
-
-
-def _evolve_single(psi: SpectralField, cfg: ExperimentConfig, nsteps: int,
-                   cadence: Optional[Callable] = None, every: int = 1) -> SpectralField:
-    """``nsteps`` single-flow steps under ``cfg.forcing``, clock from zero."""
-    if nsteps == 0:
-        return psi
-    grid = cfg.grid
-    (p,), _, _ = _evolve(cfg, [psi.block], [_force_block(grid, cfg.nu, cfg.forcing)],
-                         nsteps, cadence=cadence, every=every)
-    return SpectralField(grid, p)
+            checkpoint = cadence([SpectralField(grid, p) for p in ps], t, step) or checkpoint
+    return [SpectralField(grid, p) for p in ps], t, step
 
 
 def advance(
@@ -259,23 +262,13 @@ def advance(
     steps, never the input, as a ``PairState`` that no later step
     changes. The returned state wraps the stepped blocks.
     """
-    if nsteps == 0:
-        return state
-    grid = cfg.grid
     forcing2 = cfg.forcing if cfg.forcing2 is None else cfg.forcing2
-    forces = [_force_block(grid, cfg.nu, f) for f in (cfg.forcing, forcing2)]
-
-    def pair(ps, t, step):
-        return PairState(SpectralField(grid, ps[0]), SpectralField(grid, ps[1]), t, step)
-
-    def observe(ps, t, step):
-        observer(pair(ps, t, step))
-
-    ps, t, step = _evolve(
-        cfg, [state.psi1.block, state.psi2.block], forces, nsteps, state.t,
-        state.step_index, observe if observer is not None else None, observe_every,
-    )
-    return pair(ps, t, step)
+    forces = [make_band_forcing(f, cfg.grid, cfg.nu) for f in (cfg.forcing, forcing2)]
+    cadence = (None if observer is None
+               else lambda fields, t, step: observer(PairState(*fields, t, step)))
+    (psi1, psi2), t, step = _evolve(cfg, [state.psi1, state.psi2], forces, nsteps,
+                                    state.t, state.step_index, cadence, observe_every)
+    return state if nsteps == 0 else PairState(psi1, psi2, t, step)
 
 
 def spin_up(
@@ -288,7 +281,7 @@ def spin_up(
     """Evolve from zero initial data under the configured force.
 
     Writes rolling checkpoints (pair format with both components equal)
-    of the stepped block into ``checkpoint_dir`` every ``checkpoint_every``
+    of the stepped field into ``checkpoint_dir`` every ``checkpoint_every``
     time units (default ``cfg.checkpoint_every``) when a directory is
     given. From zero data the state never leaves the dealiased block.
     """
@@ -297,23 +290,28 @@ def spin_up(
         checkpoint_every = cfg.checkpoint_every
     every = max(1, cfg.steps(checkpoint_every))
 
-    def cadence(ps, t, step):
+    def cadence(fields, t, step):
         # checkpoint first: progress may rely on it being on disk
         path = None
         if checkpoint_dir is not None:
             path = str(Path(checkpoint_dir) / f"spinup_{step:09d}.ckpt")
-            psi = SpectralField(cfg.grid, ps[0])
+            (psi,) = fields
             save_checkpoint(PairState(psi, psi, t, step), cfg.dt, path)
         if progress is not None:
             progress(t)
         return path
 
-    return _evolve_single(zero_field(cfg.grid), cfg, nsteps, cadence, every)
+    force = make_band_forcing(cfg.forcing, cfg.grid, cfg.nu)
+    (psi,), _, _ = _evolve(cfg, [zero_field(cfg.grid)], [force], nsteps,
+                           cadence=cadence, every=every)
+    return psi
 
 
 def decorrelate(psi: SpectralField, cfg: ExperimentConfig, duration: float) -> SpectralField:
     """Evolve a snapshot further in time to produce a decorrelated partner."""
-    return _evolve_single(psi, cfg, cfg.steps(duration))
+    force = make_band_forcing(cfg.forcing, cfg.grid, cfg.nu)
+    (psi,), _, _ = _evolve(cfg, [psi], [force], cfg.steps(duration))
+    return psi
 
 
 # --- checkpoint serialization -------------------------------------------------

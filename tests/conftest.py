@@ -1,3 +1,9 @@
+import importlib
+import pkgutil
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,9 +11,16 @@ import twinflow as tf
 from twinflow import config
 from twinflow.config import ExperimentConfig
 from twinflow.fieldops import nonlinear_block, nonlinear_workspace
-from twinflow.spectral import from_block
+from twinflow.spectral import SpectralField, SpectralGrid, from_block, to_block
 
 from oracles import dealias_mask, field_from_physical, lattice_field, lattice_kmag
+
+sys.path.insert(0, str(Path(__file__).parent / "data"))
+
+from session_digest import session  # noqa: E402
+
+# the functions that build or read an N x N lattice (see test_lattice_boundary.py)
+LATTICE_FUNCTIONS = (from_block, SpectralField.coeffs.fget, to_block)
 
 
 def random_psi(grid, rng, decay=3.0, scale=1.0):
@@ -97,3 +110,62 @@ def no_large_grid(monkeypatch):
 @pytest.fixture
 def rng():
     return np.random.default_rng(2026)
+
+
+def package_modules():
+    return [tf] + [importlib.import_module(f"twinflow.{info.name}")
+                   for info in pkgutil.iter_modules(tf.__path__)]
+
+
+def clear_caches():
+    # a cached result from an earlier test would hide the call
+    for module in package_modules():
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+@dataclass
+class SessionTrace:
+    """What one CLI session did: the code objects it called, the callers
+    of each of ``LATTICE_FUNCTIONS`` (code object -> set of caller code
+    objects, None for a call with no caller), and every grid it built."""
+
+    called: set
+    callers: dict
+    grids: list
+
+
+def _caller(frame):
+    """The code a call came from; generator expressions and comprehensions
+    count as their enclosing function, which resumes them."""
+    frame = frame.f_back
+    while frame is not None and frame.f_code.co_name.startswith("<"):
+        frame = frame.f_back
+    return None if frame is None else frame.f_code
+
+
+@pytest.fixture(scope="session")
+def session_trace(tmp_path_factory):
+    """The 48^2 CLI session of ``tests/data/session_digest.py``, run once
+    under ``sys.setprofile`` with every package cache cleared first."""
+    clear_caches()
+    trace = SessionTrace(set(), {f.__code__: set() for f in LATTICE_FUNCTIONS}, [])
+    grid_init = SpectralGrid.__post_init__.__code__
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        trace.called.add(code)
+        if code in trace.callers:
+            trace.callers[code].add(_caller(frame))
+        elif code is grid_init:
+            trace.grids.append(frame.f_locals["self"])
+
+    sys.setprofile(profile)
+    try:
+        session(tmp_path_factory.mktemp("session"))
+    finally:
+        sys.setprofile(None)
+    return trace

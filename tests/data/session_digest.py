@@ -7,10 +7,20 @@ zero (see the README): ``spinup`` to t = 20 with a rolling checkpoint
 every 5 time units; ``run`` of every coupling variant from
 the spun-up ``base.ckpt``; a decorrelated run under the sup-norm force;
 a run from two checkpoints with its own ``[forcing2]``; a cutoff sweep
-and a theta sweep; ``spectrum`` of ``base.ckpt``; and ``thresholds`` for
-two nudging variants and for the paper-text preset. Each command's
-standard output is kept as ``stdout/<nn>-<command>.txt``, with the
-temporary directory written as ``<tmp>``.
+and a theta sweep; ``spectrum`` of ``base.ckpt``; ``thresholds`` for
+two nudging variants and for the paper-text preset; a mutual-nudging
+run at mu1 = mu2 = 1000 that blows up (exit code 3); ``thresholds`` for
+the paper-figure preset and for ``degenerate_sync``; and a re-run from
+the ``mutual_sync`` run's manifest, whose ``series.csv`` must equal the
+first run's. Every command must exit with its expected code. Each
+command's standard output is kept as ``stdout/<nn>-<command>.txt``, and
+its standard error, when it writes any, as ``stderr/<nn>-<command>.txt``,
+with the temporary directory written as ``<tmp>``.
+
+The tests run this same session once under ``sys.setprofile`` (see
+``tests/conftest.py``): what it reaches and where it builds lattices
+is pinned by ``tests/test_reachability.py`` and
+``tests/test_lattice_boundary.py``.
 
 Output is one ``sha256  relative/path`` line per file, sorted by path,
 ``manifest.ini`` files excluded (they hold the command line). Two trees
@@ -55,18 +65,21 @@ def with_settings(settings):
 def session(tmp: Path) -> None:
     calls = 0
 
-    def cli(*argv):
+    def cli(*argv, expect=0):
         nonlocal calls
         argv = [str(a) for a in argv]
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli_main(argv)
-        if code != 0:
-            raise SystemExit(f"exit {code}: twinflow {' '.join(argv)}")
+        if code != expect:
+            raise RuntimeError(f"exit {code}, expected {expect}: twinflow {' '.join(argv)}"
+                               f"\n{err.getvalue()}")
         calls += 1
-        log = tmp / "stdout" / f"{calls:02d}-{argv[0]}.txt"
-        log.parent.mkdir(exist_ok=True)
-        log.write_text(out.getvalue().replace(str(tmp), "<tmp>"))
+        for stream, text in (("stdout", out.getvalue()), ("stderr", err.getvalue())):
+            if stream == "stdout" or text:
+                log = tmp / stream / f"{calls:02d}-{argv[0]}.txt"
+                log.parent.mkdir(exist_ok=True)
+                log.write_text(text.replace(str(tmp), "<tmp>"))
 
     desk = ["--preset", "desk", *with_settings(DESK_48)]
     spin = tmp / "spin"
@@ -91,6 +104,17 @@ def session(tmp: Path) -> None:
         cli("thresholds", *desk, *with_settings([f"intertwinement.variant={variant}",
                                                  *VARIANT_SETTINGS[variant]]))
     cli("thresholds", "--preset", "paper-text")
+    # relaxation at mu * dt = 5 is unstable for explicit Euler
+    cli("run", *base, *with_settings([
+        "experiment.init=decorrelated", "intertwinement.variant=mutual_nudge",
+        "intertwinement.mu1=1000", "intertwinement.mu2=1000",
+    ]), "--out", tmp / "blowup", expect=3)
+    cli("thresholds", "--preset", "paper-figure")
+    cli("thresholds", *desk, "--set", "intertwinement.variant=degenerate_sync")
+    cli("run", "--config", tmp / "mutual_sync" / "manifest.ini", "--out", tmp / "rerun")
+    rerun, first = tmp / "rerun" / "series.csv", tmp / "mutual_sync" / "series.csv"
+    if rerun.read_bytes() != first.read_bytes():
+        raise RuntimeError("the re-run from mutual_sync's manifest wrote another series.csv")
 
 
 def digest(tmp: Path) -> list[str]:

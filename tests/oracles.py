@@ -95,8 +95,8 @@ def step_single(psi, cfg, f):
     """One single-flow step of the stepper under the force field ``f`` (a
     zero or random field too), with ``cfg``'s grid, ``nu``, ``dt`` and
     blow-up limit."""
-    (p,), _, _ = _evolve(cfg, [psi.block], [stream_force_term(f).block], 1)
-    return tf.SpectralField(cfg.grid, p)
+    (psi,), _, _ = _evolve(cfg, [psi], [f], 1)
+    return psi
 
 
 def convolution_nonlinear_term(psi):

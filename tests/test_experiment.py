@@ -16,9 +16,11 @@ from twinflow.config import (
     write_config,
 )
 from twinflow.experiment import (
+    CSV_COLUMNS,
     error_record,
     prepare_initial_pair,
     read_series_csv,
+    report_value_text,
     run_experiment,
     sweep,
     sweep_label,
@@ -190,6 +192,11 @@ class TestRunExperiment:
         assert (tmp_path / "manifest.ini").exists()
         back = read_series_csv(tmp_path / "series.csv")
         assert len(back) == len(series)
+        # the header perfbench and readers of series.csv rely on
+        assert CSV_COLUMNS == ("t", "err_h", "err_v", "err_low", "err_high",
+                               "energy1", "energy2")
+        header = (tmp_path / "series.csv").read_text().splitlines()[0]
+        assert header == ",".join(CSV_COLUMNS)
         assert back[-1].err_h == series[-1].err_h  # 17 digits round-trips doubles
 
     def test_blow_up_writes_records_taken(self, tmp_path):
@@ -356,6 +363,14 @@ class TestSweep:
 
 
 class TestThresholdReport:
+    def test_value_text(self):
+        # sweep summaries print 6 digits, ``twinflow thresholds`` 12
+        assert [report_value_text(v, 6) for v in (True, False, 5, "x")] == [
+            "yes", "no", "5", "x"]
+        assert report_value_text(2.0 / 3.0, 6) == "0.666667"
+        assert report_value_text(2.0 / 3.0, 12) == "0.666666666667"
+        assert report_value_text(1e-20, 6) == "1e-20"
+
     def test_mutual_sync_keys(self):
         report = threshold_report(tiny_config())
         assert report["variant"] == "mutual_sync"

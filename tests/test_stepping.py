@@ -398,6 +398,29 @@ class TestOneBlowUpCheck:
         assert checks == [1] * (cfg32.steps(0.1) + 1)
 
 
+class TestInputChecks:
+    """The loop refuses a state on another grid than the config's and a
+    negative step count before it steps, for every entry point."""
+
+    @pytest.mark.parametrize("nsteps", [0, 3])
+    def test_advance_state_on_another_grid(self, cfg32, rng, nsteps):
+        grid = tf.SpectralGrid(64)
+        state = tf.PairState(random_psi(grid, rng), random_psi(grid, rng))
+        with pytest.raises(ValueError, match=r"64\^2 grid.*grid is 32\^2"):
+            advance(state, cfg32, nsteps)
+
+    @pytest.mark.parametrize("duration", [0.0, 0.03])
+    def test_decorrelate_state_on_another_grid(self, cfg32, rng, duration):
+        psi = random_psi(tf.SpectralGrid(64), rng)
+        with pytest.raises(ValueError, match=r"64\^2 grid.*grid is 32\^2"):
+            tf.decorrelate(psi, cfg32, duration)
+
+    def test_advance_negative_step_count(self, grid32, cfg32, rng):
+        state = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng))
+        with pytest.raises(ValueError, match="nsteps must be non-negative, got -3"):
+            advance(state, cfg32, -3)
+
+
 class TestTransformCount:
     """Each axis pass of a step is one FFT call for both velocity
     components and every block of the stack: four calls per step."""
@@ -416,7 +439,7 @@ class TestTransformCount:
 
     def test_coupled_pair_step(self, grid32, cfg32, rng, fft_calls):
         state = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng))
-        advance(state, cfg32, 1)  # builds the cached forces and constants
+        advance(state, cfg32, 1)  # builds the cached force fields and step constants
         fft_calls.clear()
         advance(state, cfg32, 1)
         assert fft_calls == ["ifft", "irfft", "rfft", "fft"]
