@@ -29,11 +29,14 @@ stepper and the error records work on the block, through the grid's
 block tables; ``sobolev_weights`` count each column ``ky > 0`` twice,
 for itself and its mirror.
 
-The ``N x N`` lattice is only a view: ``SpectralField.coeffs`` rebuilds
-it by exact Hermitian reflection (``from_block``) for ``to_physical``'s
-``irfft2`` and for the checkpoint file, and the checkpoint reader takes
-a stored lattice onto the block with ``to_block``, which drops every
-mode outside it.
+No code of the package builds the ``N x N`` lattice: ``to_physical``
+pads the block with zeros into the ``N x (N/2+1)`` half-plane that
+``irfft2`` reads, and a checkpoint file (version 2) holds the blocks.
+Only the reader of version-1 files takes a stored lattice onto the block,
+with ``to_block``, which drops every mode outside it. Both readers make
+column ``ky = 0`` exactly Hermitian with ``make_hermitian``.
+``SpectralField.coeffs`` still rebuilds the lattice by exact Hermitian
+reflection (``from_block``) for callers outside the package.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ class SpectralField:
     @property
     def coeffs(self) -> np.ndarray:
         """The ``N x N`` lattice of the field, rebuilt by exact Hermitian
-        reflection (read-only): what ``irfft2`` and checkpoint files read."""
+        reflection (read-only); no code of the package reads it."""
         full = from_block(self.block, self.grid.resolution)
         full.setflags(write=False)
         return full
@@ -146,11 +149,16 @@ def zero_field(grid: SpectralGrid) -> SpectralField:
 
 
 def to_physical(field: SpectralField) -> np.ndarray:
-    """Inverse transform of the field's lattice. The field is real, so
-    ``irfft2`` reads only the columns ``ky = 0 .. N/2``; passing just those
-    spares its complex pass the other half."""
-    n = field.grid.resolution
-    return np.fft.irfft2(field.coeffs[:, : n // 2 + 1], s=field.grid.shape, norm="forward")
+    """Inverse transform of the field. The field is real, so ``irfft2``
+    reads only the columns ``ky = 0 .. N/2`` of the lattice: the block,
+    padded with zeros into an ``N x (N/2+1)`` array, since every mode
+    outside the block there is zero."""
+    grid = field.grid
+    n, kmax = grid.resolution, grid.dealias_kmax
+    half = np.zeros((n, n // 2 + 1), dtype=np.complex128)
+    half[: kmax + 1, : kmax + 1] = field.block[: kmax + 1]
+    half[n - kmax:, : kmax + 1] = field.block[kmax + 1:]
+    return np.fft.irfft2(half, s=grid.shape, norm="forward")
 
 
 def sobolev_weights(grid: SpectralGrid, n: int) -> np.ndarray:
@@ -183,14 +191,20 @@ def to_block(coeffs: np.ndarray, kmax: int) -> np.ndarray:
 
     The block holds the modes ``|kx| <= kmax``, ``ky = 0 .. kmax``: rows
     ``kx = 0 .. kmax`` then ``-kmax .. -1``, one column per ``ky``, so
-    ``(2 kmax + 1) x (kmax + 1)``. Column ``ky = 0`` is its own mirror
-    image; its ``kx < 0`` rows are reset to the conjugates of the ``kx > 0``
-    rows and its ``k = 0`` entry to its real part, so the result is exactly
-    Hermitian. For an exactly Hermitian input that changes no value (a
-    zero imaginary part may change sign)."""
+    ``(2 kmax + 1) x (kmax + 1)``, made exactly Hermitian
+    (``make_hermitian``)."""
     n = coeffs.shape[0]
-    block = np.asarray(coeffs[np.r_[0:kmax + 1, n - kmax:n], : kmax + 1],
-                       dtype=np.complex128)
+    return make_hermitian(np.asarray(coeffs[np.r_[0:kmax + 1, n - kmax:n], : kmax + 1],
+                                     dtype=np.complex128))
+
+
+def make_hermitian(block: np.ndarray) -> np.ndarray:
+    """Make a block exactly Hermitian, in place, and return it.
+
+    Column ``ky = 0`` is its own mirror image: its ``kx < 0`` rows are
+    reset to the conjugates of the ``kx > 0`` rows and its ``k = 0`` entry
+    to its real part. For an exactly Hermitian block that changes no value
+    (a zero imaginary part may change sign)."""
     col = block[:, 0]
     mirror_column(col)
     col[0] = col[0].real

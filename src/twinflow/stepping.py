@@ -33,10 +33,12 @@ nothing handed out is written again: a state kept from an observer
 stays as it was, and no step allocates a lattice-sized array. Stepped
 blocks are wrapped as they are, so every state handed out is exactly
 Hermitian, and stepping k times one call at a time equals one k-step
-call bitwise. Only a checkpoint file holds a lattice: ``save_checkpoint``
-writes the fields' ``coeffs`` views, and ``load_checkpoint`` takes what
-it reads back onto the block (``spectral.to_block``), which drops every
-mode outside it. Inputs must be Hermitian.
+call bitwise. A checkpoint file holds the blocks too: ``save_checkpoint``
+writes version 2, streamed from the fields' own blocks, and
+``load_checkpoint`` copies them back. Only a version-1 file holds a
+lattice, which ``load_checkpoint`` takes onto the block
+(``spectral.to_block``), dropping every mode outside it. Inputs must be
+Hermitian.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .spectral import (
     SpectralField,
     SpectralGrid,
     low_block,
+    make_hermitian,
     shared_grid,
     to_block,
     weighted_power,
@@ -317,7 +320,7 @@ def decorrelate(psi: SpectralField, cfg: ExperimentConfig, duration: float) -> S
 # --- checkpoint serialization -------------------------------------------------
 
 CHECKPOINT_MAGIC = b"INTWNSE1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _HEADER = struct.Struct("<8sIIddQ")  # magic, version, resolution, dt, t, step
 
 
@@ -326,16 +329,17 @@ class CheckpointError(RuntimeError):
 
 
 def save_checkpoint(state: PairState, dt: float, path) -> None:
-    """Serialize a pair state.
+    """Serialize a pair state (format version 2).
 
     Layout (little-endian): magic ``INTWNSE1``, format version u32,
     resolution u32, timestep f64, clock f64, step index u64, then both
-    coefficient arrays as interleaved f64 (re, im) pairs in row-major
-    wavenumber order, then CRC32 (u32) of all preceding bytes.
+    dealiased blocks (``(2K+1) x (K+1)``, rows ``kx = 0 .. K`` then
+    ``-K .. -1``, ``K = grid.dealias_kmax``) as interleaved f64 (re, im)
+    pairs in row-major order, then CRC32 (u32) of all preceding bytes.
 
-    The bytes stream from the arrays into a sibling temporary file, which
-    then replaces ``path`` in one rename: a write that fails or is killed
-    midway leaves any previous file at ``path`` as it was.
+    The bytes stream from the blocks' own memory into a sibling temporary
+    file, which then replaces ``path`` in one rename: a write that fails or
+    is killed midway leaves any previous file at ``path`` as it was.
     """
     path = Path(path)
     header = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, state.grid.resolution,
@@ -344,7 +348,7 @@ def save_checkpoint(state: PairState, dt: float, path) -> None:
     try:
         with open(tmp, "wb") as fh:
             crc = 0
-            for chunk in (header, *(memoryview(np.ascontiguousarray(f.coeffs, "<c16"))
+            for chunk in (header, *(memoryview(np.ascontiguousarray(f.block, "<c16"))
                                     for f in (state.psi1, state.psi2))):
                 crc = zlib.crc32(chunk, crc)
                 fh.write(chunk)
@@ -358,13 +362,17 @@ def save_checkpoint(state: PairState, dt: float, path) -> None:
 def load_checkpoint(path, grid: Optional[SpectralGrid] = None) -> tuple[PairState, float]:
     """Read a checkpoint back; returns (state, timestep).
 
-    Validates magic, version, length, CRC, and that every stored
-    coefficient is finite before constructing any state
+    Reads format version 2 (``save_checkpoint``) and version 1, whose
+    layout differs only in the arrays: two ``N x N`` lattices in the
+    ``fft2`` order. Validates magic, version, length, CRC, and that every
+    stored coefficient is finite before constructing any state
     (``CheckpointError``, naming the file); if ``grid`` is given its
-    resolution must match the file's. Each stored lattice is taken onto
-    the block: modes outside it are dropped. The file, which must be a
-    regular file, is read through a read-only memory map, released with
-    the last view of it.
+    resolution must match the file's. Version-2 blocks are copied;
+    version-1 lattices are taken onto the block (``to_block``), dropping
+    the modes outside it. Either way column ``ky = 0`` is made exactly
+    Hermitian (``make_hermitian``). The file, which must be a regular
+    file, is read through a read-only memory map, released with the last
+    view of it.
     """
     # a read-only map of the file: its bytes are never copied onto the heap
     with open(path, "rb") as fh:
@@ -377,9 +385,14 @@ def load_checkpoint(path, grid: Optional[SpectralGrid] = None) -> tuple[PairStat
     magic, version, n, dt, t, step = _HEADER.unpack_from(raw, 0)
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad checkpoint magic {magic!r} in {path}")
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise CheckpointError(f"unsupported checkpoint version {version} in {path}")
-    expected = _HEADER.size + 2 * (n * n * 16) + 4
+    # the stored arrays' shape; kmax is SpectralGrid.dealias_kmax, known
+    # before a grid is built from a header that may be corrupt
+    kmax = (n - 1) // 3
+    shape = (n, n) if version == 1 else (2 * kmax + 1, kmax + 1)
+    count = 2 * shape[0] * shape[1]
+    expected = _HEADER.size + count * 16 + 4
     if len(raw) != expected:
         raise CheckpointError(
             f"truncated checkpoint file: {path} ({len(raw)} bytes, expected {expected})"
@@ -389,7 +402,7 @@ def load_checkpoint(path, grid: Optional[SpectralGrid] = None) -> tuple[PairStat
         raise CheckpointError(f"checkpoint CRC mismatch in {path}")
     if grid is not None and grid.resolution != n:
         raise CheckpointError(
-            f"resolution mismatch on resume: checkpoint has {n}, "
+            f"resolution mismatch on resume: checkpoint {path} has {n}, "
             f"configuration has {grid.resolution}"
         )
     if grid is None:
@@ -397,9 +410,12 @@ def load_checkpoint(path, grid: Optional[SpectralGrid] = None) -> tuple[PairStat
             grid = shared_grid(n)
         except ValueError as exc:
             raise CheckpointError(f"bad checkpoint header in {path}: {exc}") from None
-    stored = np.frombuffer(raw, dtype="<c16", count=2 * n * n,
-                           offset=_HEADER.size).reshape(2, n, n)
+    stored = np.frombuffer(raw, dtype="<c16", count=count,
+                           offset=_HEADER.size).reshape(2, *shape)
     if not np.isfinite(stored).all():
         raise CheckpointError(f"non-finite coefficient stored in checkpoint {path}")
-    kmax = grid.dealias_kmax
-    return PairState(*(SpectralField(grid, to_block(c, kmax)) for c in stored), t, step), dt
+    if version == 1:
+        blocks = [to_block(c, kmax) for c in stored]
+    else:
+        blocks = [make_hermitian(np.array(b, dtype=np.complex128)) for b in stored]
+    return PairState(*(SpectralField(grid, b) for b in blocks), t, step), dt

@@ -12,7 +12,10 @@ two nudging variants and for the paper-text preset; a mutual-nudging
 run at mu1 = mu2 = 1000 that blows up (exit code 3); ``thresholds`` for
 the paper-figure preset and for ``degenerate_sync``; and a re-run from
 the ``mutual_sync`` run's manifest, whose ``series.csv`` must equal the
-first run's. Every command must exit with its expected code. Each
+first run's; and the ``mutual_sync`` run again from ``base_v1.ckpt``, a
+version-1 copy of ``base.ckpt`` written by ``version_1_copy``, whose
+``series.csv`` must equal the first run's too. Every command must exit
+with its expected code. Each
 command's standard output is kept as ``stdout/<nn>-<command>.txt``, and
 its standard error, when it writes any, as ``stderr/<nn>-<command>.txt``,
 with the temporary directory written as ``<tmp>``.
@@ -34,9 +37,13 @@ parent and on itself:
 import contextlib
 import hashlib
 import io
+import struct
 import sys
 import tempfile
+import zlib
 from pathlib import Path
+
+import numpy as np
 
 from twinflow.cli import cli_main
 
@@ -60,6 +67,23 @@ FORCING2 = ["forcing2.band_low=8", "forcing2.band_high=14", "forcing2.grashof=3e
 
 def with_settings(settings):
     return [arg for item in settings for arg in ("--set", item)]
+
+
+def version_1_copy(data: bytes) -> bytes:
+    """The version-1 file of the state in the version-2 checkpoint ``data``:
+    the same header but for the version, each ``(2K+1) x (K+1)`` block
+    spread onto its ``N x N`` lattice by Hermitian reflection,
+    ``c[-kx, -ky] = conj(c[kx, ky])`` for ``ky = 1 .. K`` and every row,
+    and a new CRC32."""
+    (n,) = struct.unpack_from("<I", data, 12)
+    kmax = (n - 1) // 3
+    rows = np.r_[0:kmax + 1, n - kmax:n]
+    blocks = np.frombuffer(data, "<c16", 2 * rows.size * (kmax + 1), 40)
+    lattices = np.zeros((2, n, n), "<c16")
+    lattices[:, rows, : kmax + 1] = blocks.reshape(2, rows.size, kmax + 1)
+    lattices[:, :, n - kmax:] = np.conj(lattices[:, -np.arange(n) % n, kmax:0:-1])
+    blob = data[:8] + struct.pack("<I", 1) + data[12:40] + lattices.tobytes()
+    return blob + struct.pack("<I", zlib.crc32(blob))
 
 
 def session(tmp: Path) -> None:
@@ -115,6 +139,16 @@ def session(tmp: Path) -> None:
     rerun, first = tmp / "rerun" / "series.csv", tmp / "mutual_sync" / "series.csv"
     if rerun.read_bytes() != first.read_bytes():
         raise RuntimeError("the re-run from mutual_sync's manifest wrote another series.csv")
+    # the last command: the numbered logs of the ones before keep their names
+    v1 = tmp / "base_v1.ckpt"
+    v1.write_bytes(version_1_copy((spin / "base.ckpt").read_bytes()))
+    cli("run", *desk, *with_settings([f"experiment.base_checkpoint={v1}",
+                                      "intertwinement.variant=mutual_sync",
+                                      *VARIANT_SETTINGS["mutual_sync"]]),
+        "--out", tmp / "from_v1")
+    if (tmp / "from_v1" / "series.csv").read_bytes() != first.read_bytes():
+        raise RuntimeError("the run from a version-1 copy of base.ckpt wrote another "
+                           "series.csv")
 
 
 def digest(tmp: Path) -> list[str]:

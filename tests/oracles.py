@@ -19,9 +19,12 @@
   a field holds (``to_block``), and ``block_of`` takes any lattice table
   (masks, wavenumbers) onto the block as it is.
 * ``odd_energy`` is the energy of the odd sublattice, ``kx + ky`` odd.
-* ``checkpoint_bytes`` writes a checkpoint from the byte layout in the
-  README, one number at a time, and ``lattice_checkpoint_bytes`` writes
-  one from any two lattices (modes outside the block, NaN).
+* ``checkpoint_bytes`` writes a version-2 checkpoint of a pair state from
+  the byte layout in the README, one number at a time;
+  ``block_checkpoint_bytes`` writes one from any two block-shaped arrays
+  (NaN, a column ``ky = 0`` that is not Hermitian), and
+  ``lattice_checkpoint_bytes`` a version-1 file from any two lattices
+  (modes outside the block, NaN).
 * ``step_single`` is one step of the package's own stepping loop under
   any force field, which the package's entry points never take: they
   step under the forces of their config.
@@ -251,18 +254,30 @@ def full_lattice_norm(field, n):
 
 
 def checkpoint_bytes(state, dt):
-    """The checkpoint file of a pair state (see ``lattice_checkpoint_bytes``)."""
-    return lattice_checkpoint_bytes(state.grid.resolution, dt, state.t, state.step_index,
-                                    [state.psi1.coeffs, state.psi2.coeffs])
+    """The version-2 checkpoint file of a pair state (see
+    ``block_checkpoint_bytes``)."""
+    return block_checkpoint_bytes(state.grid.resolution, dt, state.t, state.step_index,
+                                  [state.psi1.block, state.psi2.block])
+
+
+def block_checkpoint_bytes(n, dt, t, step, blocks):
+    """A version-2 checkpoint file built from the README's layout: both
+    ``(2K+1) x (K+1)`` blocks of an ``n x n`` grid in row-major order."""
+    return _checkpoint_file(2, n, dt, t, step, blocks)
 
 
 def lattice_checkpoint_bytes(n, dt, t, step, lattices):
-    """A checkpoint file built from the README's layout: magic, version,
-    resolution, dt, t, step, both ``n x n`` arrays as (re, im) f64 pairs in
-    row-major order, then the CRC32 of everything before it."""
-    blob = b"INTWNSE1" + struct.pack("<IIddQ", 1, n, dt, t, step)
-    for lattice in lattices:
-        for row in lattice:
+    """A version-1 checkpoint file built from the README's layout: both
+    ``n x n`` lattices in row-major order."""
+    return _checkpoint_file(1, n, dt, t, step, lattices)
+
+
+def _checkpoint_file(version, n, dt, t, step, arrays):
+    """Magic, version, resolution, dt, t, step, the arrays as (re, im) f64
+    pairs in row-major order, then the CRC32 of everything before it."""
+    blob = b"INTWNSE1" + struct.pack("<IIddQ", version, n, dt, t, step)
+    for array in arrays:
+        for row in array:
             for c in row:
                 blob += struct.pack("<dd", c.real, c.imag)
     return blob + struct.pack("<I", zlib.crc32(blob))

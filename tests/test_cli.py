@@ -277,13 +277,14 @@ def test_spectrum_subcommand(tmp_path, rng):
 
 def test_spectrum_of_checkpoint_holding_nan_exits_2(capsys, tmp_path, rng):
     # a corrupt input, not a blow-up: the CRC is intact, no step runs
-    n = 32
-    psi = random_psi(tf.SpectralGrid(n), rng)
+    grid = tf.SpectralGrid(32)
+    psi = random_psi(grid, rng)
     ckpt = tmp_path / "bad.ckpt"
     save_checkpoint(tf.PairState(psi, psi), 0.01, ckpt)
     raw = bytearray(ckpt.read_bytes())
-    payload = len(raw) - 2 * n * n * 16 - 4
-    at = payload + (3 * n + 16) * 16
+    rows, cols = grid.block_shape
+    payload = len(raw) - 2 * rows * cols * 16 - 4
+    at = payload + (3 * cols + 5) * 16  # psi1's mode kx = 3, ky = 5
     raw[at:at + 16] = np.array([complex(np.nan, 0.0)], dtype="<c16").tobytes()
     raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[:-4])) & 0xFFFFFFFF)
     ckpt.write_bytes(bytes(raw))

@@ -24,6 +24,10 @@ UNREACHED = {
     "config.ExperimentConfig.sim": "alias of the config itself for perfbench/workloads.py's "
                                    "spin_up(cfg.sim, ...); ROADMAP item 1 deletes it",
     "experiment.read_series_csv": "library reader of series.csv; the CLI only writes it",
+    "spectral.SpectralField.coeffs": "perfbench/workloads.py reads `.coeffs`; ROADMAP item 12 "
+                                     "deletes both after item 1",
+    "spectral.from_block": "perfbench/workloads.py reads `.coeffs`; ROADMAP item 12 deletes "
+                           "both after item 1",
 }
 
 

@@ -218,6 +218,15 @@ class TestTransforms:
         back = field_from_physical(grid64, phys)
         assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-12 * np.max(np.abs(f.coeffs))
 
+    @pytest.mark.parametrize("n", [32, 48, 96, 128, 512])
+    def test_to_physical_reads_the_padded_block(self, rng, n):
+        # the block padded with zeros is the lattice's columns ky <= N/2:
+        # the same irfft2 input, so bitwise the same output
+        grid = tf.SpectralGrid(n)
+        f = random_psi(grid, rng)
+        lattice = np.fft.irfft2(f.coeffs[:, : n // 2 + 1], s=grid.shape, norm="forward")
+        assert np.array_equal(tf.to_physical(f), lattice)
+
     def test_constructors_zero_mean(self, grid64, rng):
         f = field_from_physical(grid64, rng.standard_normal(grid64.shape) + 5.0)
         assert f.coeffs[0, 0] == 0.0

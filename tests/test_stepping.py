@@ -1,5 +1,8 @@
+import gc
+import mmap
 import os
 import struct
+import weakref
 import zlib
 from dataclasses import replace
 
@@ -23,6 +26,7 @@ from twinflow.stepping import (
 
 from conftest import hermitian_part, random_psi, sub, tiny_config
 from oracles import (
+    block_checkpoint_bytes,
     checkpoint_bytes,
     dealias_mask,
     hermitian_defect,
@@ -521,8 +525,112 @@ class TestCheckpoints:
         back, dt = load_checkpoint(path)
         assert dt == 0.005
         assert back.t == state.t and back.step_index == state.step_index
-        assert np.array_equal(back.psi1.coeffs, state.psi1.coeffs)
-        assert np.array_equal(back.psi2.coeffs, state.psi2.coeffs)
+        assert np.array_equal(back.psi1.block, state.psi1.block)
+        assert np.array_equal(back.psi2.block, state.psi2.block)
+
+    def test_file_holds_the_two_blocks(self, rng, tmp_path):
+        # 40-byte header, two (2K+1) x (K+1) complex128 blocks, CRC32:
+        # 22% of a version-1 file at 128^2 and at 512^2
+        for n, size in ((128, 117_004), (512, 1_865_996)):
+            grid = tf.SpectralGrid(n)
+            psi = random_psi(grid, rng)
+            path = tmp_path / f"{n}.ckpt"
+            save_checkpoint(tf.PairState(psi, psi), 0.01, path)
+            rows, cols = grid.block_shape
+            assert path.stat().st_size == size == 40 + 2 * rows * cols * 16 + 4
+            assert struct.unpack_from("<I", path.read_bytes(), 8) == (2,)
+
+    def test_version_1_and_version_2_load_the_same_blocks(self, grid32, rng, tmp_path):
+        state = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng), 3.5, 700)
+        v1, v2 = tmp_path / "v1.ckpt", tmp_path / "v2.ckpt"
+        v1.write_bytes(lattice_checkpoint_bytes(32, 0.005, state.t, state.step_index,
+                                                [state.psi1.coeffs, state.psi2.coeffs]))
+        save_checkpoint(state, 0.005, v2)
+        (a, dt_a), (b, dt_b) = load_checkpoint(v1), load_checkpoint(v2)
+        assert dt_a == dt_b == 0.005
+        assert (a.t, a.step_index) == (b.t, b.step_index) == (3.5, 700)
+        assert np.array_equal(a.psi1.block, b.psi1.block)
+        assert np.array_equal(a.psi2.block, b.psi2.block)
+        assert np.array_equal(b.psi1.block, state.psi1.block)
+
+    @pytest.mark.parametrize("version", [0, 3])
+    def test_unsupported_version_rejected(self, grid32, rng, tmp_path, version):
+        state = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng))
+        raw = bytearray(checkpoint_bytes(state, 0.01))
+        raw[8:12] = struct.pack("<I", version)
+        raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[:-4])) & 0xFFFFFFFF)
+        path = tmp_path / "future.ckpt"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", ["non-finite", "header resolution", "grid resolution"])
+    def test_damaged_version_2_file_names_itself(self, grid32, rng, tmp_path, damage):
+        # truncated and CRC-flipped files: test_truncated_rejected and
+        # test_crc_mismatch_rejected
+        state = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng))
+        raw = bytearray(checkpoint_bytes(state, 0.01))
+        grid = None
+        if damage == "non-finite":
+            blocks = [np.array(state.psi1.block), state.psi2.block]
+            blocks[0][3, 5] = complex(np.inf, 0.0)
+            raw = bytearray(block_checkpoint_bytes(32, 0.01, 0.0, 0, blocks))
+        elif damage == "header resolution":
+            # a 36^2 header over a 32^2 file: its blocks would have K = 11,
+            # not 10, so the length is wrong
+            raw[12:16] = struct.pack("<I", 36)
+            raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[:-4])) & 0xFFFFFFFF)
+        else:
+            grid = tf.SpectralGrid(64)
+        path = tmp_path / "damaged.ckpt"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path, grid)
+        assert str(path) in str(info.value)
+
+    def test_column_ky0_loads_exactly_hermitian(self, grid32, rng, tmp_path):
+        # a version-2 file whose self-mirrored column is not Hermitian: the
+        # reader applies the version-1 reader's rule to it, and keeps every
+        # other stored coefficient as it is
+        kmax = grid32.dealias_kmax
+        blocks = [random_psi(grid32, rng).block.copy() for _ in range(2)]
+        for b in blocks:
+            b[:, 0] = rng.standard_normal(2 * kmax + 1) + 1j * rng.standard_normal(2 * kmax + 1)
+        path = tmp_path / "skew.ckpt"
+        path.write_bytes(block_checkpoint_bytes(32, 0.01, 0.0, 0, blocks))
+        state, _ = load_checkpoint(path)
+        for psi, stored in zip((state.psi1, state.psi2), blocks):
+            col = psi.block[:, 0]
+            assert np.array_equal(col[kmax + 1:], np.conj(col[kmax:0:-1]))
+            assert np.array_equal(col[: kmax + 1], np.r_[stored[0, 0].real, stored[1:kmax + 1, 0]])
+            assert np.array_equal(psi.block[:, 1:], stored[:, 1:])
+            assert hermitian_defect(psi) == 0.0
+
+    def test_reader_releases_its_map(self, grid32, rng, tmp_path, monkeypatch):
+        # no loaded state, and no error once handled, keeps the file mapped
+        maps = []
+
+        class Recorded(mmap.mmap):
+            def __init__(self, *args, **kwargs):
+                maps.append(weakref.ref(self))
+
+        monkeypatch.setattr(mmap, "mmap", Recorded)
+        state = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng))
+        good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+        save_checkpoint(state, 0.01, good)
+        good_v1 = tmp_path / "good_v1.ckpt"
+        good_v1.write_bytes(lattice_checkpoint_bytes(32, 0.01, 0.0, 0,
+                                                     [state.psi1.coeffs, state.psi2.coeffs]))
+        blocks = [np.full(grid32.block_shape, np.nan, dtype=np.complex128)] * 2
+        bad.write_bytes(block_checkpoint_bytes(32, 0.01, 0.0, 0, blocks))
+        loaded = [load_checkpoint(good)[0], load_checkpoint(good_v1)[0]]
+        try:
+            load_checkpoint(bad)
+        except CheckpointError:
+            pass
+        gc.collect()
+        assert len(maps) == 3 and all(ref() is None for ref in maps)
+        assert all(np.isfinite(s.psi1.block).all() for s in loaded)
 
     def test_corrupted_magic_rejected(self, grid32, rng, tmp_path):
         path = tmp_path / "state.ckpt"
@@ -546,8 +654,9 @@ class TestCheckpoints:
                         0.01, path)
         trunc = tmp_path / "trunc.ckpt"
         trunc.write_bytes(path.read_bytes()[:100])
-        with pytest.raises(CheckpointError, match="truncated"):
+        with pytest.raises(CheckpointError, match="truncated") as info:
             load_checkpoint(trunc)
+        assert str(trunc) in str(info.value)
 
     def test_crc_mismatch_rejected(self, grid32, rng, tmp_path):
         path = tmp_path / "state.ckpt"
@@ -557,8 +666,9 @@ class TestCheckpoints:
         raw[60] ^= 0x01  # flip a payload bit
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="CRC"):
+        with pytest.raises(CheckpointError, match="CRC") as info:
             load_checkpoint(bad)
+        assert str(bad) in str(info.value)
 
     def test_bytes_match_independent_writer(self, grid32, rng, tmp_path):
         state = tf.PairState(random_psi(grid32, rng), random_psi(grid32, rng), 3.5, 700)
@@ -592,14 +702,17 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("n", [0, 3, 5])
     def test_impossible_resolution_rejected(self, tmp_path, n):
-        # a CRC-valid file whose header names a resolution no grid can have
-        blob = struct.pack("<8sIIddQ", b"INTWNSE1", 1, n, 0.01, 0.0, 0)
-        blob += bytes(2 * n * n * 16)
-        blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
-        path = tmp_path / "odd.ckpt"
-        path.write_bytes(blob)
-        with pytest.raises(CheckpointError, match="resolution"):
-            load_checkpoint(path)
+        # a CRC-valid file whose header names a resolution no grid can have,
+        # with the arrays that resolution would store, in either version
+        kmax = (n - 1) // 3
+        for version, values in ((1, n * n), (2, (2 * kmax + 1) * (kmax + 1))):
+            blob = struct.pack("<8sIIddQ", b"INTWNSE1", version, n, 0.01, 0.0, 0)
+            blob += bytes(2 * values * 16)
+            blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
+            path = tmp_path / f"odd_v{version}.ckpt"
+            path.write_bytes(blob)
+            with pytest.raises(CheckpointError, match="resolution"):
+                load_checkpoint(path)
 
     def test_resolution_mismatch_names_both(self, grid32, rng, tmp_path):
         path = tmp_path / "state.ckpt"
